@@ -6,17 +6,21 @@ each rank's stream, substituting, and feeding the result through the same
 on-the-fly compression and radix merge the tracer uses — which is exactly
 the paper's "append an RSD to the output queue, then compress" step and
 preserves its guarantees: one RSD per collective, per-rank event order
-intact, output still compressed.
+intact, output still compressed.  As in the tracer, each rank's rebuilt
+node list is fed to the streaming merge accumulator as soon as it is
+complete, so at most ``log2(P)+1`` partial merges are live, never P
+per-rank traces.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
+from repro import obs
 from repro.mpi.hooks import P2P_OPS, WAIT_OPS
 from repro.scalatrace.compress import CompressionQueue
-from repro.scalatrace.merge import merge_traces
-from repro.scalatrace.rsd import Trace
+from repro.scalatrace.merge import TraceMergeAccumulator
+from repro.scalatrace.rsd import Node, Trace
 from repro.generator.traversal import TraversalResult
 
 
@@ -28,41 +32,50 @@ def rebuild_trace(trace: Trace, result: TraversalResult,
     to the caller's global recompression pass (Algorithm 1), so that every
     rank presents its collectives at the same structural positions.
     """
-    per_rank = []
-    for rank in range(trace.world_size):
-        queue = CompressionQueue(rank, fold_collectives=fold_collectives)
-        replay: Dict[tuple, object] = {}
+    acc = TraceMergeAccumulator(trace.world_size, dict(trace.comm_table))
+    # one span around the whole loop: the pair merges interleave with the
+    # per-rank recompression, and the span must still enclose all of them
+    with obs.span("scalatrace.merge", traces=trace.world_size):
+        for rank in range(trace.world_size):
+            acc.add_nodes(_rebuild_rank(trace, result, rank,
+                                        fold_collectives))
+        return acc.result()
 
-        def draw(node, kind, hist):
-            it = replay.get((id(node), kind))
-            if it is None:
-                it = hist.replay_values()
-                replay[(id(node), kind)] = it
-            return next(it)
 
-        for ev in trace.iter_rank(rank):
-            node = ev.node
-            # path-aware timing: loop-entry-first instances draw from the
-            # first-iteration histogram, the rest from the subsequent one
-            period = node.first_period()
-            if period is not None and ev.instance % period == 0:
-                delta = draw(node, "first", node.time_first)
-            elif node.time_rest.count:
-                delta = draw(node, "rest", node.time_rest)
-            else:
-                delta = draw(node, "first", node.time_first)
-            key = (id(node), rank, ev.instance)
-            callsite = result.callsite_map.get(key, node.callsite)
-            peer = result.resolutions.get(key, ev.peer)
-            kwargs = {}
-            if ev.op in P2P_OPS:
-                kwargs.update(peer=peer, size=ev.size, tag=ev.tag)
-            elif ev.op in WAIT_OPS:
-                kwargs.update(wait_offsets=ev.wait_offsets)
-            else:
-                kwargs.update(size=ev.size, root=ev.root)
-            queue.append_event(ev.op, callsite, ev.comm_id, delta_t=delta,
-                               **kwargs)
-        per_rank.append(Trace(trace.world_size, queue.nodes,
-                              dict(trace.comm_table)))
-    return merge_traces(per_rank)
+def _rebuild_rank(trace: Trace, result: TraversalResult, rank: int,
+                  fold_collectives: bool) -> List[Node]:
+    """One rank's compressed node list with the substitutions applied."""
+    queue = CompressionQueue(rank, fold_collectives=fold_collectives)
+    replay: Dict[tuple, object] = {}
+
+    def draw(node, kind, hist):
+        it = replay.get((id(node), kind))
+        if it is None:
+            it = hist.replay_values()
+            replay[(id(node), kind)] = it
+        return next(it)
+
+    for ev in trace.iter_rank(rank):
+        node = ev.node
+        # path-aware timing: loop-entry-first instances draw from the
+        # first-iteration histogram, the rest from the subsequent one
+        period = node.first_period()
+        if period is not None and ev.instance % period == 0:
+            delta = draw(node, "first", node.time_first)
+        elif node.time_rest.count:
+            delta = draw(node, "rest", node.time_rest)
+        else:
+            delta = draw(node, "first", node.time_first)
+        key = (id(node), rank, ev.instance)
+        callsite = result.callsite_map.get(key, node.callsite)
+        peer = result.resolutions.get(key, ev.peer)
+        kwargs = {}
+        if ev.op in P2P_OPS:
+            kwargs.update(peer=peer, size=ev.size, tag=ev.tag)
+        elif ev.op in WAIT_OPS:
+            kwargs.update(wait_offsets=ev.wait_offsets)
+        else:
+            kwargs.update(size=ev.size, root=ev.root)
+        queue.append_event(ev.op, callsite, ev.comm_id, delta_t=delta,
+                           **kwargs)
+    return queue.nodes

@@ -13,16 +13,20 @@ are interleaved in an order preserving both inputs' program orders, each
 keeping its own rank set (this is how e.g. "rank 0 sends, ranks 1..N-1
 receive" coexists inside one merged loop body).
 
-Two throughput mechanisms sit on top of the pairwise LCS merge:
+Three throughput mechanisms sit on top of the pairwise LCS merge:
 
+* **weight-only alignment** — the DP needs each cell's match weight,
+  never the merged node, so it computes weights without building
+  anything (memoized per pair merge) and builds merged nodes only for
+  the pairs on the traceback (see :class:`_PairMerge`);
 * an **identical-sequence fast path** — in the common SPMD case every
   rank records the same call structure, so the pairwise merge is gated
   by a rolling Rabin hash over rank-agnostic node fingerprints
   (:attr:`~repro.scalatrace.rsd.Node.mfp`) and, once structural identity
-  is confirmed exactly, spliced position-by-position without running the
-  O(n·m) LCS DP.  The splice is only taken when the diagonal alignment
-  is *provably* what the DP would pick (see :func:`_diagonal_safe`), so
-  output bytes never depend on which path ran;
+  is confirmed exactly, aligned position-by-position without running
+  the O(n·m) LCS DP.  The diagonal is only taken when it is *provably*
+  what the DP would pick (see :func:`_diagonal_safe`), so output bytes
+  never depend on which path ran;
 * a **streaming accumulator** (:class:`TraceMergeAccumulator`) — a
   binomial binary counter over per-rank node lists that keeps at most
   ``log2(P)+1`` partial merges live while producing the exact same merge
@@ -53,59 +57,57 @@ def set_merge_fastpath(enabled: bool) -> bool:
     Returns the previous setting so callers can restore it in a
     ``try/finally``.  The fast path never changes merge output — this
     exists so baselines and regression tests can exercise the LCS path
-    on inputs the splice would otherwise shortcut."""
+    on inputs the fast path would otherwise shortcut."""
     global _FASTPATH
     prev = _FASTPATH
     _FASTPATH = bool(enabled)
     return prev
 
 
-def _try_merge_nodes(a: Node, b: Node,
-                     comm_table: Dict[int, Tuple[int, ...]]) -> Optional[Node]:
-    """Merged node covering both rank sets, or None if incompatible."""
-    if isinstance(a, EventNode) and isinstance(b, EventNode):
-        if a.signature() != b.signature() or a.instances != b.instances:
-            return None
-        comm_ranks = comm_table.get(a.comm_id)
-        comm_size = len(comm_ranks) if comm_ranks else None
-        index = {w: i for i, w in enumerate(comm_ranks)} if comm_ranks else {}
-        a_cranks = [index.get(r, r) for r in a.ranks]
-        b_cranks = [index.get(r, r) for r in b.ranks]
-        merged = {}
-        for name in _PARAM_FIELDS:
-            fa, fb = getattr(a, name), getattr(b, name)
-            if (fa is None) != (fb is None):
-                return None
-            if fa is None:
-                merged[name] = None
-                continue
-            # merge in communicator-rank space (peers are comm-relative);
-            # always succeeds (irregular variation falls back to the
-            # lossless per-rank map)
-            merged[name] = fa.merge_ranks(RankSet(a_cranks), fb,
-                                          RankSet(b_cranks), comm_size)
-        time_first = a.time_first.copy()
-        time_first.merge(b.time_first)
-        time_rest = a.time_rest.copy()
-        time_rest.merge(b.time_rest)
-        return EventNode(a.op, a.callsite, a.comm_id, a.ranks | b.ranks,
-                         a.instances, merged["peer"], merged["size"],
-                         merged["tag"], merged["root"], a.wait_offsets,
-                         time_first, time_rest)
-    if isinstance(a, LoopNode) and isinstance(b, LoopNode):
-        if a.count != b.count:
-            return None
-        # bodies merge as an order-preserving supersequence: nodes present
-        # on only one side keep their own rank sets (this is how "rank 0
-        # sends, interior ranks receive then send" coexists in one loop).
-        # Require at least one genuinely shared node, though — otherwise
-        # any two equal-count loops would merge, and those spurious
-        # matches displace collective alignment in the outer LCS.
-        body = merge_node_lists(a.body, b.body, comm_table)
-        if len(body) == len(a.body) + len(b.body):
-            return None
-        return LoopNode(a.count, body, a.ranks | b.ranks)
-    return None
+#: (communicator size, world rank -> communicator rank); the map is None
+#: when the two coincide, so rank sets need no remapping.
+_CommMap = Tuple[Optional[int], Optional[Dict[int, int]]]
+
+
+def _comm_map(comm_table: Dict[int, Tuple[int, ...]],
+              comm_id: int) -> _CommMap:
+    """Rank space in which parameters of ``comm_id`` events merge (peers
+    are communicator-relative).  Ranks outside the communicator, and all
+    ranks of a communicator missing from the table, map to themselves."""
+    comm_ranks = comm_table.get(comm_id)
+    if not comm_ranks:
+        return None, None
+    if all(w == i for i, w in enumerate(comm_ranks)):
+        return len(comm_ranks), None
+    return len(comm_ranks), {w: i for i, w in enumerate(comm_ranks)}
+
+
+def _merge_events(a: EventNode, b: EventNode,
+                  comm_map: _CommMap) -> EventNode:
+    """Merged RSD covering both rank sets of two mergeable events (same
+    signature, instance count and parameter presence pattern);
+    ``comm_map`` is :func:`_comm_map` of their communicator."""
+    comm_size, index = comm_map
+    a_cranks, b_cranks = a.ranks, b.ranks
+    if index is not None:
+        a_cranks = RankSet(index.get(r, r) for r in a.ranks)
+        b_cranks = RankSet(index.get(r, r) for r in b.ranks)
+    merged = {}
+    for name in _PARAM_FIELDS:
+        fa, fb = getattr(a, name), getattr(b, name)
+        # merge in communicator-rank space (peers are comm-relative);
+        # always succeeds (irregular variation falls back to the
+        # lossless per-rank map)
+        merged[name] = None if fa is None else fa.merge_ranks(
+            a_cranks, fb, b_cranks, comm_size)
+    time_first = a.time_first.copy()
+    time_first.merge(b.time_first)
+    time_rest = a.time_rest.copy()
+    time_rest.merge(b.time_rest)
+    return EventNode(a.op, a.callsite, a.comm_id, a.ranks | b.ranks,
+                     a.instances, merged["peer"], merged["size"],
+                     merged["tag"], merged["root"], a.wait_offsets,
+                     time_first, time_rest)
 
 
 def _match_weight(node: Node) -> int:
@@ -135,12 +137,12 @@ def _seq_mfp(nodes: List[Node]) -> int:
 def _identical_structure(a: Node, b: Node) -> bool:
     """Exact structural identity as the merge fast path requires it.
 
-    For events this is precisely the precondition under which
-    :func:`_try_merge_nodes` succeeds unconditionally (``merge_ranks``
-    never fails): same signature, same instance count, same parameter
-    presence pattern.  For loops: same count, same body length, and
-    pairwise identical bodies.  Fingerprints got us here cheaply; this
-    walk is what makes the fast path collision-proof."""
+    For events this is precisely the condition under which two events
+    merge (:func:`_merge_events` never fails): same signature, same
+    instance count, same parameter presence pattern.  For loops: same
+    count, same body length, and pairwise identical bodies.
+    Fingerprints got us here cheaply; this walk is what makes the fast
+    path collision-proof."""
     if isinstance(a, EventNode):
         return (isinstance(b, EventNode)
                 and a.sig == b.sig
@@ -174,7 +176,7 @@ def _event_keys(node: Node) -> set:
 def _diagonal_safe(nodes: List[Node]) -> bool:
     """True when the all-diagonal alignment of ``nodes`` against a
     structurally identical copy is provably the alignment the weighted
-    LCS DP picks — the condition for the splice to be byte-identical.
+    LCS DP picks — the condition for the fast path to be byte-identical.
 
     Event↔event cross matches are weight-conserving (the merged node
     weighs exactly what each side weighs), so any alignment built from
@@ -204,90 +206,192 @@ def _diagonal_safe(nodes: List[Node]) -> bool:
     return True
 
 
-def _splice_identical(xs: List[Node], ys: List[Node],
-                      comm_table) -> Optional[List[Node]]:
-    """Position-wise merge of structurally identical sequences; None if
-    any pair refuses (cannot happen per `_identical_structure`'s
-    contract, kept as a defensive fallback to the DP)."""
-    out: List[Node] = []
-    for x, y in zip(xs, ys):
-        merged = _try_merge_nodes(x, y, comm_table)
-        if merged is None:
-            return None
-        out.append(merged)
-    return out
+#: One alignment of two node lists: matched (i, j) index pairs, and
+#: whether the diagonal fast path produced them.
+_Alignment = Tuple[List[Tuple[int, int]], bool]
 
 
-def _lcs_pairs(xs: List[Node], ys: List[Node],
-               comm_table) -> List[Tuple[int, int, Node]]:
-    """Maximum-weight common subsequence of mergeable nodes; returns
-    matched index pairs with their pre-computed merged node."""
-    n, m = len(xs), len(ys)
-    obs.count("scalatrace.lcs_cells", n * m)
-    merged_cache: Dict[Tuple[int, int], Optional[Node]] = {}
+class _PairMerge:
+    """One top-level pair merge: weight-only alignment, then building.
 
-    def mergeable(i, j):
-        key = (i, j)
-        if key not in merged_cache:
-            merged_cache[key] = _try_merge_nodes(xs[i], ys[j], comm_table)
-        return merged_cache[key]
+    The weighted LCS needs only each cell's *weight*, never the merged
+    node, so alignment builds nothing: two events are mergeable iff
+    their signature, instance count and parameter presence pattern agree
+    (then :func:`_merge_events` always succeeds and the merge weighs what
+    either side weighs); two loops iff their counts agree and their
+    bodies share at least one aligned pair (then the merge is the body
+    supersequence, whose weight follows from the body alignment).
+    Merged nodes are built afterwards, for the traceback's pairs only.
 
-    # weighted LCS DP
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            best = max(dp[i + 1][j], dp[i][j + 1])
-            node = mergeable(i, j)
-            if node is not None:
-                best = max(best, dp[i + 1][j + 1] + _match_weight(node))
-            dp[i][j] = best
-    pairs = []
-    i = j = 0
-    while i < n and j < m:
-        node = mergeable(i, j)
-        if node is not None and \
-                dp[i][j] == dp[i + 1][j + 1] + _match_weight(node):
-            pairs.append((i, j, node))
-            i += 1
-            j += 1
-        elif dp[i + 1][j] >= dp[i][j + 1]:
-            i += 1
+    Every memo is keyed by node (or node-list) identity.  That is sound
+    for the lifetime of one merge: inputs are never mutated, and the
+    caller's lists keep every keyed object alive, so no id is reused.
+    """
+
+    def __init__(self, comm_table: Dict[int, Tuple[int, ...]]):
+        self.comm_table = comm_table
+        #: id(node) -> _match_weight(node)
+        self._weights: Dict[int, int] = {}
+        #: id(list) -> merge class of each node: equal classes mean the
+        #: nodes *could* merge (events: exactly when they merge; loops:
+        #: equal counts)
+        self._class_lists: Dict[int, List[int]] = {}
+        self._class_ids: Dict[tuple, int] = {}
+        #: (id(loop), id(loop)) -> merged-loop weight, None if unmergeable
+        self._loop_weights: Dict[Tuple[int, int], Optional[int]] = {}
+        #: (id(list), id(list)) -> alignment
+        self._alignments: Dict[Tuple[int, int], _Alignment] = {}
+        #: comm_id -> _comm_map(comm_table, comm_id)
+        self._comm_maps: Dict[int, _CommMap] = {}
+
+    def _weight(self, node: Node) -> int:
+        w = self._weights.get(id(node))
+        if w is None:
+            if isinstance(node, EventNode):
+                w = _match_weight(node)
+            else:
+                w = sum(self._weight(n) for n in node.body)
+            self._weights[id(node)] = w
+        return w
+
+    def _classes(self, nodes: List[Node]) -> List[int]:
+        classes = self._class_lists.get(id(nodes))
+        if classes is None:
+            classes = []
+            for node in nodes:
+                if isinstance(node, EventNode):
+                    key: tuple = (node.sig, node.instances,
+                                  node.peer is None, node.size is None,
+                                  node.tag is None, node.root is None)
+                else:
+                    key = ("loop", node.count)
+                classes.append(self._class_ids.setdefault(
+                    key, len(self._class_ids)))
+            self._class_lists[id(nodes)] = classes
+        return classes
+
+    def pair_weight(self, a: Node, b: Node) -> Optional[int]:
+        """``_match_weight`` of the node merging ``a`` and ``b`` would
+        build, or None if they do not merge — computed without building."""
+        if isinstance(a, EventNode):
+            return self._weight(a) if _identical_structure(a, b) else None
+        if isinstance(b, LoopNode) and a.count == b.count:
+            return self._loop_weight(a, b)
+        return None
+
+    def _loop_weight(self, a: LoopNode, b: LoopNode) -> Optional[int]:
+        key = (id(a), id(b))
+        if key in self._loop_weights:
+            return self._loop_weights[key]
+        w = None
+        # Require at least one genuinely shared body node: otherwise any
+        # two equal-count loops would merge, and those spurious matches
+        # displace collective alignment in the outer LCS.  Bodies with no
+        # merge class in common cannot share one, so skip their DP.
+        if not set(self._classes(a.body)).isdisjoint(
+                self._classes(b.body)):
+            pairs, _ = self._align(a.body, b.body)
+            if pairs:
+                # the merged body is the supersequence: every node of
+                # both bodies, each matched pair replaced by its merge
+                w = self._weight(a) + self._weight(b) - sum(
+                    self._weight(a.body[i]) + self._weight(b.body[j])
+                    - self.pair_weight(a.body[i], b.body[j])
+                    for i, j in pairs)
+        self._loop_weights[key] = w
+        return w
+
+    def _align(self, xs: List[Node], ys: List[Node]) -> _Alignment:
+        key = (id(xs), id(ys))
+        found = self._alignments.get(key)
+        if found is None:
+            if _FASTPATH and xs and len(xs) == len(ys) \
+                    and _seq_mfp(xs) == _seq_mfp(ys) \
+                    and all(_identical_structure(x, y)
+                            for x, y in zip(xs, ys)) \
+                    and _diagonal_safe(xs):
+                found = ([(i, i) for i in range(len(xs))], True)
+            else:
+                found = self._lcs(xs, ys)
+            self._alignments[key] = found
+        return found
+
+    def _lcs(self, xs: List[Node], ys: List[Node]) -> _Alignment:
+        """Maximum-weight common subsequence of mergeable nodes, with the
+        match-first traceback (ties prefer the match, then moving down
+        ``xs``)."""
+        n, m = len(xs), len(ys)
+        cx, cy = self._classes(xs), self._classes(ys)
+        weight: Dict[Tuple[int, int], int] = {}
+        dp = [[0] * (m + 1) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            x, c = xs[i], cx[i]
+            row, below = dp[i], dp[i + 1]
+            for j in range(m - 1, -1, -1):
+                best = max(below[j], row[j + 1])
+                if cy[j] == c:
+                    w = self.pair_weight(x, ys[j])
+                    if w is not None:
+                        weight[i, j] = w
+                        best = max(best, below[j + 1] + w)
+                row[j] = best
+        pairs = []
+        i = j = 0
+        while i < n and j < m:
+            w = weight.get((i, j))
+            if w is not None and dp[i][j] == dp[i + 1][j + 1] + w:
+                pairs.append((i, j))
+                i += 1
+                j += 1
+            elif dp[i + 1][j] >= dp[i][j + 1]:
+                i += 1
+            else:
+                j += 1
+        return pairs, False
+
+    def build(self, xs: List[Node], ys: List[Node]) -> List[Node]:
+        """The merged supersequence of ``xs`` and ``ys``: unmatched nodes
+        keep their own rank sets, matched pairs merge (loops recurse on
+        their memoized body alignment, so no body DP runs twice)."""
+        pairs, fast = self._align(xs, ys)
+        if fast:
+            obs.count("scalatrace.merge_fastpath_hits", 1)
         else:
-            j += 1
-    obs.count("scalatrace.lcs_alignments", len(pairs))
-    return pairs
+            obs.count("scalatrace.lcs_cells", len(xs) * len(ys))
+            obs.count("scalatrace.lcs_alignments", len(pairs))
+        out: List[Node] = []
+        xi = yi = 0
+        for i, j in pairs:
+            out.extend(xs[xi:i])
+            out.extend(ys[yi:j])
+            a, b = xs[i], ys[j]
+            if isinstance(a, EventNode):
+                comm = self._comm_maps.get(a.comm_id)
+                if comm is None:
+                    comm = _comm_map(self.comm_table, a.comm_id)
+                    self._comm_maps[a.comm_id] = comm
+                out.append(_merge_events(a, b, comm))
+            else:
+                out.append(LoopNode(a.count, self.build(a.body, b.body),
+                                    a.ranks | b.ranks))
+            xi, yi = i + 1, j + 1
+        out.extend(xs[xi:])
+        out.extend(ys[yi:])
+        return out
 
 
 def merge_node_lists(xs: List[Node], ys: List[Node],
                      comm_table) -> List[Node]:
     """Order-preserving merge (shortest common supersequence around the
-    LCS of mergeable nodes).
+    maximum-weight LCS of mergeable nodes).
 
     Identical-sequence fast path: when both sides have the same length
     and the same rolling merge fingerprint, an exact structural walk
-    confirms pairwise identity and the sequences are spliced
-    position-by-position, skipping the O(n·m) DP.  Gated further by
-    :func:`_diagonal_safe` so the splice is byte-identical to what the
-    DP's traceback would produce; any doubt falls through to the DP."""
-    if _FASTPATH and xs and len(xs) == len(ys) \
-            and _seq_mfp(xs) == _seq_mfp(ys) \
-            and all(_identical_structure(x, y) for x, y in zip(xs, ys)) \
-            and _diagonal_safe(xs):
-        out = _splice_identical(xs, ys, comm_table)
-        if out is not None:
-            obs.count("scalatrace.merge_fastpath_hits", 1)
-            return out
-    pairs = _lcs_pairs(xs, ys, comm_table)
-    out: List[Node] = []
-    xi = yi = 0
-    for i, j, merged in pairs:
-        out.extend(xs[xi:i])
-        out.extend(ys[yi:j])
-        out.append(merged)
-        xi, yi = i + 1, j + 1
-    out.extend(xs[xi:])
-    out.extend(ys[yi:])
-    return out
+    confirms pairwise identity and the alignment is the diagonal,
+    skipping the O(n·m) DP.  Gated further by :func:`_diagonal_safe` so
+    the diagonal is exactly what the DP's traceback would produce; any
+    doubt falls through to the DP."""
+    return _PairMerge(comm_table).build(xs, ys)
 
 
 class TraceMergeAccumulator:

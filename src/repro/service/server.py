@@ -323,8 +323,13 @@ class SweepService:
         if length > MAX_BODY_BYTES:
             raise _HTTPError(413, f"request body over {MAX_BODY_BYTES} "
                                   f"bytes")
-        body = (await reader.readexactly(length)).decode("utf-8") \
-            if length else ""
+        data = await reader.readexactly(length) if length else b""
+        try:
+            body = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _HTTPError(400, f"request body is not valid UTF-8: "
+                                  f"{exc.reason} at byte {exc.start}") \
+                from None
         return method, path, query, body
 
     def _route(self, method: str, path: str, query: Dict[str, str],

@@ -6,9 +6,10 @@ from repro import obs
 from repro.scalatrace.compress import CompressionQueue
 from repro.scalatrace.merge import (TraceMergeAccumulator, merge_node_lists,
                                     merge_traces, set_merge_fastpath)
-from repro.scalatrace.rsd import LoopNode, Trace
+from repro.scalatrace.rsd import EventNode, LoopNode, ParamField, Trace
 from repro.scalatrace.serialize import dumps_trace
 from repro.util.callsite import Callsite
+from repro.util.rankset import RankSet
 
 
 @pytest.fixture
@@ -248,6 +249,25 @@ class TestTreeReductionByteIdentity:
         counters = {r["name"]: r["value"] for r in inst.counter_records()}
         assert counters.get("scalatrace.lcs_cells", 0) > 0
         assert "scalatrace.merge_fastpath_hits" not in counters
+
+    def test_lcs_counters_cover_only_built_alignments(self, no_fastpath):
+        def loop(rank, sites):
+            body = [EventNode("Isend", cs(s), 0, RankSet.single(rank),
+                              peer=ParamField.of(0), size=ParamField.of(8),
+                              tag=ParamField.of(0)) for s in sites]
+            return LoopNode(2, body, RankSet.single(rank))
+
+        # rank 0's loop could merge with either of rank 1's; the second
+        # shares more and wins, so the first pair's body DP is off-path
+        xs = [loop(0, [1])]
+        ys = [loop(1, [1]), loop(1, [1, 2])]
+        with obs.instrumented() as inst:
+            merged = merge_node_lists(xs, ys, {0: (0, 1)})
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        assert [len(n.body) for n in merged] == [1, 2]
+        # top level 1x2 + the chosen pair's 1x2 body; not the 1x1 body
+        assert counters["scalatrace.lcs_cells"] == 4
+        assert counters["scalatrace.lcs_alignments"] == 2
 
     def test_equal_count_loops_with_shared_events_fall_back(self):
         # Two distinct loops with equal counts that share a call site:

@@ -202,6 +202,26 @@ class TestErrorPaths:
         assert reply.startswith(b"HTTP/1.1 400")
         assert b"bad Content-Length" in reply
 
+    def test_invalid_utf8_body_is_400(self, service):
+        # regression: the body decode raised UnicodeDecodeError, which
+        # escaped as a 500 instead of a client error
+        import socket
+        svc = service.service
+        body = b"name: \xff\xfe\n"
+        with socket.create_connection((svc.host, svc.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert "not valid UTF-8" in json.loads(payload)["error"]
+
     def test_unexpected_handler_error_answers_500(self, service,
                                                   monkeypatch):
         # regression: a non-_HTTPError escaping _route (e.g. OSError
