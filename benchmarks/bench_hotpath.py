@@ -60,8 +60,8 @@ _BUILDERS = {
 }
 
 
-#: PR 2 committed batch=N/A baseline (scalar engine, same workloads,
-#: same machine class) — the reference the cohort-batched executor's
+#: PR 2 committed baseline (the since-retired scalar loop, same
+#: workloads, same machine class) — the reference the cohort executor's
 #: speedups are quoted against.
 PR2_BASELINE_STEPS_PER_SEC = {
     "stencil": 204313.8,
@@ -70,46 +70,38 @@ PR2_BASELINE_STEPS_PER_SEC = {
 }
 
 
-def bench_engine_mode(name: str, params: dict, mode: str,
-                      repeats: int) -> dict:
-    """Best-of-N wall time for one engine workload in one engine mode."""
+def bench_engine(name: str, params: dict, repeats: int = 5) -> dict:
+    """Best-of-N wall time for one engine workload on the cohort
+    executor (the ``batch`` row).  Every repeat must reproduce the same
+    makespan — the bit-determinism contract — so the benchmark doubles
+    as a coarse determinism check."""
     model = LogGPModel() if name != "wildcard" else SimpleModel()
     best = None
+    makespans = set()
     for _ in range(repeats):
         programs = _BUILDERS[name](**params)
-        eng = Engine(len(programs), model, mode=mode)
+        eng = Engine(len(programs), model)
         t0 = time.perf_counter()
         makespan = eng.run(programs)
         dt = time.perf_counter() - t0
+        makespans.add(repr(makespan))
         if best is None or dt < best[0]:
             best = (dt, eng, makespan)
+    if len(makespans) != 1:
+        raise AssertionError(
+            f"engine.{name}: makespan differs across repeats "
+            f"({sorted(makespans)})")
     dt, eng, makespan = best
     return {
-        "seconds": round(dt, 6),
-        "steps": eng.steps,
-        "matches": eng.matches_committed,
-        "steps_per_sec": round(eng.steps / dt, 1),
-        "matches_per_sec": round(eng.matches_committed / dt, 1),
-        "makespan": makespan,
-    }
-
-
-def bench_engine(name: str, params: dict, repeats: int = 5) -> dict:
-    """Scalar and batch rows for one workload, plus the batch/scalar
-    speedup.  Both rows must agree on the makespan — the bit-determinism
-    contract — so the benchmark doubles as a coarse equivalence check."""
-    scalar = bench_engine_mode(name, params, "scalar", repeats)
-    batch = bench_engine_mode(name, params, "batch", repeats)
-    if repr(scalar["makespan"]) != repr(batch["makespan"]):
-        raise AssertionError(
-            f"engine.{name}: scalar/batch makespan mismatch "
-            f"({scalar['makespan']!r} vs {batch['makespan']!r})")
-    return {
         "params": params,
-        "scalar": scalar,
-        "batch": batch,
-        "batch_speedup": round(
-            batch["steps_per_sec"] / scalar["steps_per_sec"], 2),
+        "batch": {
+            "seconds": round(dt, 6),
+            "steps": eng.steps,
+            "matches": eng.matches_committed,
+            "steps_per_sec": round(eng.steps / dt, 1),
+            "matches_per_sec": round(eng.matches_committed / dt, 1),
+            "makespan": makespan,
+        },
     }
 
 
@@ -166,21 +158,17 @@ def run_suite(mode: str, repeats: int = 5) -> dict:
 
 def check_against(results: dict, baseline_path: str, floor: float) -> int:
     """Fail (non-zero) if any throughput fell more than ``floor``× below
-    the committed baseline, per engine mode."""
+    the committed baseline's ``batch`` rows."""
     with open(baseline_path) as fh:
         base = json.load(fh)
     failures = []
     for name, res in results["engine"].items():
-        for emode in ("scalar", "batch"):
-            ref_row = base["engine"][name].get(emode)
-            if ref_row is None:
-                continue
-            ref = ref_row["steps_per_sec"]
-            cur = res[emode]["steps_per_sec"]
-            if cur * floor < ref:
-                failures.append(
-                    f"engine.{name}.{emode}: {cur:.0f} steps/s vs "
-                    f"baseline {ref:.0f} (floor {floor}x)")
+        ref = base["engine"][name]["batch"]["steps_per_sec"]
+        cur = res["batch"]["steps_per_sec"]
+        if cur * floor < ref:
+            failures.append(
+                f"engine.{name}.batch: {cur:.0f} steps/s vs "
+                f"baseline {ref:.0f} (floor {floor}x)")
     ref = base["compression"]["loop_heavy"]["events_per_sec"]
     cur = results["compression"]["loop_heavy"]["events_per_sec"]
     if cur * floor < ref:
@@ -208,21 +196,17 @@ def main(argv=None) -> int:
     ap.add_argument("--floor", type=float, default=5.0,
                     help="regression floor multiplier (default 5)")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="best-of-N repeats per workload/mode (default 5)")
+                    help="best-of-N repeats per workload (default 5)")
     args = ap.parse_args(argv)
 
     results = run_suite("quick" if args.quick else "full", args.repeats)
     for name, res in results["engine"].items():
-        for emode in ("scalar", "batch"):
-            row = res[emode]
-            print(f"engine.{name:<10} {emode:<6} "
-                  f"{row['steps_per_sec']:>12.0f} steps/s "
-                  f"({row['seconds']:.3f}s, {row['steps']} steps)")
+        row = res["batch"]
         pr2 = PR2_BASELINE_STEPS_PER_SEC.get(name)
-        vs_pr2 = (f", {res['batch']['steps_per_sec'] / pr2:.2f}x vs PR2"
+        vs_pr2 = (f", {row['steps_per_sec'] / pr2:.2f}x vs PR2"
                   if pr2 and results["mode"] == "full" else "")
-        print(f"engine.{name:<10} batch/scalar speedup "
-              f"{res['batch_speedup']:.2f}x{vs_pr2}")
+        print(f"engine.{name:<10} {row['steps_per_sec']:>12.0f} steps/s "
+              f"({row['seconds']:.3f}s, {row['steps']} steps{vs_pr2})")
     comp = results["compression"]["loop_heavy"]
     print(f"compression      {comp['events_per_sec']:>12.0f} events/s "
           f"({comp['seconds']:.3f}s, {comp['events']} events -> "

@@ -7,9 +7,10 @@ for a torus3d + fattree × app × preset grid.  Run from the repo root:
     PYTHONPATH=src python scripts/make_routed_golden.py
 
 The committed file pins the engine's routed-fabric behaviour bit-for-bit
-(both engine modes must reproduce it — see
-``tests/sim/test_golden_routed_fabric.py``).  Only regenerate after an
-*intentional* semantic change, never to paper over drift.
+(the production loop and the test-only reference loop must both
+reproduce it — see ``tests/sim/test_golden_routed_fabric.py``).  Only
+regenerate after an *intentional* semantic change, never to paper over
+drift.
 """
 
 from __future__ import annotations

@@ -27,24 +27,22 @@ The core is layered (see ``docs/ARCHITECTURE.md``):
 * :mod:`repro.sim.sched` — ready/clock heaps, the wildcard safety
   horizon, dirty-set wakeup, deferred destinations;
 * :mod:`repro.sim.matching` — per-(src, dst, comm) channels, indexed
-  pending receives, cached arrival estimates, wildcard candidate heaps;
-* :mod:`repro.sim.exec_batch` — the cohort-batched executor (default),
-  which flattens dispatch and inlines the hot handlers;
+  pending receives, cached arrival estimates, wildcard candidate heaps,
+  and the drain (:func:`~repro.sim.matching.drain_batch`);
+* :mod:`repro.sim.exec_batch` — the cohort executor, the one main loop
+  every run goes through (crash faults and ``--profile`` included);
 * this module — protocol semantics (send/receive/collective timing
-  arithmetic, flow control, faults) and the *scalar* reference loop.
+  arithmetic, flow control, faults) and the generic op handlers the
+  executor falls back to outside its inlined fast paths.
 
-``Engine.run()`` picks the executor from the ``mode`` constructor
-argument, defaulting to the ``REPRO_ENGINE_MODE`` environment variable
-(``batch`` when unset; ``scalar`` selects the reference loop).  Both
-modes are bit-identical by contract: commit order, tie-breaking, timing
-and counters are pinned by the golden suites in ``tests/sim/golden/``
-and the Hypothesis equivalence tests.  Runs with crash faults or
-``--profile`` instrumentation always use the reference loop structure.
+Commit order, tie-breaking, timing and counters are pinned by the golden
+suites in ``tests/sim/golden/``; the Hypothesis equivalence tests hold
+the executor to a one-op-at-a-time reference loop that lives with the
+tests (``tests/sim/reference_loop.py``).
 """
 
 from __future__ import annotations
 
-import os
 from types import MethodType
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -52,8 +50,7 @@ from repro import obs
 from repro.errors import MPIUsageError, SimDeadlockError, SimulationError
 from repro.sim.diagnostics import (BlockedOp, DeadlockDiagnostic,
                                    find_cycle)
-from repro.sim.exec_batch import (_BLOCK, _CollInstance, run_batch,
-                                  run_profiled)
+from repro.sim.exec_batch import _BLOCK, _CollInstance, run_batch
 from repro.sim.matching import (MatchIndex, _Message, _PendingRecv,
                                 arrival_est, drain_batch)
 from repro.sim.network import NetworkModel
@@ -63,8 +60,6 @@ from repro.sim.policy import drain_policy, resolve_policy
 from repro.sim.queueing import resolve_queue_discipline
 from repro.sim.requests import Request, Status
 from repro.sim.sched import BLOCKED, DONE, READY, Scheduler
-
-_MODES = ("scalar", "batch")
 
 
 class _RankState:
@@ -82,24 +77,12 @@ class _RankState:
         self.coll_seq: Dict[int, int] = {}        # comm_id -> collective counter
 
 
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Resolve an engine mode: explicit argument, else the
-    ``REPRO_ENGINE_MODE`` environment variable, else ``batch``."""
-    if mode is None:
-        mode = os.environ.get("REPRO_ENGINE_MODE", "batch")
-    if mode not in _MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}: expected one of {_MODES} "
-            f"(set via REPRO_ENGINE_MODE or Engine(mode=...))")
-    return mode
-
-
 class Engine:
     """Run a set of rank generator programs to completion in virtual time."""
 
     def __init__(self, nranks: int, model: NetworkModel,
                  max_steps: Optional[int] = None, faults=None,
-                 mode: Optional[str] = None, profile: bool = False,
+                 profile: bool = False,
                  schedule_policy=None, schedule_seed: Optional[int] = None,
                  queue_discipline=None, queue_params=None):
         if nranks <= 0:
@@ -107,9 +90,6 @@ class Engine:
         self.nranks = nranks
         self.model = model
         self.max_steps = max_steps
-        #: executor selection: "batch" (cohort executor, default) or
-        #: "scalar" (reference loop); both are bit-identical
-        self.mode = resolve_mode(mode)
         #: tie-break policy for wildcard matches and same-clock cohorts;
         #: canonical (the default) leaves every hot path untouched —
         #: see repro.sim.policy.  Validated here, at construction.
@@ -129,27 +109,18 @@ class Engine:
         self._ranks: List[_RankState] = []
         self._min_latency = model.min_latency()
         # -- layered core: matching + scheduling state ----------------------
-        m = self._match = MatchIndex()
+        self._match = MatchIndex()
         s = self._sched = Scheduler(self._min_latency)
-        # hot-path aliases: the engine's protocol methods address the
-        # matcher's and scheduler's containers directly (same objects)
-        self._channels = m.channels
-        self._chan_live = m.chan_live
-        self._channels_by_dst = m.channels_by_dst
-        self._srcs_by_dst_comm = m.srcs_by_dst_comm
-        self._pending_recvs = m.pending_recvs
-        self._pending_live = m.pending_live
-        self._recv_index = m.recv_index
-        self._wild_index = m.wild_index
-        self._unexpected_bytes = m.unexpected_bytes
-        self._has_compatible_recv = m.has_compatible_recv
-        self._ready_heap = s.ready_heap
-        self._clock_heap = s.clock_heap
+        # hot-path aliases: the drains address the scheduler's
+        # containers directly (same objects)
         self._dirty = s.dirty
         self._deferred_dsts = s.deferred_dsts
-        self._pop_ready = s.pop_ready
-        self._make_ready = s.make_ready
         self._horizon = s.horizon
+        # the drain: candidate-heap matching for the canonical schedule;
+        # a non-canonical policy needs the full candidate enumeration to
+        # choose from (the heaps answer canonical-minimum queries only)
+        self._drain = MethodType(
+            drain_batch if self.policy.canonical else drain_policy, self)
         # -- protocol-side per-rank state -----------------------------------
         # receive-side message processing is serial: a rank's "receive
         # processor" finishes one message before starting the next, so a
@@ -226,73 +197,12 @@ class Engine:
             self._wire_free[i] = 0.0
             self._overload[i] = (0.0, 0.0)
 
-        # executor selection: the cohort executor covers the batch mode;
-        # crash-fault runs need the reference loop's per-op crash check,
-        # and --profile uses the instrumented reference structure.  The
-        # batch drain (candidate heaps) is bound whenever mode is batch.
-        use_batch = self.mode == "batch" and self._crash_at is None
-        if self.mode == "batch":
-            self._drain = MethodType(drain_batch, self)
-        if not self.policy.canonical:
-            # non-canonical schedule: both executors route the two
-            # decision points through the policy.  The policy drain
-            # replaces both the scalar reference drain and drain_batch
-            # (the batch candidate heaps answer canonical-minimum
-            # queries a policy cannot use), so scalar and batch mode
-            # enumerate candidates — and consume RNG draws — in the
-            # same order.  The pop rebinding covers the scalar loop and
-            # run_profiled; run_batch checks the policy itself.
-            self._drain = MethodType(drain_policy, self)
-            policy = self.policy
-            s = self._sched
-            self._pop_ready = lambda: s.pop_ready_policy(policy)
         with obs.span("engine.run", nranks=self.nranks):
             try:
-                if self.profile:
-                    run_profiled(self)
-                elif use_batch:
-                    run_batch(self)
-                else:
-                    self._run_scalar()
+                run_batch(self)
             finally:
                 self._flush_counters()
         return self.total_time
-
-    def _run_scalar(self) -> None:
-        """The reference main loop: one generator step at a time through
-        :meth:`_step`/:meth:`_apply`.  The cohort executor
-        (:func:`repro.sim.exec_batch.run_batch`) must stay bit-identical
-        to this loop."""
-        while True:
-            self.steps += 1
-            if self.max_steps is not None and \
-                    self.steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={self.max_steps}; "
-                    f"likely livelock")
-            if self._deferred_dsts:
-                for dst in sorted(self._deferred_dsts):
-                    self._deferred_dsts.discard(dst)
-                    self._drain(dst, relaxed=False)
-            if self._dirty:
-                self._resume_dirty()
-            rs = self._pop_ready()
-            if rs is not None:
-                self._step(rs)
-                continue
-            if self._done_count == self.nranks:
-                break
-            # everyone blocked: try relaxed matching / resumption
-            self.deadlock_checks += 1
-            if self._relaxed_progress():
-                continue
-            if self.crashed_ranks:
-                # graceful degradation: ranks waiting on a crashed
-                # peer can never progress — record the diagnostic
-                # and end the run so its trace prefix survives
-                self._starve_blocked()
-                break
-            self._raise_deadlock()
 
     def _flush_counters(self) -> None:
         """Publish this run's accumulated probe totals (cheap: the hot
@@ -300,8 +210,7 @@ class Engine:
 
         Counters are emitted in sorted-name order — deterministic
         regardless of link discovery order or fault-counter insertion
-        order, so JSONL metrics output is byte-stable across runs and
-        engine modes.
+        order, so JSONL metrics output is byte-stable across runs.
         """
         pairs = [
             ("engine.steps", self.steps),
@@ -378,31 +287,7 @@ class Engine:
     def now(self, rank: int) -> float:
         return self._ranks[rank].clock
 
-    # -- generator stepping -------------------------------------------------
-    def _step(self, rs: _RankState) -> None:
-        value = rs.pending_value
-        rs.pending_value = None
-        while True:
-            if self._crash_at is not None and \
-                    rs.clock >= self._crash_at[rs.rank]:
-                self._crash_rank(rs)
-                return
-            self.steps += 1
-            if self.max_steps is not None and self.steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={self.max_steps}; likely livelock")
-            try:
-                op = rs.gen.send(value)
-            except StopIteration:
-                rs.state = DONE
-                self._done_count += 1
-                self._on_rank_done(rs)
-                return
-            value = self._apply(rs, op)
-            if value is _BLOCK:
-                rs.state = BLOCKED
-                return
-
+    # -- generic op dispatch ------------------------------------------------
     def _apply(self, rs: _RankState, op: Op):
         if isinstance(op, Compute):
             if self._faults is not None:
@@ -556,15 +441,15 @@ class Engine:
             # completes locally, but nothing ever arrives at the receiver
             req.completion = inject
         elif eager:
-            preposted = self._has_compatible_recv(op.dst, rs.rank, op.tag,
-                                                  op.comm_id)
+            preposted = self._match.has_compatible_recv(
+                op.dst, rs.rank, op.tag, op.comm_id)
             if not preposted:
                 cap = model.unexpected_capacity
-                pending = self._unexpected_bytes[op.dst]
+                pending = self._match.unexpected_bytes[op.dst]
                 if cap is not None and pending + op.nbytes > cap:
                     throttled = True
                 charged = True
-                self._unexpected_bytes[op.dst] += op.nbytes
+                self._match.unexpected_bytes[op.dst] += op.nbytes
             if not throttled:
                 req.completion = inject  # local completion, buffered send
         msg = _Message(self._msg_seq, rs.rank, op.dst, op.tag, op.comm_id,
@@ -694,67 +579,6 @@ class Engine:
         return req
 
     # -- matching ------------------------------------------------------------
-    #: arrival estimation reads the estimate cached at send time (see
-    #: ``_apply_send``); kept as a static method for the scalar drain's
-    #: tie-break lambda and external callers
-    _arrival_est = staticmethod(arrival_est)
-
-    def _drain(self, dst: int, relaxed: bool) -> bool:
-        """Match pending receives at ``dst`` against channel messages.
-
-        This is the *reference* (scalar-mode) drain; batch mode rebinds
-        ``self._drain`` to :func:`repro.sim.matching.drain_batch`, which
-        must commit the same matches in the same order.
-
-        Receives are scanned in post order.  A directed receive matches the
-        first tag-compatible message in its channel immediately (FIFO order
-        makes this deterministic).  A wildcard receive matches its
-        earliest-arriving candidate only when that choice is *safe* (no
-        other rank could still produce an earlier arrival); an unsafe (or
-        not-yet-matchable) wildcard freezes matching for later receives on
-        its communicator — the (src, comm) pairs it could take a message
-        from — while receives on other communicators keep matching.
-        Returns True if any match was committed.
-
-        One left-to-right pass is exhaustive: committing a match only ever
-        *removes* a message and a receive, so receives already passed can
-        never become matchable within the same drain, and commits happen
-        in strictly increasing post order.
-        """
-        m = self._match
-        any_progress = False
-        frozen_comms: set = set()
-        it, _ = m.drain_buckets(dst)
-        for pr in it:
-            if pr.matched or pr.comm_id in frozen_comms:
-                continue
-            if pr.src == ANY_SOURCE:
-                cands = m.candidates_for(pr)
-                if not cands:
-                    # nothing available yet; this wildcard blocks any
-                    # later recv on its communicator from stealing what
-                    # it might match
-                    frozen_comms.add(pr.comm_id)
-                    continue
-                best = min(cands, key=lambda msg: (
-                    arrival_est(msg, pr.post_time), msg.src, msg.seq))
-                if not relaxed:
-                    arr = arrival_est(best, pr.post_time)
-                    if arr > self._horizon(dst):
-                        self._deferred_dsts.add(dst)
-                        frozen_comms.add(pr.comm_id)
-                        continue
-                self._commit_match(pr, best)
-                any_progress = True
-            else:
-                msg = m.first_compatible_in_channel(
-                    (pr.src, dst, pr.comm_id), pr.tag)
-                if msg is None:
-                    continue
-                self._commit_match(pr, msg)
-                any_progress = True
-        return any_progress
-
     def _commit_match(self, pr: _PendingRecv, msg: _Message) -> None:
         self.matches_committed += 1
         model = self.model
@@ -778,9 +602,9 @@ class Engine:
             msg.sreq.status = Status(msg.src, msg.tag, msg.nbytes)
             if msg.sreq.waiter is not None:
                 self._dirty.add(msg.sreq.waiter)
-        if msg.charged:
-            self._unexpected_bytes[msg.dst] -= msg.nbytes
         m = self._match
+        if msg.charged:
+            m.unexpected_bytes[msg.dst] -= msg.nbytes
         m.retire_message(msg)
         m.retire_recv(pr)
 
@@ -823,7 +647,7 @@ class Engine:
                     f"{inst.key}/{inst.group} vs {op.key}/{op.group}")
             inst.nbytes = max(inst.nbytes, op.nbytes)
         inst.arrivals[rs.rank] = rs.clock
-        inst.nleft -= 1  # kept in step for the batch executor's countdown
+        inst.nleft -= 1  # kept in step for the executor's countdown
         if len(inst.arrivals) == len(inst.group):
             start = max(inst.arrivals.values())
             inst.completion = start + self.model.collective_cost(
@@ -860,28 +684,8 @@ class Engine:
             rs.pending_value = None
         else:  # pragma: no cover - defensive
             raise AssertionError(rs.blocked_kind)
-        self._make_ready(rs)
+        self._sched.make_ready(rs)
         return True
-
-    def _resume_dirty(self) -> None:
-        """Wake blocked ranks flagged by completions since the last pass.
-
-        A WaitAny rank holding a complete request stays dirty even when
-        it cannot resume yet: it is waiting on the safety horizon, which
-        moves whenever any other rank advances, so it must be polled.
-        Everything else leaves the dirty set until a new completion
-        re-flags it.
-        """
-        for rank in sorted(self._dirty):
-            rs = self._ranks[rank]
-            if rs.state != BLOCKED:
-                self._dirty.discard(rank)
-                continue
-            if self._try_resume(rs, relaxed=False):
-                self._dirty.discard(rank)
-            elif not (rs.blocked_kind == "waitany"
-                      and any(r.complete for r in rs.blocked_data)):
-                self._dirty.discard(rank)
 
     def _resume_resumable(self, relaxed: bool) -> bool:
         """Full sweep over all blocked ranks (the rare all-blocked path)."""
@@ -896,7 +700,7 @@ class Engine:
 
     def _relaxed_progress(self) -> bool:
         # 1. deferred wildcard matches, earliest arrival first
-        for dst in sorted(self._pending_recvs):
+        for dst in sorted(self._match.pending_recvs):
             if self._drain(dst, relaxed=True):
                 self.deferred_commits += 1
                 return True
@@ -932,10 +736,10 @@ class Engine:
     # -- termination ------------------------------------------------------------
     def _on_rank_done(self, rs: _RankState) -> None:
         # A finished rank cannot post new sends; wildcard horizons improve.
-        if self._pending_live[rs.rank]:
+        live = self._match.pending_live[rs.rank]
+        if live:
             raise MPIUsageError(
-                f"rank {rs.rank} finished with "
-                f"{self._pending_live[rs.rank]} unmatched receives")
+                f"rank {rs.rank} finished with {live} unmatched receives")
 
     def _describe_block(self, rs: _RankState) -> str:
         if rs.blocked_kind == "collective":

@@ -1,11 +1,10 @@
 """Execution layer of the engine core: the cohort-batched main loop.
 
-The reference (scalar) executor dispatches one yielded op at a time
-through ``Engine._step`` / ``Engine._apply`` — two Python calls plus an
-``isinstance`` chain per op.  :func:`run_batch` replaces that with a
-single flattened loop that processes each runnable rank's *op cohort*
-(the run of operations it issues before blocking — all at the same
-scheduler timestamp) in one frame:
+:func:`run_batch` is the simulator's only main loop.  Each pass polls
+the deferred drains and the dirty set, picks the next runnable rank
+(through the schedule policy when it is not canonical), and advances
+that rank's *op cohort* — the run of operations it issues before
+blocking — in one frame:
 
 * class-identity dispatch on the concrete op classes with every hot
   container and model query bound to a local;
@@ -13,26 +12,27 @@ scheduler timestamp) in one frame:
   for the common regime (no fault injection, flat fabric, no wire
   queueing, no overload accounting) and cache each message's fixed
   arrival estimate for the matching layer; any other regime falls back
-  to the engine's reference handlers mid-loop;
+  to the engine's generic handlers mid-loop;
 * collective completion evaluates ``max`` over the whole
   ``_CollInstance`` arrival cohort at once (numpy-reduced for large
   groups — float ``max`` is associative, so the reduction order cannot
   change the result);
 * dirty-set wakeup is folded into the loop top with the per-kind
-  resume arithmetic inlined.
+  resume arithmetic inlined;
+* crash faults are checked per op, before the op is stepped, so a rank
+  stops at the first op it would start at or past its crash time;
+* ``--profile`` attributes wall time to the schedule / match / execute
+  / fabric phases with timers at cohort boundaries, bound only when the
+  engine profiles.
 
 Byte-identity discipline: every float operation happens in the same
-order as the reference executor, counters (``steps`` etc.) are bumped
-at the same program points, and anything the fast path cannot mirror
-exactly (fault fates, routed fabrics, wire queueing, overload) is
-delegated to the very same reference code.  Runs with crash faults use
-the reference loop outright (the per-op crash check is structural).
-The golden suites under ``tests/sim/golden/`` and the Hypothesis
-equivalence tests pin this bit-for-bit.
-
-:func:`run_profiled` is the instrumented variant behind
-``repro pipeline --profile``: the reference loop structure with
-per-phase (schedule/match/execute/fabric) wall-time attribution.
+order as a one-op-at-a-time loop would run it, counters (``steps``
+etc.) are bumped at the same program points, and anything the fast
+path cannot mirror exactly (fault fates, routed fabrics, wire queueing,
+overload) is delegated to the engine's generic handlers.  The golden
+suites under ``tests/sim/golden/`` and the Hypothesis equivalence tests
+(against the test-only ``tests/sim/reference_loop.py``) pin this
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.sim.matching import _Message, _PendingRecv
 from repro.sim.network import FlatFabric, NetworkModel
 from repro.sim.ops import (ANY_SOURCE, Collective, Compute, PostRecv,
                            PostSend, Test, WaitAll, WaitAny)
-from repro.sim.requests import Request, Status
+from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY
 
 try:
@@ -73,9 +73,9 @@ class _CollInstance:
         self.nbytes = nbytes
         self.arrivals: Dict[int, float] = {}
         self.completion: Optional[float] = None
-        #: countdown of group members yet to arrive; both executors
-        #: decrement it, so ``nleft == len(group) - len(arrivals)``
-        #: holds regardless of which path handled each arrival
+        #: countdown of group members yet to arrive; the inline path and
+        #: ``Engine._apply_collective`` both decrement it, so ``nleft ==
+        #: len(group) - len(arrivals)`` holds whichever handled an arrival
         self.nleft = len(group)
 
 
@@ -91,6 +91,22 @@ def _group_start(arrivals: Dict[int, float]) -> float:
                                           dtype=_np.float64,
                                           count=len(arrivals))))
     return max(arrivals.values())
+
+
+def _timed(fn, phase: str, acc: Dict[str, float], nested: list):
+    """``fn`` wrapped to add its wall time to ``acc[phase]`` and to
+    ``nested[0]``, which the enclosing phase timer subtracts."""
+    perf = time.perf_counter
+
+    def timed(*args, **kwargs):
+        t0 = perf()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            dt = perf() - t0
+            acc[phase] += dt
+            nested[0] += dt
+    return timed
 
 
 def run_batch(eng) -> None:
@@ -113,6 +129,25 @@ def run_batch(eng) -> None:
     step_limit = max_steps if max_steps is not None else (1 << 62)
     faults = eng._faults
     no_faults = faults is None
+    # per-rank crash times, None unless a crash plan is active: the only
+    # per-op cost of crash support is this local's `is not None` test
+    crash_at = eng._crash_at
+
+    # --profile: match and fabric time wrap the engine's drain and
+    # routed fold (before the drain is bound to a local below); schedule
+    # and execute are timed at cohort boundaries, each net of the
+    # nested match/fabric time
+    profile = eng.profile
+    if profile:
+        perf = time.perf_counter
+        acc = eng.profile_phases = {"schedule": 0.0, "match": 0.0,
+                                    "execute": 0.0, "fabric": 0.0}
+        nested = [0.0]
+        eng._drain = _timed(eng._drain, "match", acc, nested)
+        eng._routed_arrival = _timed(eng._routed_arrival, "fabric", acc,
+                                     nested)
+    t_poll = 0.0
+    t_cohort = None
 
     model = eng.model
     match = eng._match
@@ -138,7 +173,7 @@ def run_batch(eng) -> None:
     colls = eng._coll
 
     # fast sends only in the regime whose arithmetic the inline path
-    # mirrors exactly; everything else goes through the reference handler
+    # mirrors exactly; everything else goes through Engine._apply_send
     fast_send = (no_faults and not eng._routed and not model.wire_queueing
                  and model.overload_drain_rate is None)
     fabric = getattr(model, "fabric", None)
@@ -166,7 +201,7 @@ def run_batch(eng) -> None:
     # already sorted by the heap's (clock, rank) key.  Appending them to
     # a plain list consumed by index skips ~two heap sifts per resume;
     # the pop below merges the queue front against the heap's valid top,
-    # so pop order is exactly the reference heap order.  Any resume that
+    # so pop order is exactly Scheduler.pop_ready's.  Any resume that
     # would break the queue's sortedness goes to the heap instead.
     rq = []
     rq_append = rq.append
@@ -181,6 +216,14 @@ def run_batch(eng) -> None:
 
     try:
         while True:
+            if profile:
+                # close the previous cohort's execute interval, open
+                # this pass's schedule interval
+                t_poll = perf()
+                if t_cohort is not None:
+                    acc["execute"] += t_poll - t_cohort - nested[0]
+                    t_cohort = None
+                nested[0] = 0.0
             steps += 1
             if steps > step_limit:
                 raise SimulationError(
@@ -195,8 +238,8 @@ def run_batch(eng) -> None:
                     deferred.discard(dst)
                     drain(dst, False)
             if dirty:
-                # inline _resume_dirty: same sorted order, same per-kind
-                # resume arithmetic as Engine._try_resume/_make_ready.
+                # dirty-set wakeup in sorted rank order, with the per-kind
+                # resume arithmetic of Engine._try_resume.
                 # Nothing inside a resume mutates the dirty set, so the
                 # per-rank discards collapse into one clear at the end
                 # (waitany ranks that must stay dirty are re-added).
@@ -242,7 +285,9 @@ def run_batch(eng) -> None:
                                 heappush(ready, entry)
                     else:
                         # waitany needs the safety horizon: use the
-                        # reference resume, with its stay-dirty rule
+                        # engine's resume; a rank holding a complete
+                        # request stays dirty (the horizon moves as
+                        # other ranks run, so it must be polled)
                         if not eng._try_resume(r, False) and \
                                 r.blocked_kind == "waitany" and \
                                 any(q.completion is not None
@@ -256,7 +301,7 @@ def run_batch(eng) -> None:
                     dirty.update(stays)
             # inline pop_ready: two-way merge of the resume queue's valid
             # front and the lazy-deletion heap's valid top — identical
-            # (clock, rank) order to the reference single-heap pop
+            # (clock, rank) order to Scheduler.pop_ready
             rs = None
             if policy_tie is not None:
                 # the resume queue is empty (appends gated off above),
@@ -298,9 +343,16 @@ def run_batch(eng) -> None:
                 if eng._relaxed_progress():
                     continue
                 if eng.crashed_ranks:
+                    # graceful degradation: ranks waiting on a crashed
+                    # peer can never progress — record the diagnostic
+                    # and end the run so its trace prefix survives
                     eng._starve_blocked()
                     break
                 eng._raise_deadlock()
+            if profile:
+                t_cohort = perf()
+                acc["schedule"] += t_cohort - t_poll - nested[0]
+                nested[0] = 0.0
             # -- op cohort: run this rank's generator until it blocks ----
             # Consecutive PostRecv drains coalesce into one flush: no
             # clock moves and no other rank observes state mid-cohort,
@@ -310,12 +362,21 @@ def run_batch(eng) -> None:
             # anything that reads completion state: WaitAll / WaitAny /
             # Test evaluation, a send to self (its unexpected-buffer
             # charge checks our own receive queue), the generic
-            # fallback, and rank completion.
+            # fallback, and rank completion (a crash included).
             gen_send = rs.gen.send
             value = rs.pending_value
             rs.pending_value = None
             recv_pending = False
             while True:
+                # a crash stops the rank before it starts an op at or
+                # past its crash time (clocks advance inside a cohort)
+                if crash_at is not None and \
+                        rs.clock >= crash_at[rs.rank]:
+                    if recv_pending:
+                        recv_pending = False
+                        drain(rs.rank, False)
+                    eng._crash_rank(rs)
+                    break
                 steps += 1
                 if steps > step_limit:
                     raise SimulationError(
@@ -479,11 +540,10 @@ def run_batch(eng) -> None:
                             inst.key, len(inst.group), inst.nbytes)
                         inst.completion = comp
                         # blocked participants wake through the dirty
-                        # set on the next loop top (same as reference:
-                        # resuming them here would advance their clocks
-                        # early and shift wildcard horizons).  Bulk
-                        # update, preserving any prior membership of
-                        # the completing rank itself.
+                        # set on the next loop top (resuming them here
+                        # would advance their clocks early and shift
+                        # wildcard horizons).  Bulk update, preserving
+                        # any prior membership of the completing rank.
                         had = rank in dirty
                         dirty.update(arrivals)
                         if not had:
@@ -535,9 +595,9 @@ def run_batch(eng) -> None:
                         value = (False, None)
                     continue
                 # unknown concrete class: op subclasses and junk go
-                # through the reference dispatcher (isinstance checks,
+                # through the generic Engine._apply (isinstance checks,
                 # usage errors).  Sync the locally-tracked counters so
-                # the reference handlers see and leave consistent state.
+                # the generic handlers see and leave consistent state.
                 if recv_pending:
                     recv_pending = False
                     drain(rs.rank, False)
@@ -562,86 +622,3 @@ def run_batch(eng) -> None:
         if fast_send:
             eng._msg_seq = msg_seq
         eng._pr_seq = pr_seq
-
-
-def run_profiled(eng) -> None:
-    """Reference-structured loop with per-phase wall-time attribution.
-
-    Phases (wall seconds, exposed as ``engine.profile.<phase>_s``):
-
-    * ``schedule`` — deferred-drain bookkeeping, dirty-set wakeup and
-      ready-heap pops at the loop top (minus nested match time);
-    * ``match`` — every ``Engine._drain`` call (candidate enumeration,
-      horizon checks, commits), wherever it is triggered from;
-    * ``fabric`` — routed per-link FIFO folds (``_routed_arrival``);
-    * ``execute`` — generator stepping and op handling, minus the
-      nested match/fabric time.
-
-    Timer placement is the only difference from the reference loop:
-    the same ``_step``/``_drain`` code runs, so results stay
-    byte-identical.  Totals land on ``eng.profile_phases`` and are
-    published by ``Engine._flush_counters``.
-    """
-    perf = time.perf_counter
-    acc = {"schedule": 0.0, "match": 0.0, "execute": 0.0, "fabric": 0.0}
-    nested = [0.0]
-
-    real_drain = eng._drain
-
-    def timed_drain(dst, relaxed):
-        t0 = perf()
-        try:
-            return real_drain(dst, relaxed)
-        finally:
-            dt = perf() - t0
-            acc["match"] += dt
-            nested[0] += dt
-
-    eng._drain = timed_drain
-
-    real_routed = eng._routed_arrival
-
-    def timed_routed(rs, op, inject):
-        t0 = perf()
-        try:
-            return real_routed(rs, op, inject)
-        finally:
-            dt = perf() - t0
-            acc["fabric"] += dt
-            nested[0] += dt
-
-    eng._routed_arrival = timed_routed
-
-    try:
-        while True:
-            eng.steps += 1
-            if eng.max_steps is not None and eng.steps > eng.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={eng.max_steps}; likely livelock")
-            t0 = perf()
-            nested[0] = 0.0
-            if eng._deferred_dsts:
-                for dst in sorted(eng._deferred_dsts):
-                    eng._deferred_dsts.discard(dst)
-                    eng._drain(dst, False)
-            if eng._dirty:
-                eng._resume_dirty()
-            rs = eng._pop_ready()
-            acc["schedule"] += perf() - t0 - nested[0]
-            if rs is not None:
-                t1 = perf()
-                nested[0] = 0.0
-                eng._step(rs)
-                acc["execute"] += perf() - t1 - nested[0]
-                continue
-            if eng._done_count == eng.nranks:
-                break
-            eng.deadlock_checks += 1
-            if eng._relaxed_progress():
-                continue
-            if eng.crashed_ranks:
-                eng._starve_blocked()
-                break
-            eng._raise_deadlock()
-    finally:
-        eng.profile_phases = dict(acc)

@@ -13,17 +13,16 @@ the simulator, split out of the monolithic engine:
   float arithmetic runs once, in the same operation order as the
   original per-query computation: bit-identical by construction);
 * a per-``(dst, comm)`` **wildcard candidate heap** of channel heads
-  ordered by the scalar tie-break tuple ``(est, src, seq)``, used by
-  the batch executor to answer ANY_SOURCE/ANY_TAG queries in O(log n)
+  ordered by the canonical tie-break tuple ``(est, src, seq)``, used by
+  :func:`drain_batch` to answer ANY_SOURCE/ANY_TAG queries in O(log n)
   instead of scanning every live channel.  Rendezvous heads (whose
   estimate depends on the receive post time) are counted per
   ``(dst, comm)``; any query that could involve one — or a
-  tag-selective wildcard — falls back to the reference scan.
+  tag-selective wildcard — falls back to the full scan
+  (:meth:`MatchIndex.candidates_for` + ``min``).
 
-The candidate heap is bookkeeping only: both engine modes maintain it,
-but only the batch drain reads it.  The scalar drain keeps the
-reference scan (`candidates_for` + ``min``), which is what the
-Hypothesis equivalence suite compares the heap against.
+The Hypothesis equivalence suite compares the heap against that scan:
+its reference loop drains through :func:`repro.sim.policy.drain_policy`.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ class MatchIndex:
         # channel key -> True when the registered head is rendezvous
         self.head_rdv: Dict[Tuple[int, int, int], bool] = {}
         # (dst, comm_id) -> number of live channels with a rdv head;
-        # nonzero forces the reference scan (rdv estimates depend on the
+        # nonzero forces the full scan (rdv estimates depend on the
         # receive post time, so a fixed-key heap cannot order them)
         self.rdv_heads: Dict[Tuple[int, int], int] = {}
         # channel key -> tag of the currently registered head message
@@ -289,7 +288,7 @@ class MatchIndex:
 
         Only valid when every live channel head for ``(dst, comm_id)``
         is eager (``rdv_heads`` is zero) and the receive is ANY_TAG —
-        then the heap minimum equals the reference scan's ``min`` over
+        then the heap minimum equals the full scan's ``min`` over
         per-channel heads, because the entry key is exactly the scan's
         tie-break tuple and seqs are unique.  Returns None when no live
         channel exists.
@@ -489,28 +488,30 @@ class MatchIndex:
 
 
 def drain_batch(self, dst: int, relaxed: bool) -> bool:
-    """Batch-mode drain: match pending receives at ``dst``.
+    """The engine's drain: match pending receives at ``dst``.
 
-    Bound as ``Engine._drain`` when the engine runs in batch mode (see
-    ``Engine.run``); ``self`` is the engine.  Semantics are identical
-    to the reference scan in :meth:`Engine._drain` — receives scanned in
-    post order, directed receives match their channel's first
-    tag-compatible message, wildcard receives match their earliest
-    candidate only when horizon-safe, an unsafe wildcard freezes its
-    communicator — with two pure accelerations:
+    Bound as ``Engine._drain`` under the canonical schedule policy;
+    ``self`` is the engine.  Receives are scanned in post order: a
+    directed receive matches its channel's first tag-compatible
+    message, a wildcard receive its earliest ``(est, src, seq)``
+    candidate only when horizon-safe, and an unsafe wildcard freezes
+    its communicator.  One pass is exhaustive (a commit only removes
+    state).  Returns True if any match was committed.  These are the
+    semantics of :func:`repro.sim.policy.drain_policy`'s full scan under
+    the canonical policy, with two pure accelerations:
 
     * ANY_SOURCE/ANY_TAG candidates come from the per-``(dst, comm)``
       candidate heap when every live channel head is eager, instead of
       scanning every channel (`MatchIndex.best_candidate` documents the
       equivalence); tag-selective wildcards and rendezvous heads fall
-      back to the reference scan;
+      back to the full scan;
     * when the drain walks a single wildcard bucket, the first freeze
       ends it (every remaining receive shares the frozen communicator).
     """
     m = self._match
     if not m.channels_by_dst[dst] or not m.pending_live[dst]:
-        # nothing to match: no live messages or no live receives — the
-        # reference drain would walk empty buckets and commit nothing
+        # nothing to match: no live messages or no live receives — a
+        # full scan would walk empty buckets and commit nothing
         return False
     if not relaxed:
         memo = m.defer_memo.get(dst)
@@ -554,7 +555,7 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
                 if pr.tag == ANY_TAG:
                     best = best_candidate(dst, pr.comm_id)
                 else:
-                    # tag-selective wildcard: the heap is the reference
+                    # tag-selective wildcard: the heap is the full scan's
                     # answer when every live head carries this tag (each
                     # head is then its channel's first compatible)
                     srcs = srcs_by_dc.get(dc)
@@ -604,7 +605,7 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
                 continue
             arr = arrival_est(msg, pr.post_time)
         # inline commit — identical arithmetic and side-effect order to
-        # the reference Engine._commit_match
+        # Engine._commit_match
         self.matches_committed += 1
         post = pr.post_time
         completion = post if post >= arr else arr

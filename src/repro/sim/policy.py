@@ -4,8 +4,9 @@ The engine makes exactly two kinds of *choices* while simulating; every
 other step is forced by MPI semantics and virtual time:
 
 * **wildcard match selection** — which candidate message an ANY_SOURCE
-  receive takes when several channels hold a compatible message
-  (``Engine._drain`` / :func:`repro.sim.matching.drain_batch`);
+  receive takes when several channels hold a compatible message (the
+  engine's drain: :func:`repro.sim.matching.drain_batch`, or
+  :func:`drain_policy` under a non-canonical policy);
 * **cohort ordering** — which rank runs next when several runnable
   ranks share the same virtual clock
   (:meth:`repro.sim.sched.Scheduler.pop_ready`).
@@ -19,8 +20,8 @@ choice points explicit so the schedule-space fuzzer (``repro fuzz``,
 see ``docs/FUZZING.md``) can explore *other* legal schedules:
 
 * ``canonical`` — byte-identical to the engine without the layer (the
-  canonical code paths are untouched; this class exists so callers can
-  hold a policy object uniformly);
+  executor keeps its candidate-heap drain and inlined pop; this class
+  exists so callers can hold a policy object uniformly);
 * ``random`` — seeded uniform choice over the legal candidates at each
   decision point, simsched-style;
 * ``adversarial-delay`` — the wildcard match that maximizes receiver
@@ -31,9 +32,9 @@ Determinism contract: a (policy, seed) pair fully determines the run.
 RNG draws happen only at *actual* choice points — a singleton candidate
 set or cohort consumes no draw, and deferral/freeze decisions (which
 stay canonical: they gate *when* a wildcard may match, not *what* it
-matches) consume no draw — so the scalar and batch executors, which
-reach the same choice points in the same order, replay the same draw
-sequence and stay equivalent under any seed.
+matches) consume no draw — so any loop that reaches the same choice
+points in the same order (the test-only reference loop included)
+replays the same draw sequence.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class SchedulerPolicy:
 class CanonicalPolicy(SchedulerPolicy):
     """Today's deterministic order (earliest arrival, lowest rank).
 
-    The engine never calls these methods on its hot paths — canonical
-    runs keep the original drain/pop code verbatim — but they implement
-    the same order so harnesses can drive any policy uniformly.
+    Production runs never call these methods (canonical runs keep the
+    candidate-heap drain and the inlined pop), but they implement the
+    same order: the test-only reference loop drains through
+    :func:`drain_policy` with this policy as its full-scan oracle.
     """
 
     name = "canonical"
@@ -206,26 +208,26 @@ def resolve_policy(policy=None,
 def drain_policy(self, dst: int, relaxed: bool) -> bool:
     """Policy-mode drain: match pending receives at ``dst``.
 
-    Bound as ``Engine._drain`` (for *both* executors) when the engine
-    runs under a non-canonical policy; ``self`` is the engine.  The
-    structure is the reference scan of ``Engine._drain`` with one
-    change: once a wildcard receive is *allowed* to match, the policy —
-    not the canonical minimum — picks which candidate it takes.
+    Bound as ``Engine._drain`` when the engine runs under a
+    non-canonical policy; ``self`` is the engine.  It is the full
+    candidate scan of :func:`repro.sim.matching.drain_batch` without
+    the candidate heaps, and once a wildcard receive is *allowed* to
+    match, the policy picks which candidate it takes (under
+    :class:`CanonicalPolicy`, the canonical minimum).
 
     Everything that gates **when** a match may happen stays canonical:
 
     * the safety horizon is checked against the earliest candidate
-      arrival, exactly as the reference drain does, so a wildcard still
+      arrival, exactly as the canonical drain does, so a wildcard still
       only commits once no other rank could produce an earlier
       candidate — by which point every legal alternative the policy
       should see is in the candidate set;
     * an unmatchable or deferred wildcard freezes its communicator for
       later receives, preserving non-overtaking order.
 
-    Both executors bind this same function (the batch candidate heap
-    answers *canonical-minimum* queries, which a policy drain cannot
-    use), so the candidate enumeration — and therefore the policy's RNG
-    draw sequence — is identical in scalar and batch mode.
+    The candidate heaps answer only canonical-minimum queries, so every
+    policy run enumerates candidates — and draws — through this one
+    function.
     """
     m = self._match
     policy = self.policy

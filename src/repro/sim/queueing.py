@@ -22,8 +22,8 @@ can be modeled:
 
 Determinism contract: a discipline is plain arithmetic over the same
 per-link state the FIFO fold reads (no RNG, no wall clock), so runs
-remain bit-deterministic and identical across the scalar and batch
-executors, which reach the admission points in the same order.
+remain bit-deterministic: the admission points are reached in send
+order, whichever loop drives the engine.
 
 Disciplines only exist on routed fabrics (flat fabrics have no named
 links to queue on); the engine rejects a non-FIFO discipline without

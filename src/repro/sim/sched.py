@@ -15,10 +15,10 @@ split out of the monolithic engine (see ``docs/ARCHITECTURE.md``):
   horizon-unsafe and must be re-drained at the top of the next pass.
 
 The scheduler knows nothing about messages or matching; it sees only
-rank states (:class:`repro.sim.engine._RankState`) and clocks.  Both
-engine modes (``scalar`` and ``batch``) share one scheduler instance —
-its containers are plain heaps/sets so the batch executor can bind them
-as locals in its hot loop without changing semantics.
+rank states (:class:`repro.sim.engine._RankState`) and clocks.  Its
+containers are plain heaps/sets so the cohort executor
+(:mod:`repro.sim.exec_batch`) can bind them as locals in its hot loop
+and inline :meth:`Scheduler.pop_ready` without changing semantics.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ class Scheduler:
     def pop_ready_policy(self, policy) -> Optional[object]:
         """Policy-ordered variant of :meth:`pop_ready`.
 
-        Both executors call this instead of :meth:`pop_ready` when the
+        The executor calls this instead of :meth:`pop_ready` when the
         engine runs under a non-canonical
         :class:`~repro.sim.policy.SchedulerPolicy`: all READY ranks tied
         at the smallest clock are collected (the full legal cohort —
         duplicate lazy heap entries deduplicate through the rank set),
         the policy picks one, and the rest are pushed back untouched.  A
-        singleton cohort consumes no policy decision, keeping the RNG
-        draw sequence identical across executors.
+        singleton cohort consumes no policy decision, so RNG draws
+        happen only at real choice points.
         """
         heap = self.ready_heap
         ranks = self.ranks

@@ -4,13 +4,11 @@ CoDel with an infinite sojourn target can never classify any message
 as a persistent queuer, so its admission arithmetic degenerates to the
 FIFO expression exactly.  The property pins that equivalence — bit for
 bit, including the order-sensitive per-link stats — across apps,
-topologies, placements, and both engine executors.  It is the
+topologies and placements.  It is the
 guarantee that makes the pluggable discipline seam safe: the hook
 sits on the hot routed path, and this is the proof it is invisible
 until a finite target turns it on.
 """
-
-import os
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -19,6 +17,7 @@ from repro.apps import make_app
 from repro.mpi.world import run_spmd
 from repro.sim.network import make_model
 from repro.topology import make_topology_model
+from tests.sim.reference_loop import reference_loop
 
 #: point-to-point-heavy apps: these actually route per-link traffic
 _APPS = [("ring", 5), ("ring", 8), ("halo3d", 8), ("sweep3d", 8),
@@ -46,22 +45,12 @@ def _signature(result):
 @settings(max_examples=20, deadline=None)
 @given(cell=st.sampled_from(_APPS),
        topology=st.sampled_from(["torus3d", "fattree"]),
-       placement=st.sampled_from(["block", "roundrobin"]),
-       mode=st.sampled_from(["scalar", "batch"]))
-def test_codel_with_infinite_target_is_fifo(cell, topology, placement,
-                                            mode):
+       placement=st.sampled_from(["block", "roundrobin"]))
+def test_codel_with_infinite_target_is_fifo(cell, topology, placement):
     app, nranks = cell
-    before = os.environ.get("REPRO_ENGINE_MODE")
-    os.environ["REPRO_ENGINE_MODE"] = mode
-    try:
-        fifo = _run(app, nranks, topology, placement, "fifo", None)
-        codel = _run(app, nranks, topology, placement, "codel",
-                     {"target": "inf"})
-    finally:
-        if before is None:
-            os.environ.pop("REPRO_ENGINE_MODE", None)
-        else:
-            os.environ["REPRO_ENGINE_MODE"] = before
+    fifo = _run(app, nranks, topology, placement, "fifo", None)
+    codel = _run(app, nranks, topology, placement, "codel",
+                 {"target": "inf"})
     assert _signature(codel) == _signature(fifo)
     # the discipline was active, so drop counters exist — and are zero
     assert all(st_["drops"] == 0 for st_ in codel.link_stats.values())
@@ -71,25 +60,18 @@ def test_codel_with_infinite_target_is_fifo(cell, topology, placement,
 @given(cell=st.sampled_from(_APPS),
        placement=st.sampled_from(["block", "roundrobin"]))
 def test_scalar_batch_parity_under_codel(cell, placement):
-    """A finite target must stay bit-identical across both executors:
-    the admission points are reached in the same order, so the drops
-    and penalties land identically."""
+    """A finite target must stay bit-identical between the production
+    loop and the reference loop: the admission points are reached in the
+    same order, so the drops and penalties land identically."""
     app, nranks = cell
     params = {"target": 1e-6, "interval": 1e-5, "penalty": 5e-5}
-    before = os.environ.get("REPRO_ENGINE_MODE")
-    signatures = {}
-    try:
-        for mode in ("scalar", "batch"):
-            os.environ["REPRO_ENGINE_MODE"] = mode
-            result = _run(app, nranks, "torus3d", placement, "codel",
-                          params)
-            drops = tuple(sorted((name, st_["drops"])
-                                 for name, st_ in
-                                 result.link_stats.items()))
-            signatures[mode] = (_signature(result), drops)
-    finally:
-        if before is None:
-            os.environ.pop("REPRO_ENGINE_MODE", None)
-        else:
-            os.environ["REPRO_ENGINE_MODE"] = before
-    assert signatures["scalar"] == signatures["batch"]
+
+    def signature():
+        result = _run(app, nranks, "torus3d", placement, "codel", params)
+        drops = tuple(sorted((name, st_["drops"])
+                             for name, st_ in result.link_stats.items()))
+        return _signature(result), drops
+
+    with reference_loop():
+        reference = signature()
+    assert signature() == reference

@@ -12,9 +12,9 @@ require:
   duplicated);
 * per-rank operation counts match the canonical run (policies reorder
   execution, they do not change the program);
-* the scalar and batch executors are bit-identical under a shared
-  (policy, seed) — the same contract the golden suites pin for
-  canonical, extended across the schedule space.
+* the production loop is bit-identical to the test-only reference loop
+  under a shared (policy, seed) — the same contract the golden suites
+  pin for canonical, extended across the schedule space.
 """
 
 import hypothesis.strategies as st
@@ -24,6 +24,7 @@ from repro.sim.engine import Engine
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll)
+from tests.sim.reference_loop import reference_loop
 
 _SIZES = [1, 256, 1 << 17]
 
@@ -90,9 +91,9 @@ def _rank_program(plan, rank, counts):
             yield Collective(group, phase["coll"], nbytes=64)
 
 
-def _run(plan, policy=None, seed=None, mode="batch"):
+def _run(plan, policy=None, seed=None):
     eng = Engine(plan["nranks"], make_model(plan["preset"]),
-                 max_steps=200_000, mode=mode, schedule_policy=policy,
+                 max_steps=200_000, schedule_policy=policy,
                  schedule_seed=seed)
     counts = [0] * plan["nranks"]
     total = eng.run([_rank_program(plan, r, counts)
@@ -123,9 +124,9 @@ def test_policies_yield_legal_outcomes(plan, policy_seed):
 @settings(max_examples=40, deadline=None)
 @given(plans(), st.integers(0, 9))
 def test_scalar_batch_identical_under_shared_random_seed(plan, seed):
-    scalar = _run(plan, policy="random", seed=seed, mode="scalar")
-    batch = _run(plan, policy="random", seed=seed, mode="batch")
-    assert batch == scalar
+    with reference_loop():
+        reference = _run(plan, policy="random", seed=seed)
+    assert _run(plan, policy="random", seed=seed) == reference
 
 
 @settings(max_examples=25, deadline=None)

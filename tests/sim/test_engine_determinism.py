@@ -151,7 +151,7 @@ class TestCounterFlushOrder:
         """`_flush_counters` calls ``obs.count`` in sorted-name order:
         the collector's counter dict (and anything streaming per-call)
         sees a byte-stable sequence regardless of link discovery order,
-        fault-counter insertion order, or engine mode."""
+        or fault-counter insertion order."""
         from repro import obs
         from repro.apps import make_app
         from repro.mpi.world import run_spmd

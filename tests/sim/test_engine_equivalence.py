@@ -1,36 +1,62 @@
-"""Property-based scalar/batch equivalence.
+"""Property-based equivalence: production loop ≡ reference loop.
 
-The cohort-batched executor (``REPRO_ENGINE_MODE=batch``) is contracted
-to be bit-identical to the reference scalar loop.  The golden suites pin
-a fixed grid of real apps; this suite drives randomly generated small
-programs through *both* executors and requires identical makespans,
-per-rank clocks, per-link contention stats, and engine counter totals —
-exercising exactly the machinery the golden grid cannot enumerate:
-wildcard candidate heaps vs the reference scan, rendezvous fallbacks,
-mixed directed/wildcard communicators, throttle charging, WaitAny
-horizon deferrals, and collective cohort completion.
+The cohort executor (:func:`repro.sim.exec_batch.run_batch`) is
+contracted to be bit-identical to the one-op-at-a-time reference loop in
+``tests/sim/reference_loop.py``.  The golden suites pin a fixed grid of
+real apps; this suite drives randomly generated small programs through
+*both* loops and requires identical outcomes, makespans, per-rank
+clocks, crashed and starved ranks, per-link contention stats, and engine
+counter totals — exercising exactly the machinery the golden grid cannot
+enumerate: wildcard candidate heaps vs the full scan, rendezvous
+fallbacks, mixed directed/wildcard communicators, throttle charging,
+WaitAny horizon deferrals, collective cohort completion, and per-op
+crash checks under drops, duplicates and stragglers.  A profiled run
+must equal an unprofiled one except for its ``engine.profile.*`` timings.
 
-Programs are deadlock-free by construction: each phase posts all
-nonblocking receives, then all sends, then waits on everything, with an
-optional full-group collective between phases.  Directed traffic rides
-communicator 0 (per-source multisets match the sends exactly) and
-wildcard traffic rides communicator 1 (every receive is
-ANY_SOURCE/ANY_TAG), so a wildcard can never steal a message a directed
-receive needs.
+Programs are deadlock-free by construction (fault injection aside):
+each phase posts all nonblocking receives, then all sends, then waits
+on everything, with an optional full-group collective between phases.
+Directed traffic rides communicator 0 (per-source multisets match the
+sends exactly) and wildcard traffic rides communicator 1 (every receive
+is ANY_SOURCE/ANY_TAG), so a wildcard can never steal a message a
+directed receive needs.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import obs
+from repro.errors import SimulationError
+from repro.faults import FaultInjector, FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll, WaitAny)
 from repro.topology import make_topology_model
+from tests.sim.reference_loop import reference_loop
 
 #: payload sizes crossing the presets' eager/rendezvous thresholds
 _SIZES = [1, 64, 4096, 1 << 15, 1 << 20]
+
+#: fault regimes crossed with the optional crash (drops with no retry
+#: budget lose messages outright)
+_FAULT_MIXES = [{}, {"drop_rate": 0.2, "max_retries": 0},
+                {"duplicate_rate": 0.3}, {"stragglers": [[0, 3.0]]}]
+
+
+@st.composite
+def fault_plans(draw, nranks):
+    """A FaultPlan keyword dict (None: no injector at all)."""
+    crash = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, nranks - 1),
+        st.one_of(st.just(0.0), st.floats(0.0, 3e-4)))))
+    mix = draw(st.sampled_from(_FAULT_MIXES))
+    if crash is None and not mix:
+        return None
+    plan = dict(mix, seed=draw(st.integers(0, 3)))
+    if crash is not None:
+        plan["crashes"] = [list(crash)]
+    return plan
 
 
 @st.composite
@@ -69,7 +95,8 @@ def plans(draw):
                 [None, "barrier", "allreduce", "bcast"])),
         })
     return {"nranks": nranks, "preset": preset, "routed": routed,
-            "phases": phases}
+            "phases": phases, "faults": draw(fault_plans(nranks)),
+            "profile": draw(st.booleans())}
 
 
 def _rank_program(plan, rank):
@@ -115,16 +142,26 @@ def _model_for(plan):
     return base
 
 
-def _run(plan, mode):
+def _run(plan, profile=False):
+    faults = plan["faults"]
     eng = Engine(plan["nranks"], _model_for(plan), max_steps=200_000,
-                 mode=mode)
+                 profile=profile,
+                 faults=FaultInjector(FaultPlan(**faults))
+                 if faults is not None else None)
+    outcome = "ok"
     with obs.instrumented() as inst:
-        total = eng.run([_rank_program(plan, r)
-                         for r in range(plan["nranks"])])
+        try:
+            eng.run([_rank_program(plan, r)
+                     for r in range(plan["nranks"])])
+        except SimulationError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
     counters = {r["name"]: r["value"] for r in inst.counter_records()}
     return {
-        "total_hex": total.hex(),
+        "outcome": outcome,
+        "total_hex": eng.total_time.hex(),
         "per_rank_hex": [eng.now(r).hex() for r in range(plan["nranks"])],
+        "crashed": eng.crashed_ranks,
+        "starved": eng.starved_ranks,
         "link_stats": eng.link_stats,
         "counters": counters,
     }
@@ -132,10 +169,17 @@ def _run(plan, mode):
 
 @settings(max_examples=60, deadline=None)
 @given(plans())
-def test_scalar_and_batch_executors_are_bit_identical(plan):
-    scalar = _run(plan, "scalar")
-    batch = _run(plan, "batch")
-    assert batch["total_hex"] == scalar["total_hex"]
-    assert batch["per_rank_hex"] == scalar["per_rank_hex"]
-    assert batch["link_stats"] == scalar["link_stats"]
-    assert batch["counters"] == scalar["counters"]
+def test_production_and_reference_loops_are_bit_identical(plan):
+    with reference_loop():
+        reference = _run(plan)
+    production = _run(plan, profile=plan["profile"])
+    if plan["profile"]:
+        counters = production["counters"]
+        phases = {name for name in counters
+                  if name.startswith("engine.profile.")}
+        assert phases == {f"engine.profile.{p}_s" for p in
+                          ("schedule", "match", "execute", "fabric")}
+        production["counters"] = {name: value for name, value
+                                  in counters.items() if name not in phases}
+        assert production == _run(plan)
+    assert production == reference

@@ -3,9 +3,9 @@
 The policy layer (``repro.sim.policy``) must (a) reject bad specs with
 clear ValueErrors at *construction* time, (b) leave canonical runs
 byte-identical to an engine that never heard of policies, (c) make
-every (policy, seed) pair a fully deterministic schedule in both
-executors, and (d) actually find the seeded ``race`` fixture's
-schedule-dependent deadlock.
+every (policy, seed) pair a fully deterministic schedule, shared by the
+production loop and the test-only reference loop, and (d) actually
+find the seeded ``race`` fixture's schedule-dependent deadlock.
 """
 
 import pytest
@@ -19,24 +19,15 @@ from repro.sim.network import make_model
 from repro.sim.policy import (POLICIES, SEEDED_POLICIES,
                               AdversarialDelayPolicy, CanonicalPolicy,
                               RandomPolicy, resolve_policy)
+from tests.sim.reference_loop import LOOPS, executor
 
 
 def _race(policy=None, seed=None, nranks=4, cls="S", platform="simple",
-          mode=None):
-    import os
+          loop="batch"):
     prog = make_app("race", nranks, cls)
-    prior = os.environ.get("REPRO_ENGINE_MODE")
-    if mode is not None:
-        os.environ["REPRO_ENGINE_MODE"] = mode
-    try:
+    with executor(loop):
         return run_spmd(prog, nranks, model=make_model(platform),
                         schedule_policy=policy, schedule_seed=seed)
-    finally:
-        if mode is not None:
-            if prior is None:
-                os.environ.pop("REPRO_ENGINE_MODE", None)
-            else:
-                os.environ["REPRO_ENGINE_MODE"] = prior
 
 
 class TestResolvePolicy:
@@ -84,13 +75,10 @@ class TestResolvePolicy:
 
 class TestEngineConstruction:
     def test_bad_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="mode"):
-            Engine(2, make_model("simple"), mode="vectorized")
-
-    def test_bad_env_mode_rejected_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", "turbo")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_MODE"):
-            Engine(2, make_model("simple"))
+        # the engine has one executor: a stale caller still passing the
+        # retired executor switch fails loudly instead of being ignored
+        with pytest.raises(TypeError, match="mode"):
+            Engine(2, make_model("simple"), mode="scalar")
 
     def test_bad_policy_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown schedule policy"):
@@ -125,10 +113,10 @@ class TestPipelineConfigValidation:
 
 
 class TestCanonicalByteIdentity:
-    @pytest.mark.parametrize("mode", ["scalar", "batch"])
-    def test_explicit_canonical_matches_default(self, mode):
-        base = _race(mode=mode)
-        explicit = _race(policy="canonical", mode=mode)
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_explicit_canonical_matches_default(self, loop):
+        base = _race(loop=loop)
+        explicit = _race(policy="canonical", loop=loop)
         assert explicit.total_time.hex() == base.total_time.hex()
         assert [t.hex() for t in explicit.per_rank_times] == \
                [t.hex() for t in base.per_rank_times]
@@ -185,9 +173,10 @@ class TestSeededDeterminism:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scalar_batch_identical_under_random(self, seed):
-        def run(mode):
+        """The production loop replays the reference loop's schedule."""
+        def run(loop):
             try:
-                r = _race(policy="random", seed=seed, mode=mode)
+                r = _race(policy="random", seed=seed, loop=loop)
                 return ("ok", r.total_time.hex(),
                         [t.hex() for t in r.per_rank_times])
             except SimDeadlockError as exc:

@@ -17,6 +17,7 @@ from repro.sim.network import make_model
 from repro.sim.queueing import (QUEUE_DISCIPLINES, CoDelDiscipline,
                                 FifoDiscipline, resolve_queue_discipline)
 from repro.topology import make_topology_model
+from tests.sim.reference_loop import LOOPS, executor
 
 _GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                        "routed_fabric.json")
@@ -149,14 +150,12 @@ class TestEngineIntegration:
         assert total_drops > 0
         assert codel.total_time > base.total_time
 
-    @pytest.mark.parametrize("mode", ["scalar", "batch"])
-    def test_explicit_fifo_reproduces_the_routed_goldens(self, mode,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_explicit_fifo_reproduces_the_routed_goldens(self, loop):
         """Selecting ``fifo`` by name must reproduce the pre-split
         goldens bit for bit — the pluggable seam never touches the
         pinned bytes.  A sample of cells per topology keeps it fast;
         the full grid runs (under the default) in the golden suite."""
-        monkeypatch.setenv("REPRO_ENGINE_MODE", mode)
         with open(_GOLDEN) as fh:
             golden = json.load(fh)
         keys = sorted(k for k in golden
@@ -168,8 +167,9 @@ class TestEngineIntegration:
             nranks = int(np_s[2:])
             model = make_topology_model(make_model(preset), topology,
                                         nranks, placement=placement)
-            result = run_spmd(make_app(app, nranks, "S"), nranks,
-                              model=model, queue_discipline="fifo")
+            with executor(loop):
+                result = run_spmd(make_app(app, nranks, "S"), nranks,
+                                  model=model, queue_discipline="fifo")
             want = golden[key]
             assert result.total_time.hex() == want["total_time_hex"], key
             assert [t.hex() for t in result.per_rank_times] == \
@@ -181,16 +181,15 @@ class TestEngineIntegration:
                 for name, st in result.link_stats.items()}
             assert got_links == want["link_stats"], key
 
-    @pytest.mark.parametrize("mode", ["scalar", "batch"])
-    def test_codel_is_deterministic_in_both_modes(self, mode,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", mode)
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_codel_is_deterministic_in_both_modes(self, loop):
         kwargs = dict(model=_routed(16), queue_discipline="codel",
                       queue_params={"target": 1e-6, "interval": 1e-5,
                                     "penalty": 5e-5})
         prog = make_app("sweep3d", 16, "W")
-        a = run_spmd(prog, 16, **kwargs)
-        kwargs["model"] = _routed(16)
-        b = run_spmd(prog, 16, **kwargs)
+        with executor(loop):
+            a = run_spmd(prog, 16, **kwargs)
+            kwargs["model"] = _routed(16)
+            b = run_spmd(prog, 16, **kwargs)
         assert a.total_time.hex() == b.total_time.hex()
         assert a.link_stats == b.link_stats
