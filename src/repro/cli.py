@@ -352,6 +352,12 @@ def cmd_pipeline(args):
                 print(f"  {phase:<10} {secs * 1e3:9.2f} ms  {share:5.1f}%")
         else:
             print("engine phase profile: no simulation stage executed")
+        calls, secs = inst.span_totals().get("conceptual.specialise",
+                                             (0, 0.0))
+        if calls:
+            kept = int(inst.counters.get("conceptual.rank_statements", 0))
+            print(f"coNCePTuaL specialise: {secs * 1e3:.2f} ms "
+                  f"({kept} statements kept over all ranks)")
     if args.report:
         print(inst.report())
     return 1 if result.degraded else 0

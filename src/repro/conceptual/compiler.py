@@ -24,19 +24,33 @@ Execution semantics of the communication statements:
 
 Collective groups are static, so sub-communicators are interned up front
 (no setup traffic), mirroring coNCePTuaL's implicit communicator handling.
+
+Execution is compiled, not interpreted.  The first run on ``nranks``
+ranks compiles the statement tree once for that size: expressions become
+closures with literals and ``num_tasks`` folded, and selectors whose
+ranks read no loop variable become static rank tuples (both in
+:mod:`repro.conceptual.evaluate`); a leaf statement whose
+selectors and expressions read no loop variable is evaluated up front
+into what each rank does.  That shared tree is then specialised for each
+rank, dropping every statement that provably does nothing there: it
+issues no MPI operation on the rank, touches no counter or log, and
+cannot raise.  Everything else keeps lazy evaluation, so a run raises at
+the same point it would if every rank walked the whole tree.  Arithmetic
+faults (division by zero, overflow) raise
+:class:`~repro.errors.ConceptualSemanticError` naming the statement's
+call site.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
-                                        ComputeStmt, Expr, ForEach, ForRep,
-                                        IfStmt, IsIn, LogStmt, MulticastStmt,
-                                        Num, Program, RecvStmt, ReduceStmt,
-                                        ResetStmt, SendStmt, SingleTask,
-                                        Stmt, SuchThat, SyncStmt,
-                                        TaskSelector, Var)
+from repro.conceptual.ast_nodes import (AwaitStmt, ComputeStmt, ForEach,
+                                        ForRep, IfStmt, LogStmt,
+                                        MulticastStmt, Program, RecvStmt,
+                                        ReduceStmt, ResetStmt, SendStmt,
+                                        Stmt, SyncStmt)
+from repro.conceptual.evaluate import Scope, Selector, bind, compile_expr
 from repro.conceptual.parser import parse
 from repro.conceptual.printer import print_program
 from repro.conceptual.runtime import LogDatabase, TaskCounters
@@ -48,90 +62,472 @@ from repro.mpi.world import SpmdResult, run_spmd
 from repro.util.callsite import Callsite
 
 
-# --------------------------------------------------------------- evaluation
-def eval_expr(expr: Expr, env: Dict[str, float]):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ConceptualSemanticError(
-                f"unbound variable {expr.name!r} at run time") from None
-    if isinstance(expr, IsIn):
-        item = eval_expr(expr.item, env)
-        return any(eval_expr(m, env) == item for m in expr.members)
-    if isinstance(expr, BinOp):
-        op = expr.op
-        if op == "/\\":
-            return bool(eval_expr(expr.left, env)) and \
-                bool(eval_expr(expr.right, env))
-        if op == "\\/":
-            return bool(eval_expr(expr.left, env)) or \
-                bool(eval_expr(expr.right, env))
-        left = eval_expr(expr.left, env)
-        right = eval_expr(expr.right, env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left // right if isinstance(left, int) and \
-                isinstance(right, int) else left / right
-        if op == "MOD":
-            return left % right
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        if op == "DIVIDES":
-            return left != 0 and right % left == 0
-    raise ConceptualSemanticError(f"cannot evaluate {expr!r}")
-
-
-def select_ranks(sel: TaskSelector, env: Dict[str, float],
-                 num_tasks: int) -> List[Tuple[int, Dict[str, float]]]:
-    """Ranks matched by a selector, each with the environment extended by
-    the selector's task-variable binding."""
-    if isinstance(sel, AllTasks):
-        if sel.var:
-            return [(r, {**env, sel.var: r}) for r in range(num_tasks)]
-        return [(r, env) for r in range(num_tasks)]
-    if isinstance(sel, SingleTask):
-        r = int(eval_expr(sel.expr, env))
-        if not 0 <= r < num_tasks:
-            raise ConceptualSemanticError(
-                f"TASK {r} out of range (num_tasks={num_tasks})")
-        return [(r, env)]
-    if isinstance(sel, SuchThat):
-        out = []
-        for r in range(num_tasks):
-            inner = {**env, sel.var: r}
-            if eval_expr(sel.predicate, inner):
-                out.append((r, inner))
-        return out
-    raise ConceptualSemanticError(f"unknown selector {sel!r}")
-
-
-# ------------------------------------------------------------- compiled form
+# ---------------------------------------------------------------- run time
 class _RankState:
+    __slots__ = ("mpi", "rank", "counters", "pending", "logs")
+
     def __init__(self, mpi: MPIProcess, logs: LogDatabase):
         self.mpi = mpi
+        self.rank = mpi.rank
         self.counters = TaskCounters()
         self.pending = []
         self.logs = logs
 
 
+# A specialised statement is an entry ``(run, data)``: ``run(st, env,
+# data)`` is a generator issuing the rank's operations.  Compound
+# statements carry their specialised bodies in ``data``.
+
+def _run_rep(st, env, data):
+    count, body = data
+    for _ in range(count(env)):
+        for run, d in body:
+            yield from run(st, env, d)
+
+
+def _run_each(st, env, data):
+    var, lo, hi, body = data
+    inner = dict(env)
+    for i in range(lo(env), hi(env) + 1):
+        inner[var] = i
+        for run, d in body:
+            yield from run(st, inner, d)
+
+
+def _run_if(st, env, data):
+    cond, then, otherwise = data
+    for run, d in (then if cond(env) else otherwise):
+        yield from run(st, env, d)
+
+
+def _receive(st, source, tag, count, is_async):
+    mpi = st.mpi
+    for _ in range(count):
+        if is_async:
+            req = yield from mpi.irecv(source=source, tag=tag)
+            st.pending.append(req)
+        else:
+            status = yield from mpi.recv(source=source, tag=tag)
+            st.counters.msgs_received += 1
+            st.counters.bytes_received += status.nbytes
+
+
+# ------------------------------------------------------------- statements
+#: ``involved`` result of a leaf that may act (or raise) on any rank
+_ANY_RANK = None
+
+
+class _Leaf:
+    """A leaf statement compiled for one program size.
+
+    ``prepare(env)`` does what every rank does: evaluate the selectors and
+    the expressions of every selected task, in the tree-walker's order.
+    ``plan(me, prep, env)`` evaluates what only rank ``me`` evaluates and
+    returns its operations, or None when it has none; ``run`` issues
+    them, with ``head`` (the call site first) holding what every rank's
+    operations share.  A leaf that reads no loop variable is prepared
+    and planned here, once; ``involved(prep)`` bounds the ranks whose plan
+    can be non-None.  Any other leaf, or one whose evaluation raised,
+    runs ``run_dynamic``, which evaluates when (and if) it is reached.
+    """
+
+    __slots__ = ("head", "free")
+
+    def entries(self, n: int) -> Dict[int, list]:
+        """Each rank's entries for this statement (ranks without any
+        left out)."""
+        dynamic = [(self.run_dynamic, None)]
+        if self.free:
+            return {me: dynamic for me in range(n)}
+        try:
+            prep = self.prepare({})
+        except ConceptualSemanticError:
+            return {me: dynamic for me in range(n)}
+        acts = self.involved(prep)
+        out = {}
+        for me in (range(n) if acts is _ANY_RANK else
+                   sorted(r for r in acts if 0 <= r < n)):
+            try:
+                data = self.plan(me, prep, {})
+            except ConceptualSemanticError:
+                out[me] = dynamic
+                continue
+            if data is not None:
+                out[me] = [(self.run, (self.head, data))]
+        return out
+
+    def involved(self, prep):
+        return prep
+
+    def run_dynamic(self, st, env, _):
+        data = self.plan(st.rank, self.prepare(env), env)
+        if data is not None:
+            yield from self.run(st, env, (self.head, data))
+
+
+class _Send(_Leaf):
+    __slots__ = ("sel", "dest", "size", "count", "unsuspecting")
+
+    def __init__(self, stmt: SendStmt, scope, site, n):
+        self.sel = Selector(stmt.sel, scope, site, n)
+        inner = scope.bind(self.sel.var)
+        self.dest, self.size, self.count = (
+            compile_expr(e, inner, int, site)
+            for e in (stmt.dest, stmt.size, stmt.count))
+        self.unsuspecting = stmt.unsuspecting
+        self.head = (site, stmt.tag, stmt.is_async)
+        exprs = self.dest.free | self.size.free | self.count.free
+        self.free = self.sel.free | (exprs - {self.sel.var})
+
+    def prepare(self, env):
+        var, dest, size, count = (self.sel.var, self.dest.fn, self.size.fn,
+                                  self.count.fn)
+        pairs = []
+        for src in self.sel.ranks(env):
+            inner = bind(env, var, src)
+            pairs.append((src, dest(inner), size(inner), count(inner)))
+        return pairs
+
+    def involved(self, pairs):
+        ranks = {src for src, _, _, _ in pairs}
+        if not self.unsuspecting:
+            ranks.update(dst for _, dst, _, _ in pairs)
+        return ranks
+
+    def plan(self, me, pairs, env):
+        # receive side first (posting receives early is both deterministic
+        # and what a careful MPI programmer does)
+        recvs = () if self.unsuspecting else tuple(
+            (src, count) for src, dst, _, count in pairs
+            if dst == me and count > 0)
+        sends = tuple((dst, size, count) for src, dst, size, count in pairs
+                      if src == me and count > 0)
+        return (recvs, sends) if recvs or sends else None
+
+    @staticmethod
+    def run(st, env, data):
+        (site, tag, is_async), (recvs, sends) = data
+        mpi = st.mpi
+        mpi.callsite_override = site
+        try:
+            for src, count in recvs:
+                yield from _receive(st, src, tag, count, is_async)
+            for dst, size, count in sends:
+                for _ in range(count):
+                    if is_async:
+                        req = yield from mpi.isend(dest=dst, nbytes=size,
+                                                   tag=tag)
+                        st.pending.append(req)
+                    else:
+                        yield from mpi.send(dest=dst, nbytes=size, tag=tag)
+                    st.counters.msgs_sent += 1
+                    st.counters.bytes_sent += size
+        finally:
+            mpi.callsite_override = None
+        # synchronous implicitly-paired sends: the receive side above ran
+        # before the send side for pairs where this rank is both; that is
+        # only safe asynchronously, so blocking self-deadlock is the
+        # author's responsibility exactly as in MPI
+
+
+class _Recv(_Leaf):
+    __slots__ = ("sel", "count", "source")
+
+    def __init__(self, stmt: RecvStmt, scope, site, n):
+        self.sel = Selector(stmt.sel, scope, site, n)
+        inner = scope.bind(self.sel.var)
+        self.count = compile_expr(stmt.count, inner, int, site)
+        self.source = (None if stmt.source is None
+                       else compile_expr(stmt.source, inner, int, site))
+        self.head = (site, stmt.tag, stmt.is_async)
+        exprs = self.count.free | (self.source.free if self.source else
+                                   frozenset())
+        self.free = self.sel.free | (exprs - {self.sel.var})
+
+    def prepare(self, env):
+        return self.sel.ranks(env)
+
+    def plan(self, me, ranks, env):
+        if me not in ranks:
+            return None
+        inner = bind(env, self.sel.var, me)
+        count = self.count.fn(inner)
+        source = ANY_SOURCE if self.source is None else self.source.fn(inner)
+        return (source, count) if count > 0 else None
+
+    @staticmethod
+    def run(st, env, data):
+        (site, tag, is_async), (source, count) = data
+        mpi = st.mpi
+        mpi.callsite_override = site
+        try:
+            yield from _receive(st, source, tag, count, is_async)
+        finally:
+            mpi.callsite_override = None
+
+
+class _Collective(_Leaf):
+    """MULTICAST and REDUCE: a source and a target selector, neither of
+    which may select nobody."""
+
+    __slots__ = ("stmt", "sel", "targets", "size")
+
+    def _endpoints(self, env):
+        sources = self.sel.ranks(env)
+        targets = self.targets.ranks(env)
+        if not sources or not targets:
+            raise ConceptualSemanticError(
+                "collective with empty source or target set: "
+                f"{self.stmt!r}")
+        return set(sources), set(targets)
+
+
+class _Multicast(_Collective):
+    __slots__ = ("per_rank_size",)
+
+    def __init__(self, stmt: MulticastStmt, scope, site, n):
+        self.stmt = stmt
+        self.sel = Selector(stmt.sel, scope, site, n)
+        self.targets = Selector(stmt.targets, scope, site, n)
+        var = self.sel.var
+        self.size = compile_expr(stmt.size, scope.bind(var), int, site)
+        # a size that reads the task variable is each rank's own value
+        self.per_rank_size = var is not None and var in self.size.free
+        self.head = (site,)
+        self.free = (self.sel.free | self.targets.free
+                     | (self.size.free - {var}))
+
+    def prepare(self, env):
+        sources, targets = self._endpoints(env)
+        size = None if self.per_rank_size else self.size.fn(env)
+        return sources, targets, size
+
+    def involved(self, prep):
+        sources, targets, size = prep
+        if size is None and not self.size.safe:
+            return _ANY_RANK
+        return sources | targets
+
+    def plan(self, me, prep, env):
+        sources, targets, size = prep
+        if size is None:
+            size = self.size.fn(bind(env, self.sel.var, me))
+        if sources == targets and len(sources) > 1:
+            group = sorted(sources)
+            return (size, group, ()) if me in group else None
+        bcasts = []
+        for src in sorted(sources):
+            group = sorted(targets | {src})
+            if me in group:
+                bcasts.append((src, group))
+        return (size, None, tuple(bcasts)) if bcasts else None
+
+    @staticmethod
+    def run(st, env, data):
+        (site,), (size, group, bcasts) = data
+        mpi, counters = st.mpi, st.counters
+        mpi.callsite_override = site
+        try:
+            if group is not None:
+                comm = mpi.group_comm(group)
+                yield from mpi.alltoall(size, comm=comm)
+                counters.msgs_sent += len(group) - 1
+                counters.bytes_sent += size * (len(group) - 1)
+            for src, group in bcasts:
+                comm = mpi.group_comm(group)
+                yield from mpi.bcast(size, root=comm.rank_of_world(src),
+                                     comm=comm)
+                if mpi.rank == src:
+                    counters.msgs_sent += len(group) - 1
+                    counters.bytes_sent += size * (len(group) - 1)
+                else:
+                    counters.msgs_received += 1
+                    counters.bytes_received += size
+        finally:
+            mpi.callsite_override = None
+
+
+class _Reduce(_Collective):
+    __slots__ = ()
+
+    def __init__(self, stmt: ReduceStmt, scope, site, n):
+        self.stmt = stmt
+        self.sel = Selector(stmt.sel, scope, site, n)
+        self.targets = Selector(stmt.targets, scope, site, n)
+        # the size is evaluated outside the task variable's scope
+        self.size = compile_expr(stmt.size, scope, int, site)
+        self.head = (site,)
+        self.free = self.sel.free | self.targets.free | self.size.free
+
+    def prepare(self, env):
+        sources, targets = self._endpoints(env)
+        return sources, targets, self.size.fn(env)
+
+    def involved(self, prep):
+        sources, targets, _ = prep
+        return sources | targets
+
+    def plan(self, me, prep, env):
+        sources, targets, _ = prep
+        return prep if me in sources or me in targets else None
+
+    @staticmethod
+    def run(st, env, data):
+        (site,), (src_set, tgt_set, size) = data
+        mpi, counters = st.mpi, st.counters
+        mpi.callsite_override = site
+        try:
+            comm = mpi.group_comm(sorted(src_set | tgt_set))
+            if src_set == tgt_set:
+                yield from mpi.allreduce(size, comm=comm)
+                counters.msgs_sent += 1
+                counters.bytes_sent += size
+                return
+            root = min(tgt_set)
+            yield from mpi.reduce(size, root=comm.rank_of_world(root),
+                                  comm=comm)
+            if mpi.rank in src_set:
+                counters.msgs_sent += 1
+                counters.bytes_sent += size
+            rest = sorted(tgt_set - {root})
+            if rest:
+                bgroup = sorted({root} | set(rest))
+                if mpi.rank in bgroup:
+                    bcomm = mpi.group_comm(bgroup)
+                    yield from mpi.bcast(size,
+                                         root=bcomm.rank_of_world(root),
+                                         comm=bcomm)
+        finally:
+            mpi.callsite_override = None
+
+
+class _OnSelected(_Leaf):
+    """SYNCHRONIZE, COMPUTE, RESET, AWAIT and LOG: an action of each
+    selected task."""
+
+    __slots__ = ("sel", "usecs")
+
+    def __init__(self, stmt: Stmt, scope, site, n):
+        self.sel = Selector(stmt.sel, scope, site, n)
+        self.head = (site, stmt)
+        self.free = self.sel.free
+        self.usecs = None
+        if isinstance(stmt, ComputeStmt):
+            self.usecs = compile_expr(stmt.usecs, scope.bind(self.sel.var),
+                                      float, site)
+            self.free = self.free | (self.usecs.free - {self.sel.var})
+
+    def prepare(self, env):
+        return self.sel.ranks(env)
+
+    def plan(self, me, ranks, env):
+        if me not in ranks:
+            return None
+        if isinstance(self.head[1], SyncStmt):
+            return sorted(ranks)
+        if self.usecs is not None:
+            return self.usecs.fn(bind(env, self.sel.var, me)) * 1e-6
+        return True
+
+    @staticmethod
+    def run(st, env, data):
+        (site, stmt), arg = data
+        mpi = st.mpi
+        mpi.callsite_override = site
+        try:
+            if isinstance(stmt, ComputeStmt):
+                yield from mpi.compute(arg)
+            elif isinstance(stmt, SyncStmt):
+                yield from mpi.barrier(comm=mpi.group_comm(arg))
+            elif isinstance(stmt, ResetStmt):
+                st.counters.reset(mpi.now())
+            elif isinstance(stmt, AwaitStmt):
+                if st.pending:
+                    yield from mpi.waitall(st.pending)
+                    st.pending = []
+            else:
+                value = st.counters.value(stmt.counter, mpi.now())
+                st.logs.record(stmt.label, stmt.aggregate, mpi.rank, value)
+        finally:
+            mpi.callsite_override = None
+
+
+_LEAVES = {SendStmt: _Send, RecvStmt: _Recv, MulticastStmt: _Multicast,
+           ReduceStmt: _Reduce, SyncStmt: _OnSelected,
+           ComputeStmt: _OnSelected, ResetStmt: _OnSelected,
+           AwaitStmt: _OnSelected, LogStmt: _OnSelected}
+
+
+class _Specialiser:
+    """One compile pass over a program for ``n`` ranks.  Every statement
+    is compiled once; what it leaves each rank is built right away, so
+    only the per-rank skeletons outlive the pass.  ``kept`` counts their
+    statements, summed over ranks."""
+
+    def __init__(self, sites, n: int):
+        self.sites = iter(sites)
+        self.n = n
+        self.kept = 0
+
+    def block(self, stmts, scope: Scope) -> Dict[int, list]:
+        """Each rank's entries for ``stmts`` (ranks without any left
+        out)."""
+        out: Dict[int, list] = {}
+        for stmt in stmts:
+            leaf = _LEAVES.get(type(stmt))
+            if leaf is not None:
+                kept = leaf(stmt, scope, next(self.sites), self.n).entries(
+                    self.n)
+                self.kept += len(kept)
+            elif isinstance(stmt, (ForRep, ForEach, IfStmt)):
+                kept = self.compound(stmt, scope)
+            else:
+                raise ConceptualSemanticError(f"cannot execute {stmt!r}")
+            for me, entries in kept.items():
+                out.setdefault(me, []).extend(entries)
+        return out
+
+    def compound(self, stmt, scope: Scope) -> Dict[int, list]:
+        """A loop or IF: kept on the ranks its bodies do something on, or
+        on every rank if its own expressions could raise.  An IF with a
+        constant condition is replaced by the branch it takes."""
+        site = next(self.sites)
+        if isinstance(stmt, ForRep):
+            count = compile_expr(stmt.count, scope, int, site)
+            body = self.block(stmt.body, scope)
+            exprs, bodies = (count,), (body,)
+
+            def entry(me):
+                return (_run_rep, (count.fn, tuple(body.get(me, ()))))
+        elif isinstance(stmt, ForEach):
+            lo = compile_expr(stmt.lo, scope, int, site)
+            hi = compile_expr(stmt.hi, scope, int, site)
+            body = self.block(stmt.body, scope.bind(stmt.var))
+            exprs, bodies = (lo, hi), (body,)
+
+            def entry(me):
+                return (_run_each, (stmt.var, lo.fn, hi.fn,
+                                    tuple(body.get(me, ()))))
+        else:
+            cond = compile_expr(stmt.cond, scope, None, site)
+            then = self.block(stmt.then, scope)
+            otherwise = self.block(stmt.otherwise, scope)
+            if cond.const:
+                return then if cond.value else otherwise
+            exprs, bodies = (cond,), (then, otherwise)
+
+            def entry(me):
+                return (_run_if, (cond.fn, tuple(then.get(me, ())),
+                                  tuple(otherwise.get(me, ()))))
+        if all(e.safe for e in exprs):
+            ranks = sorted(set().union(*bodies))
+        else:
+            ranks = range(self.n)
+        self.kept += len(ranks)
+        return {me: [entry(me)] for me in ranks}
+
+
+# ------------------------------------------------------------- program
 class ConceptualProgram:
     """A checked, executable coNCePTuaL program."""
 
@@ -140,9 +536,9 @@ class ConceptualProgram:
             check_program(ast)
             self.ast = ast
             self.name = name
-            self._sites: Dict[int, Callsite] = {}
-            self._number_statements()
-            obs.count("conceptual.statements_compiled", len(self._sites))
+            self.sites = self._number_statements()
+            self._bodies: Dict[int, Tuple] = {}
+            obs.count("conceptual.statements_compiled", len(self.sites))
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -154,14 +550,13 @@ class ConceptualProgram:
         """Canonical source text of this program."""
         return print_program(self.ast)
 
-    def _number_statements(self) -> None:
-        counter = [0]
+    def _number_statements(self) -> List[Callsite]:
+        """One synthetic call site per statement, in pre-order."""
+        sites = []
 
         def walk(stmts):
             for stmt in stmts:
-                self._sites[id(stmt)] = Callsite.synthetic(
-                    self.name, counter[0])
-                counter[0] += 1
+                sites.append(Callsite.synthetic(self.name, len(sites)))
                 if isinstance(stmt, (ForRep, ForEach)):
                     walk(stmt.body)
                 elif isinstance(stmt, IfStmt):
@@ -169,14 +564,31 @@ class ConceptualProgram:
                     walk(stmt.otherwise)
 
         walk(self.ast.stmts)
+        return sites
 
     # -- execution -----------------------------------------------------------
+    def specialise(self, nranks: int) -> Tuple:
+        """Each rank's specialised statement list for a run on ``nranks``
+        ranks, compiled on first use."""
+        bodies = self._bodies.get(nranks)
+        if bodies is None:
+            with obs.span("conceptual.specialise", program=self.name,
+                          nranks=nranks):
+                spec = _Specialiser(self.sites, nranks)
+                kept = spec.block(self.ast.stmts,
+                                  Scope(frozenset(), nranks, True, {}))
+                bodies = tuple(tuple(kept.get(me, ()))
+                               for me in range(nranks))
+                obs.count("conceptual.rank_statements", spec.kept)
+            self._bodies[nranks] = bodies
+        return bodies
+
     def instantiate(self, logs: LogDatabase):
         """SPMD program function suitable for :func:`repro.mpi.run_spmd`."""
         def program(mpi: MPIProcess):
-            state = _RankState(mpi, logs)
-            env = {"num_tasks": mpi.size}
-            yield from self._exec_seq(self.ast.stmts, state, env)
+            st, env = _RankState(mpi, logs), {}
+            for run, data in self.specialise(mpi.size)[mpi.rank]:
+                yield from run(st, env, data)
             yield from mpi.finalize()
         return program
 
@@ -188,236 +600,12 @@ class ConceptualProgram:
         """Compile-and-run convenience: returns the simulation result and
         the program's log database."""
         logs = LogDatabase()
-        result = run_spmd(self.instantiate(logs), nranks, model=model,
-                          hooks=hooks, max_steps=max_steps, faults=faults,
-                          profile=profile, schedule_policy=schedule_policy,
+        self.specialise(nranks)  # before the engine starts, not in rank 0
+        result = run_spmd(self.instantiate(logs), nranks,
+                          model=model, hooks=hooks, max_steps=max_steps,
+                          faults=faults, profile=profile,
+                          schedule_policy=schedule_policy,
                           schedule_seed=schedule_seed,
                           queue_discipline=queue_discipline,
                           queue_params=queue_params)
         return result, logs
-
-    # -- statement execution ------------------------------------------------
-    def _exec_seq(self, stmts: Sequence[Stmt], state: _RankState, env):
-        for stmt in stmts:
-            yield from self._exec(stmt, state, env)
-
-    def _exec(self, stmt: Stmt, state: _RankState, env):
-        mpi = state.mpi
-        mpi.callsite_override = self._sites[id(stmt)]
-        try:
-            if isinstance(stmt, ForRep):
-                count = int(eval_expr(stmt.count, env))
-                for _ in range(count):
-                    yield from self._exec_seq(stmt.body, state, env)
-            elif isinstance(stmt, ForEach):
-                lo = int(eval_expr(stmt.lo, env))
-                hi = int(eval_expr(stmt.hi, env))
-                for i in range(lo, hi + 1):
-                    inner = {**env, stmt.var: i}
-                    yield from self._exec_seq(stmt.body, state, inner)
-            elif isinstance(stmt, IfStmt):
-                if eval_expr(stmt.cond, env):
-                    yield from self._exec_seq(stmt.then, state, env)
-                else:
-                    yield from self._exec_seq(stmt.otherwise, state, env)
-            elif isinstance(stmt, SendStmt):
-                yield from self._exec_send(stmt, state, env)
-            elif isinstance(stmt, RecvStmt):
-                yield from self._exec_recv(stmt, state, env)
-            elif isinstance(stmt, MulticastStmt):
-                yield from self._exec_multicast(stmt, state, env)
-            elif isinstance(stmt, ReduceStmt):
-                yield from self._exec_reduce(stmt, state, env)
-            elif isinstance(stmt, SyncStmt):
-                yield from self._exec_sync(stmt, state, env)
-            elif isinstance(stmt, ComputeStmt):
-                for r, inner in select_ranks(stmt.sel, env, mpi.size):
-                    if r == mpi.rank:
-                        usecs = float(eval_expr(stmt.usecs, inner))
-                        yield from mpi.compute(usecs * 1e-6)
-            elif isinstance(stmt, ResetStmt):
-                if self._selected(stmt.sel, env, mpi):
-                    state.counters.reset(mpi.now())
-            elif isinstance(stmt, AwaitStmt):
-                if self._selected(stmt.sel, env, mpi) and state.pending:
-                    yield from mpi.waitall(state.pending)
-                    state.pending = []
-            elif isinstance(stmt, LogStmt):
-                if self._selected(stmt.sel, env, mpi):
-                    value = state.counters.value(stmt.counter, mpi.now())
-                    state.logs.record(stmt.label, stmt.aggregate,
-                                      mpi.rank, value)
-            else:
-                raise ConceptualSemanticError(f"cannot execute {stmt!r}")
-        finally:
-            mpi.callsite_override = None
-
-    @staticmethod
-    def _selected(sel: TaskSelector, env, mpi: MPIProcess) -> bool:
-        return any(r == mpi.rank
-                   for r, _ in select_ranks(sel, env, mpi.size))
-
-    # -- point-to-point ----------------------------------------------------------
-    def _exec_send(self, stmt: SendStmt, state: _RankState, env):
-        mpi = state.mpi
-        pairs = []  # (src, dst, size, count)
-        for src, inner in select_ranks(stmt.sel, env, mpi.size):
-            dst = int(eval_expr(stmt.dest, inner))
-            size = int(eval_expr(stmt.size, inner))
-            count = int(eval_expr(stmt.count, inner))
-            pairs.append((src, dst, size, count))
-        me = mpi.rank
-        # receive side first (posting receives early is both deterministic
-        # and what a careful MPI programmer does)
-        if not stmt.unsuspecting:
-            for src, dst, size, count in pairs:
-                if dst != me:
-                    continue
-                for _ in range(count):
-                    if stmt.is_async:
-                        req = yield from mpi.irecv(source=src, tag=stmt.tag)
-                        state.pending.append(req)
-                    else:
-                        st = yield from mpi.recv(source=src, tag=stmt.tag)
-                        state.counters.msgs_received += 1
-                        state.counters.bytes_received += st.nbytes
-        for src, dst, size, count in pairs:
-            if src != me:
-                continue
-            for _ in range(count):
-                if stmt.is_async:
-                    req = yield from mpi.isend(dest=dst, nbytes=size,
-                                               tag=stmt.tag)
-                    state.pending.append(req)
-                else:
-                    yield from mpi.send(dest=dst, nbytes=size, tag=stmt.tag)
-                state.counters.msgs_sent += 1
-                state.counters.bytes_sent += size
-        # synchronous implicitly-paired sends: the receive side above ran
-        # before the send side for pairs where this rank is both; that is
-        # only safe asynchronously, so blocking self-deadlock is the
-        # author's responsibility exactly as in MPI
-
-    def _exec_recv(self, stmt: RecvStmt, state: _RankState, env):
-        mpi = state.mpi
-        for dst, inner in select_ranks(stmt.sel, env, mpi.size):
-            if dst != mpi.rank:
-                continue
-            count = int(eval_expr(stmt.count, inner))
-            if stmt.source is None:
-                src = ANY_SOURCE
-            else:
-                src = int(eval_expr(stmt.source, inner))
-            for _ in range(count):
-                if stmt.is_async:
-                    req = yield from mpi.irecv(source=src, tag=stmt.tag)
-                    state.pending.append(req)
-                else:
-                    st = yield from mpi.recv(source=src, tag=stmt.tag)
-                    state.counters.msgs_received += 1
-                    state.counters.bytes_received += st.nbytes
-
-    # -- collectives ----------------------------------------------------------------
-    def _groups(self, stmt, env, num_tasks):
-        sources = [r for r, _ in select_ranks(stmt.sel, env, num_tasks)]
-        targets = [r for r, _ in select_ranks(stmt.targets, env, num_tasks)]
-        if not sources or not targets:
-            raise ConceptualSemanticError(
-                f"collective with empty source or target set: {stmt!r}")
-        return sources, targets
-
-    def _exec_multicast(self, stmt: MulticastStmt, state: _RankState, env):
-        mpi = state.mpi
-        sources, targets = self._groups(stmt, env, mpi.size)
-        size = int(eval_expr(stmt.size, env)) if not _uses_task_var(
-            stmt.sel, stmt.size) else None
-        if size is None:
-            # size depends on the task variable; evaluate with own binding
-            for r, inner in select_ranks(stmt.sel, env, mpi.size):
-                if r == mpi.rank:
-                    size = int(eval_expr(stmt.size, inner))
-                    break
-            else:
-                size = int(eval_expr(stmt.size, {**env, _task_var(stmt.sel):
-                                                 mpi.rank}))
-        if set(sources) == set(targets) and len(sources) > 1:
-            group = sorted(set(sources))
-            if mpi.rank in group:
-                comm = mpi.group_comm(group)
-                yield from mpi.alltoall(size, comm=comm)
-                state.counters.msgs_sent += len(group) - 1
-                state.counters.bytes_sent += size * (len(group) - 1)
-            return
-        for src in sorted(set(sources)):
-            group = sorted(set(targets) | {src})
-            if mpi.rank not in group:
-                continue
-            comm = mpi.group_comm(group)
-            yield from mpi.bcast(size, root=comm.rank_of_world(src),
-                                 comm=comm)
-            if mpi.rank == src:
-                state.counters.msgs_sent += len(group) - 1
-                state.counters.bytes_sent += size * (len(group) - 1)
-            else:
-                state.counters.msgs_received += 1
-                state.counters.bytes_received += size
-
-    def _exec_reduce(self, stmt: ReduceStmt, state: _RankState, env):
-        mpi = state.mpi
-        sources, targets = self._groups(stmt, env, mpi.size)
-        size = int(eval_expr(stmt.size, env))
-        src_set, tgt_set = set(sources), set(targets)
-        group = sorted(src_set | tgt_set)
-        if mpi.rank not in group:
-            return
-        comm = mpi.group_comm(group)
-        if src_set == tgt_set:
-            yield from mpi.allreduce(size, comm=comm)
-            state.counters.msgs_sent += 1
-            state.counters.bytes_sent += size
-            return
-        root = min(tgt_set)
-        yield from mpi.reduce(size, root=comm.rank_of_world(root), comm=comm)
-        if mpi.rank in src_set:
-            state.counters.msgs_sent += 1
-            state.counters.bytes_sent += size
-        rest = sorted(tgt_set - {root})
-        if rest:
-            bgroup = sorted({root} | set(rest))
-            if mpi.rank in bgroup:
-                bcomm = mpi.group_comm(bgroup)
-                yield from mpi.bcast(size, root=bcomm.rank_of_world(root),
-                                     comm=bcomm)
-
-    def _exec_sync(self, stmt: SyncStmt, state: _RankState, env):
-        mpi = state.mpi
-        group = sorted(r for r, _ in select_ranks(stmt.sel, env, mpi.size))
-        if mpi.rank not in group:
-            return
-        comm = mpi.group_comm(group)
-        yield from mpi.barrier(comm=comm)
-
-
-def _task_var(sel: TaskSelector) -> Optional[str]:
-    if isinstance(sel, AllTasks):
-        return sel.var
-    if isinstance(sel, SuchThat):
-        return sel.var
-    return None
-
-
-def _uses_task_var(sel: TaskSelector, expr: Expr) -> bool:
-    var = _task_var(sel)
-    if var is None:
-        return False
-
-    def walk(e):
-        if isinstance(e, Var):
-            return e.name == var
-        if isinstance(e, BinOp):
-            return walk(e.left) or walk(e.right)
-        if isinstance(e, IsIn):
-            return walk(e.item) or any(walk(m) for m in e.members)
-        return False
-
-    return walk(expr)

@@ -325,7 +325,7 @@ class CompileStage(Stage):
                                                     name=ctx.config.name)
         ctx.artifacts["benchmark"] = program
         ctx.artifacts.setdefault("source", program.source)
-        return f"{len(program._sites)} statements"
+        return f"{len(program.sites)} statements"
 
 
 class RunStage(Stage):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.conceptual import ConceptualProgram
 from repro.errors import ConceptualSemanticError
 from repro.mpi import RecordingHook
@@ -212,6 +213,80 @@ class TestSemanticErrors:
             ConceptualProgram.from_source(
                 "FOR EACH i IN {0, ..., 2} ALL TASKS SYNCHRONIZE THEN "
                 "ALL TASKS COMPUTE FOR i MICROSECONDS")
+
+
+class TestTypedRuntimeErrors:
+    """Arithmetic faults raise ConceptualSemanticError naming the
+    statement's call site, when execution reaches the statement."""
+
+    @pytest.mark.parametrize("text, cause, site", [
+        ("ALL TASKS COMPUTE FOR 1/0 MICROSECONDS", ZeroDivisionError, 0),
+        ("ALL TASKS t SEND A 4 BYTE MESSAGE TO TASK t MOD 0",
+         ZeroDivisionError, 0),
+        ("FOR 1e400 REPETITIONS { ALL TASKS SYNCHRONIZE }",
+         OverflowError, 0),
+        ("ALL TASKS SYNCHRONIZE THEN TASK 1 COMPUTES FOR 1 MOD 0 "
+         "MICROSECONDS", ZeroDivisionError, 1),
+    ])
+    def test_fault_is_typed_and_names_the_call_site(self, text, cause, site):
+        prog = ConceptualProgram.from_source(text, name="faulty")
+        with pytest.raises(ConceptualSemanticError) as info:
+            prog.run(2, model=SimpleModel())
+        assert isinstance(info.value.__cause__, cause)
+        assert f"faulty:{site}:" in str(info.value)
+
+    def test_fault_surfaces_after_the_preceding_statements_ran(self):
+        hook = RecordingHook()
+        prog = ConceptualProgram.from_source(
+            "ALL TASKS SYNCHRONIZE THEN "
+            "ALL TASKS COMPUTE FOR 1/0 MICROSECONDS")
+        with pytest.raises(ConceptualSemanticError):
+            prog.run(2, model=SimpleModel(), hooks=[hook])
+        assert {e.op for e in hook.events} == {"Barrier"}
+
+    @pytest.mark.parametrize("stmt", [
+        "TASK 99 SENDS A 1 BYTE MESSAGE TO TASK 0",
+        "TASK 99 COMPUTES FOR 1/0 MICROSECONDS",
+    ])
+    def test_unreached_fault_never_raises(self, stmt):
+        result, _ = run(f"IF 0 = 1 THEN {stmt} "
+                        "THEN ALL TASKS COMPUTE FOR 5 MICROSECONDS", 2)
+        assert result.total_time >= 5e-6
+        assert result.messages_sent == 0
+
+    def test_fault_in_a_loop_raises_only_when_reached(self):
+        text = ("FOR EACH i IN {0, ..., 2} IF i = 2 THEN "
+                "TASK 0 COMPUTES FOR 1 / (i - 2) MICROSECONDS")
+        with pytest.raises(ConceptualSemanticError):
+            run(text, 2)
+        run(text.replace("i = 2", "i = 5"), 2)  # never reached: no error
+
+
+class TestSpecialisation:
+    def test_each_rank_keeps_only_its_statements(self):
+        prog = ConceptualProgram.from_source(
+            "FOR EACH i IN {0, ..., 3} { "
+            "IF i = 0 THEN { TASK 0 SENDS A 8 BYTE MESSAGE TO UNSUSPECTING "
+            "TASK 1 } THEN "
+            "IF i = 0 THEN { TASK 1 RECEIVES A 8 BYTE MESSAGE FROM TASK 0 } "
+            "} THEN ALL TASKS SYNCHRONIZE")
+        bodies = prog.specialise(4)
+        # ranks 0 and 1: FOR EACH, IF, leaf + SYNCHRONIZE; 2 and 3: only
+        # the SYNCHRONIZE
+        assert [len(body) for body in bodies] == [2, 2, 1, 1]
+        assert prog.specialise(4) is bodies  # once per rank count
+
+    def test_specialise_span_and_rank_statement_counter(self):
+        inst = obs.Instrumentation()
+        prog = ConceptualProgram.from_source(
+            "TASK 0 SENDS A 1 BYTE MESSAGE TO TASK 1 THEN "
+            "ALL TASKS SYNCHRONIZE")
+        with obs.instrumented(inst):
+            prog.run(4, model=SimpleModel())
+            prog.run(4, model=SimpleModel())
+        assert inst.span_totals()["conceptual.specialise"][0] == 1
+        # the send on ranks 0 and 1, the barrier on all four
+        assert inst.counters["conceptual.rank_statements"] == 6
 
 
 class TestDeterminism:

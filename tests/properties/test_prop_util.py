@@ -48,7 +48,7 @@ class TestRankSetProperties:
             assert len(rs) == world
             return
         # evaluate the predicate through the coNCePTuaL expression engine
-        from repro.conceptual.compiler import eval_expr
+        from repro.conceptual import eval_expr
         from repro.conceptual.parser import Parser
         ast = Parser(pred).parse_expr()
         selected = {t for t in range(world)

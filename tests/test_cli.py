@@ -156,6 +156,8 @@ class TestPipelineSubcommand:
         assert "engine phase profile" in out
         for phase in ("schedule", "match", "execute", "fabric"):
             assert phase in out
+        # the run stage's compile-and-specialise pass, apart from execution
+        assert "coNCePTuaL specialise:" in out
 
     def test_streaming_trace_counters_reach_metrics(self, workdir, capsys):
         assert main(["pipeline", "--app", "ring", "--np", "4",
