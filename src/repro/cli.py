@@ -27,6 +27,7 @@ import tempfile
 
 from repro import __version__, obs
 from repro.apps import APPS
+from repro.errors import ReproError
 from repro.generator import extrapolate_trace
 from repro.pipeline import (CompileStage, Pipeline, PipelineConfig,
                             ReplayStage, RunContext, RunStage, TraceStage,
@@ -163,8 +164,8 @@ def _scenario_ref(value: str):
     path loads as an inline spec; anything else passes through as a
     curated registry name (resolved by the config/job layer)."""
     if os.path.exists(value):
-        from repro.scenarios import load_scenario
-        return load_scenario(value)
+        from repro.scenarios import Scenario
+        return Scenario.load(value)
     return value
 
 
@@ -299,8 +300,8 @@ def cmd_pipeline(args):
     """The full Fig. 1 flow in one command, with per-stage reporting."""
     plan = None
     if args.fault_plan:
-        from repro.faults import load_fault_plan
-        plan = load_fault_plan(args.fault_plan)
+        from repro.faults import FaultPlan
+        plan = FaultPlan.load(args.fault_plan)
     config = PipelineConfig(app=args.app, nranks=args.np, cls=args.cls,
                             platform=args.platform,
                             use_cache=not args.no_cache,
@@ -363,35 +364,59 @@ def cmd_pipeline(args):
     return 1 if result.degraded else 0
 
 
-def cmd_faults_template(args):
-    from repro.faults import TEMPLATE
+def _spec_family(args):
+    """The spec class and commented template of a spec-file group."""
+    import importlib
+    module = importlib.import_module(args.spec_module)
+    return getattr(module, args.spec_class), module.TEMPLATE
+
+
+def cmd_spec_template(args):
+    _, template = _spec_family(args)
     if args.output:
-        _write_atomic(args.output, TEMPLATE)
+        _write_atomic(args.output, template)
         print(f"wrote {args.output}")
     else:
-        print(TEMPLATE, end="")
+        print(template, end="")
     return 0
 
 
-def cmd_faults_validate(args):
-    from repro.errors import FaultPlanError
-    from repro.faults import load_fault_plan
+def cmd_spec_validate(args):
+    cls, _ = _spec_family(args)
     try:
-        plan = load_fault_plan(args.plan)
-    except FaultPlanError as exc:
+        spec = cls.load(args.file)
+        spec.check()
+    except ReproError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
-    print(f"OK: {plan.describe()} (digest {plan.digest()})")
+    print(f"OK: {spec.describe()} (digest {spec.digest()})")
     return 0
+
+
+def _add_spec_commands(sub, module: str, cls: str, what: str) -> None:
+    """The ``template`` and ``validate`` subcommands shared by every
+    spec-file group (faults, sweep, fuzz, scenarios)."""
+    sp = sub.add_parser("template",
+                        help=f"print a commented {what} template")
+    sp.add_argument("-o", "--output",
+                    help="write the template here instead of stdout")
+    sp.set_defaults(func=cmd_spec_template, spec_module=module,
+                    spec_class=cls)
+    sp = sub.add_parser("validate",
+                        help=f"check a {what} file (every point it "
+                             f"expands to included) and print its digest")
+    sp.add_argument("file", help=f"{what} file (YAML/JSON)")
+    sp.set_defaults(func=cmd_spec_validate, spec_module=module,
+                    spec_class=cls)
 
 
 def cmd_faults_run(args):
     from repro.apps import make_app
     from repro.errors import SimulationError
-    from repro.faults import FaultInjector, load_fault_plan
+    from repro.faults import FaultInjector, FaultPlan
     from repro.mpi.world import run_spmd
     from repro.sim.network import make_model
-    plan = load_fault_plan(args.plan)
+    plan = FaultPlan.load(args.plan)
     faults = FaultInjector(plan)
     program = make_app(args.app, args.np, args.cls)
     with _metrics(args):
@@ -413,32 +438,9 @@ def cmd_faults_run(args):
     return 1 if result.degraded else 0
 
 
-def cmd_sweep_template(args):
-    from repro.sweep import TEMPLATE as SWEEP_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, SWEEP_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(SWEEP_TEMPLATE, end="")
-    return 0
-
-
-def cmd_sweep_validate(args):
-    from repro.errors import SweepPlanError
-    from repro.sweep import load_sweep_plan
-    try:
-        plan = load_sweep_plan(args.plan)
-        plan.check()
-    except SweepPlanError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    print(f"OK: {plan.describe()}")
-    return 0
-
-
 def cmd_sweep_run(args):
-    from repro.sweep import default_workers, load_sweep_plan, run_sweep
-    plan = load_sweep_plan(args.plan)
+    from repro.sweep import SweepPlan, default_workers, run_sweep
+    plan = SweepPlan.load(args.plan)
     workers = args.workers if args.workers > 0 else default_workers()
     with _metrics(args) as inst:
         result = run_sweep(plan, workers=workers,
@@ -458,35 +460,12 @@ def cmd_sweep_run(args):
     return 1 if result.failed else 0
 
 
-def cmd_fuzz_template(args):
-    from repro.fuzz import TEMPLATE as FUZZ_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, FUZZ_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(FUZZ_TEMPLATE, end="")
-    return 0
-
-
-def cmd_fuzz_validate(args):
-    from repro.errors import FuzzError
-    from repro.fuzz import load_campaign
-    try:
-        campaign = load_campaign(args.campaign)
-        campaign.check()
-    except FuzzError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    print(f"OK: {campaign.describe()}")
-    return 0
-
-
 def cmd_fuzz_run(args):
     import dataclasses
-    from repro.fuzz import (load_campaign, load_corpus, run_campaign,
+    from repro.fuzz import (FuzzCampaign, load_corpus, run_campaign,
                             save_corpus)
     from repro.sweep import default_workers
-    campaign = load_campaign(args.campaign)
+    campaign = FuzzCampaign.load(args.campaign)
     if args.seeds is not None:
         campaign = dataclasses.replace(campaign, seeds=args.seeds)
     workers = args.workers if args.workers > 0 else default_workers()
@@ -535,27 +514,14 @@ def cmd_scenarios_list(args):
 
 def cmd_scenarios_show(args):
     from repro.errors import ScenarioError
-    from repro.scenarios import dumps_scenario
+    from repro.scenarios import get_scenario
     try:
-        scn = _scenario_ref(args.scenario)
-        if isinstance(scn, str):
-            from repro.scenarios import get_scenario
-            scn = get_scenario(scn)
+        scn = get_scenario(_scenario_ref(args.scenario))
     except ScenarioError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
-    print(dumps_scenario(scn), end="")
+    print(scn.dumps(), end="")
     print(f"# {scn.describe()}")
-    return 0
-
-
-def cmd_scenarios_template(args):
-    from repro.scenarios import TEMPLATE as SCENARIO_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, SCENARIO_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(SCENARIO_TEMPLATE, end="")
     return 0
 
 
@@ -567,16 +533,11 @@ def cmd_scenarios_run(args):
     canonical bytes ``repro jobs result`` would return for the same
     submission.
     """
-    from repro.errors import ScenarioError
     from repro.scenarios import ScenarioJob
     from repro.sweep import default_workers, run_sweep
-    try:
-        job = ScenarioJob(scenario=_scenario_ref(args.scenario),
-                          app=args.app, nranks=args.np, cls=args.cls,
-                          platform=args.platform, mode=args.mode)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job = ScenarioJob(scenario=_scenario_ref(args.scenario),
+                      app=args.app, nranks=args.np, cls=args.cls,
+                      platform=args.platform, mode=args.mode)
     workers = args.workers if args.workers > 0 else default_workers()
     with _metrics(args) as inst:
         result = run_sweep(job.to_sweep_plan(), workers=workers,
@@ -824,16 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(template/validate/run)")
     fsub = p.add_subparsers(dest="faults_command", required=True)
 
-    fp = fsub.add_parser("template",
-                         help="print a commented fault-plan template")
-    fp.add_argument("-o", "--output",
-                    help="write the template here instead of stdout")
-    fp.set_defaults(func=cmd_faults_template)
-
-    fp = fsub.add_parser("validate", help="check a fault-plan file")
-    fp.add_argument("plan")
-    fp.set_defaults(func=cmd_faults_validate)
-
+    _add_spec_commands(fsub, "repro.faults", "FaultPlan", "fault-plan")
     fp = fsub.add_parser("run",
                          help="run an application under a fault plan and "
                               "print the fault report")
@@ -852,19 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(template/validate/run)")
     ssub = p.add_subparsers(dest="sweep_command", required=True)
 
-    sp = ssub.add_parser("template",
-                         help="print a commented sweep-plan template "
-                              "(the Fig. 7 grid)")
-    sp.add_argument("-o", "--output",
-                    help="write the template here instead of stdout")
-    sp.set_defaults(func=cmd_sweep_template)
-
-    sp = ssub.add_parser("validate",
-                         help="check a sweep-plan file and every point "
-                              "config it expands to")
-    sp.add_argument("plan")
-    sp.set_defaults(func=cmd_sweep_validate)
-
+    _add_spec_commands(ssub, "repro.sweep", "SweepPlan", "sweep-plan")
     sp = ssub.add_parser("run",
                          help="execute every point of a sweep plan; "
                               "failed points are isolated, results merge "
@@ -895,18 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(template/validate/run)")
     zsub = p.add_subparsers(dest="fuzz_command", required=True)
 
-    zp = zsub.add_parser("template",
-                         help="print a commented fuzz-campaign template")
-    zp.add_argument("-o", "--output",
-                    help="write the template here instead of stdout")
-    zp.set_defaults(func=cmd_fuzz_template)
-
-    zp = zsub.add_parser("validate",
-                         help="check a fuzz-campaign file and every "
-                              "point config it expands to")
-    zp.add_argument("campaign")
-    zp.set_defaults(func=cmd_fuzz_validate)
-
+    _add_spec_commands(zsub, "repro.fuzz", "FuzzCampaign",
+                       "fuzz-campaign")
     zp = zsub.add_parser("run",
                          help="execute a fuzz campaign and classify the "
                               "schedule outcomes (a deadlock find is a "
@@ -937,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adversarial traffic/congestion scenarios: "
                             "curated named specs composing topology, "
                             "faults, queueing, placement, and schedule "
-                            "(list/show/run/template)")
+                            "(list/show/run/template/validate)")
     csub = p.add_subparsers(dest="scenarios_command", required=True)
 
     cp = csub.add_parser("list", help="list the curated scenarios")
@@ -980,11 +910,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics(cp)
     cp.set_defaults(func=cmd_scenarios_run)
 
-    cp = csub.add_parser("template",
-                         help="print a commented scenario-spec template")
-    cp.add_argument("-o", "--output",
-                    help="write the template here instead of stdout")
-    cp.set_defaults(func=cmd_scenarios_template)
+    _add_spec_commands(csub, "repro.scenarios", "Scenario",
+                       "scenario-spec")
 
     p = sub.add_parser("serve",
                        help="run the sweep service: an HTTP/JSON job "
@@ -1082,7 +1009,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # every typed failure ends in one line, never a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,9 +23,7 @@ or, from the CLI::
 """
 
 from repro.faults.injector import FaultInjector, SendFate
-from repro.faults.plan import (FaultPlan, LinkWindow, TEMPLATE,
-                               dumps_fault_plan, load_fault_plan,
-                               loads_fault_plan)
+from repro.faults.plan import FaultPlan, LinkWindow, TEMPLATE
 from repro.faults.report import FaultReport, build_fault_report
 
 __all__ = [
@@ -36,7 +34,4 @@ __all__ = [
     "SendFate",
     "TEMPLATE",
     "build_fault_report",
-    "dumps_fault_plan",
-    "load_fault_plan",
-    "loads_fault_plan",
 ]

@@ -16,19 +16,18 @@ run without any plan at all.  The paper's §5.4 what-if methodology
 extends naturally to "the same specification under a misbehaving
 platform"; the plan is the executable description of the misbehaviour.
 
-Plans serialize to/from YAML (or JSON when PyYAML is unavailable); see
-``docs/FAULTS.md`` for the schema and ``repro faults template`` for a
-commented example.
+Plans are spec files (:mod:`repro.spec`: YAML or JSON, digest-keyed);
+see ``docs/FAULTS.md`` for the schema and ``repro faults template`` for
+a commented example.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import FaultPlanError
+from repro.spec import Spec
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,14 @@ class LinkWindow:
         return True
 
 
+def _pair(entry, value_key: str) -> Tuple[Any, Any]:
+    """A ``(rank, value)`` straggler/crash entry from its file form
+    (``{rank, <value_key>}``) or its tuple form."""
+    if isinstance(entry, Mapping):
+        return entry["rank"], entry[value_key]
+    return entry[0], entry[1]
+
+
 def _rate(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -96,8 +103,11 @@ def _rate(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec):
     """One complete, seeded description of injected network faults."""
+
+    what = "fault plan"
+    error = FaultPlanError
 
     seed: int = 0
     #: probability that any single transmission attempt is dropped
@@ -144,7 +154,7 @@ class FaultPlan:
             tuple(w if isinstance(w, LinkWindow) else LinkWindow(**w)
                   for w in self.windows))
         stragglers = []
-        for rank, factor in self.stragglers:
+        for rank, factor in (_pair(s, "factor") for s in self.stragglers):
             if factor <= 0:
                 raise FaultPlanError(
                     f"straggler factor must be > 0, got {factor} "
@@ -152,7 +162,7 @@ class FaultPlan:
             stragglers.append((int(rank), float(factor)))
         object.__setattr__(self, "stragglers", tuple(sorted(stragglers)))
         crashes = []
-        for rank, t in self.crashes:
+        for rank, t in (_pair(c, "time") for c in self.crashes):
             if t < 0:
                 raise FaultPlanError(
                     f"crash time must be >= 0, got {t} for rank {rank}")
@@ -182,43 +192,6 @@ class FaultPlan:
                              for r, f in self.stragglers]
         out["crashes"] = [{"rank": r, "time": t} for r, t in self.crashes]
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultPlanError(
-                f"fault plan must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault-plan fields: {sorted(unknown)}; "
-                f"known fields: {sorted(known)}")
-        kw = dict(data)
-        if "windows" in kw:
-            kw["windows"] = tuple(
-                w if isinstance(w, LinkWindow) else LinkWindow(**{
-                    k: (tuple(v) if k in ("ranks", "links")
-                        and v is not None else v)
-                    for k, v in w.items()})
-                for w in kw["windows"])
-        if "stragglers" in kw:
-            kw["stragglers"] = tuple(
-                (s["rank"], s["factor"]) if isinstance(s, dict)
-                else (s[0], s[1]) for s in kw["stragglers"])
-        if "crashes" in kw:
-            kw["crashes"] = tuple(
-                (c["rank"], c["time"]) if isinstance(c, dict)
-                else (c[0], c[1]) for c in kw["crashes"])
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise FaultPlanError(f"bad fault plan: {exc}") from None
-
-    def digest(self) -> str:
-        """Stable content address of the plan (cache-key ingredient)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def describe(self) -> str:
         """One-paragraph human summary (``repro faults validate``)."""
@@ -278,46 +251,3 @@ stragglers: []            # per-rank compute slowdowns, e.g.
 crashes: []               # rank stops executing at a virtual time, e.g.
 #  - {rank: 5, time: 0.02}
 """
-
-
-def loads_fault_plan(text: str) -> FaultPlan:
-    """Parse a plan from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise FaultPlanError(f"unparsable fault plan: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"unparsable fault plan: {exc}") from None
-    if data is None:
-        data = {}
-    return FaultPlan.from_dict(data)
-
-
-def load_fault_plan(path: str) -> FaultPlan:
-    """Load a :class:`FaultPlan` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") \
-            from None
-    return loads_fault_plan(text)
-
-
-def dumps_fault_plan(plan: FaultPlan) -> str:
-    """Serialize a plan back to YAML (JSON without PyYAML)."""
-    data = plan.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=True)

@@ -36,8 +36,7 @@ how to reproduce a divergence outside the fuzzer.
 """
 
 from repro.fuzz.campaign import (CAMPAIGN_MODES, TEMPLATE, FuzzCampaign,
-                                 FuzzCell, FuzzPoint, dumps_campaign,
-                                 load_campaign, loads_campaign)
+                                 FuzzCell, FuzzPoint)
 from repro.fuzz.runner import (FuzzReport, load_corpus, run_campaign,
                                save_corpus)
 
@@ -48,10 +47,7 @@ __all__ = [
     "FuzzPoint",
     "FuzzReport",
     "TEMPLATE",
-    "dumps_campaign",
-    "load_campaign",
     "load_corpus",
-    "loads_campaign",
     "run_campaign",
     "save_corpus",
 ]

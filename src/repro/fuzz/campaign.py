@@ -26,20 +26,19 @@ emits one **canonical baseline** point first, then one point per
 reports and the nightly dedup corpus, exactly as a sweep plan's digest
 keys sweep results.
 
-Campaigns serialize to/from YAML (or JSON when PyYAML is unavailable);
-see ``docs/FUZZING.md`` for the schema and ``repro fuzz template`` for
-a commented example.
+Campaigns are spec files (:mod:`repro.spec`: YAML or JSON,
+digest-keyed); see ``docs/FUZZING.md`` for the schema and ``repro fuzz
+template`` for a commented example.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import FuzzCampaignError
 from repro.sim.policy import SEEDED_POLICIES
+from repro.spec import Spec
 
 #: pipeline suffixes a campaign may drive: the full Fig. 1 flow or
 #: tracing alone (cheapest: the traced run already carries the
@@ -121,8 +120,11 @@ class FuzzPoint:
 
 
 @dataclass(frozen=True)
-class FuzzCampaign:
+class FuzzCampaign(Spec):
     """A digest-keyed description of one schedule-space fuzz campaign."""
+
+    what = "fuzz campaign"
+    error = FuzzCampaignError
 
     name: str = "fuzz"              #: campaign name (reports, corpus)
     mode: str = "run"               #: pipeline suffix (CAMPAIGN_MODES)
@@ -136,8 +138,9 @@ class FuzzCampaign:
 
     def __post_init__(self):
         """Validate every part; normalize sequences to tuples."""
-        if not self.name:
-            raise FuzzCampaignError("campaign name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise FuzzCampaignError(
+                "campaign name must be a non-empty string")
         if self.mode not in CAMPAIGN_MODES:
             raise FuzzCampaignError(
                 f"unknown mode {self.mode!r}; choose from "
@@ -309,45 +312,15 @@ class FuzzCampaign:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FuzzCampaign":
-        """Build and validate a campaign from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise FuzzCampaignError(
-                f"fuzz campaign must be a mapping, got "
-                f"{type(data).__name__}")
-        known = {"name", "mode", "base", "apps", "topologies",
-                 "scenarios", "policies", "seeds", "seed0"}
-        unknown = set(data) - known
-        if unknown:
-            raise FuzzCampaignError(
-                f"unknown fuzz-campaign keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
-        apps = data.get("apps", [])
-        if not isinstance(apps, Sequence) or isinstance(apps, (str, bytes)):
+    def _build(cls, data: Dict[str, Any]) -> "FuzzCampaign":
+        """The campaign from file keys; YAML lists become tuples."""
+        if not isinstance(data.get("apps", []), (list, tuple)):
             raise FuzzCampaignError(
                 "apps must be a list of config-field mappings")
-        kwargs: Dict[str, Any] = {
-            "name": data.get("name", "fuzz"),
-            "mode": data.get("mode", "run"),
-            "base": dict(data.get("base", {})),
-            "apps": tuple(apps),
-        }
-        for key in ("topologies", "scenarios", "policies", "seeds",
-                    "seed0"):
-            if key in data:
-                value = data[key]
-                kwargs[key] = (tuple(value)
-                               if isinstance(value, list) else value)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise FuzzCampaignError(f"bad fuzz campaign: {exc}") from None
-
-    def digest(self) -> str:
-        """Stable content address of the campaign (keys reports and the
-        nightly dedup corpus)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        kw = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in data.items()}
+        kw["base"] = dict(kw.get("base", {}))
+        return cls(**kw)
 
     def describe(self) -> str:
         """One-line human summary (``repro fuzz validate``)."""
@@ -357,8 +330,7 @@ class FuzzCampaign:
                 f"schedule(s) = {n_cells * per_cell} point(s) "
                 f"(mode={self.mode}; policies "
                 f"{', '.join(self.policies)}; seeds "
-                f"{self.seed0}..{self.seed0 + self.seeds - 1}; "
-                f"digest {self.digest()})")
+                f"{self.seed0}..{self.seed0 + self.seeds - 1})")
 
 
 #: commented example written by ``repro fuzz template`` — a small hunt
@@ -385,48 +357,3 @@ policies:                 # seeded policies to explore (the canonical
 seeds: 16                 # seeds per policy per cell ...
 seed0: 0                  # ... starting here
 """
-
-
-def loads_campaign(text: str) -> FuzzCampaign:
-    """Parse a campaign from YAML (preferred) or JSON text."""
-    data: Optional[Any] = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise FuzzCampaignError(
-                f"unparsable fuzz campaign: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FuzzCampaignError(
-                f"unparsable fuzz campaign: {exc}") from None
-    if data is None:
-        data = {}
-    return FuzzCampaign.from_dict(data)
-
-
-def load_campaign(path: str) -> FuzzCampaign:
-    """Load a :class:`FuzzCampaign` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FuzzCampaignError(
-            f"cannot read fuzz campaign {path!r}: {exc}") from None
-    return loads_campaign(text)
-
-
-def dumps_campaign(campaign: FuzzCampaign) -> str:
-    """Serialize a campaign back to YAML (JSON without PyYAML)."""
-    data = campaign.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=False)

@@ -18,12 +18,10 @@ The package layers (see ``docs/SCENARIOS.md``):
 
 from repro.scenarios.adversaries import (ADVERSARIES,
                                          scenario_fault_plan)
-from repro.scenarios.job import ScenarioJob, loads_scenario_job
+from repro.scenarios.job import ScenarioJob
 from repro.scenarios.registry import SCENARIOS, get_scenario, \
     scenario_names
-from repro.scenarios.spec import (TEMPLATE, AdversarySpec, Scenario,
-                                  dumps_scenario, load_scenario,
-                                  loads_scenario)
+from repro.scenarios.spec import TEMPLATE, AdversarySpec, Scenario
 
 __all__ = [
     "ADVERSARIES",
@@ -32,11 +30,7 @@ __all__ = [
     "Scenario",
     "ScenarioJob",
     "TEMPLATE",
-    "dumps_scenario",
     "get_scenario",
-    "load_scenario",
-    "loads_scenario",
-    "loads_scenario_job",
     "scenario_fault_plan",
     "scenario_names",
 ]

@@ -12,14 +12,13 @@ and fuzz kinds already honor.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.errors import ScenarioError
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import Scenario
+from repro.spec import Spec, canonical
 
 #: job fields that are not free-form config overrides
 _OWN_KEYS = ("scenario", "app", "nranks", "cls", "platform", "mode",
@@ -27,8 +26,11 @@ _OWN_KEYS = ("scenario", "app", "nranks", "cls", "platform", "mode",
 
 
 @dataclass(frozen=True)
-class ScenarioJob:
+class ScenarioJob(Spec):
     """One scenario × app execution, digest-keyed like every other job."""
+
+    what = "scenario job"
+    error = ScenarioError
 
     scenario: Union[str, Scenario]  #: curated name or inline spec
     app: str                        #: workload from repro.apps.APPS
@@ -43,7 +45,7 @@ class ScenarioJob:
     def __post_init__(self):
         if isinstance(self.scenario, Mapping):
             object.__setattr__(self, "scenario",
-                               Scenario.from_dict(dict(self.scenario)))
+                               Scenario.from_dict(self.scenario))
         # resolves curated names and validates inline specs
         self.resolved_scenario()
         from repro.apps import APPS
@@ -59,10 +61,9 @@ class ScenarioJob:
         if self.mode not in MODES:
             raise ScenarioError(
                 f"unknown mode {self.mode!r}; choose from {MODES}")
-        if isinstance(self.overrides, Mapping):
-            object.__setattr__(
-                self, "overrides",
-                tuple(sorted(self.overrides.items())))
+        object.__setattr__(
+            self, "overrides",
+            tuple(sorted(dict(self.overrides or {}).items())))
         clash = sorted(set(k for k, _ in self.overrides)
                        & set(_OWN_KEYS))
         if clash:
@@ -91,20 +92,18 @@ class ScenarioJob:
     def to_sweep_plan(self):
         """The equivalent one-point :class:`~repro.sweep.plan.SweepPlan`.
 
-        The scenario rides in the point as its serialized reference (a
-        curated name stays a name; an inline spec becomes its mapping),
-        so the plan is plain data: picklable to sweep workers,
-        digestable, and identical no matter which surface built it.
+        The point is the canonical (plain-data) form of the job: a
+        curated scenario stays a name, an inline spec or an override
+        object becomes its mapping, so the plan is picklable to sweep
+        workers, digestable, and identical no matter which surface
+        built it.
         """
         from repro.errors import SweepPlanError
         from repro.sweep.plan import SweepPlan
-        scenario = self.scenario
-        if isinstance(scenario, Scenario):
-            scenario = scenario.to_dict()
-        point = {"app": self.app, "nranks": self.nranks,
-                 "cls": self.cls, "platform": self.platform,
-                 "scenario": scenario}
-        point.update(dict(self.overrides))
+        point = canonical({"app": self.app, "nranks": self.nranks,
+                           "cls": self.cls, "platform": self.platform,
+                           "scenario": self.scenario,
+                           **dict(self.overrides)}, ScenarioError)
         try:
             plan = SweepPlan(name=self.job_name(), mode=self.mode,
                              extra_points=(point,))
@@ -128,61 +127,16 @@ class ScenarioJob:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioJob":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"scenario job must be a mapping, got "
-                f"{type(data).__name__}")
-        unknown = set(data) - set(_OWN_KEYS)
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario-job keys: {sorted(unknown)}; "
-                f"known keys: {sorted(_OWN_KEYS)}")
+    def _build(cls, data: Dict[str, Any]) -> "ScenarioJob":
+        """The job from file keys; ``scenario``, ``app`` and ``nranks``
+        are required."""
         for need in ("scenario", "app", "nranks"):
             if need not in data:
                 raise ScenarioError(f"scenario job needs {need!r}")
-        kw = dict(data)
-        overrides = kw.pop("overrides", None) or {}
-        if not isinstance(overrides, Mapping):
-            raise ScenarioError(
-                f"overrides must be a mapping, got "
-                f"{type(overrides).__name__}")
-        try:
-            return cls(overrides=tuple(sorted(overrides.items())), **kw)
-        except TypeError as exc:
-            raise ScenarioError(f"bad scenario job: {exc}") from None
-
-    def digest(self) -> str:
-        """Stable content address (dedup key on the job service)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return cls(**data)
 
     def describe(self) -> str:
         """One-line human summary."""
         return (f"{self.job_name()}: app={self.app} nranks={self.nranks} "
                 f"cls={self.cls} platform={self.platform} "
                 f"mode={self.mode} (digest {self.digest()})")
-
-
-def loads_scenario_job(text: str) -> ScenarioJob:
-    """Parse a scenario job from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(
-                f"unparsable scenario job: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"unparsable scenario job: {exc}") from None
-    if data is None:
-        data = {}
-    return ScenarioJob.from_dict(data)

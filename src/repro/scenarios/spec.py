@@ -27,21 +27,20 @@ produces byte-identical trace and emit artifacts, because
 That is what lets a sweep or fuzz campaign add a ``scenario`` axis and
 still share one cached trace and source across every point.
 
-Scenarios serialize to/from YAML (or JSON when PyYAML is unavailable);
-see ``docs/SCENARIOS.md`` for the schema and ``repro scenarios show``
-for rendered examples.  Curated named scenarios live in
+Scenarios are spec files (:mod:`repro.spec`: YAML or JSON,
+digest-keyed); see ``docs/SCENARIOS.md`` for the schema and ``repro
+scenarios show`` for rendered examples.  Curated named scenarios live in
 :mod:`repro.scenarios.registry`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
 from repro.faults.plan import FaultPlan
+from repro.spec import Spec
 
 
 def _params_tuple(where: str, params) -> Optional[Tuple[Tuple[str, Any],
@@ -73,7 +72,7 @@ def _params_data(params: Optional[Tuple[Tuple[str, Any], ...]]):
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(Spec):
     """One adversary invocation: a generator kind plus its parameters.
 
     ``kind`` names a generator in
@@ -82,6 +81,9 @@ class AdversarySpec:
     validated at construction; values are validated (against the
     concrete topology, rank count, and app pattern) at expansion.
     """
+
+    what = "adversary"
+    error = ScenarioError
 
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
@@ -104,26 +106,13 @@ class AdversarySpec:
             out["params"] = dict(self.params)
         return out
 
-    @classmethod
-    def from_dict(cls, data) -> "AdversarySpec":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"an adversary must be a mapping, got "
-                f"{type(data).__name__}")
-        unknown = set(data) - {"kind", "params"}
-        if unknown:
-            raise ScenarioError(
-                f"unknown adversary keys: {sorted(unknown)}; "
-                f"known keys: ['kind', 'params']")
-        if "kind" not in data:
-            raise ScenarioError("an adversary needs a 'kind'")
-        return cls(kind=data["kind"], params=tuple(
-            sorted((data.get("params") or {}).items())))
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One complete, digest-keyed description of an execution scenario."""
+
+    what = "scenario"
+    error = ScenarioError
 
     name: str
     description: str = ""
@@ -224,9 +213,11 @@ class Scenario:
                     "the scenario to pin a routed topology")
         if self.fault_plan is not None and \
                 not isinstance(self.fault_plan, FaultPlan):
-            object.__setattr__(
-                self, "fault_plan",
-                FaultPlan.from_dict(dict(self.fault_plan)))
+            object.__setattr__(self, "fault_plan",
+                               FaultPlan.from_dict(self.fault_plan))
+        if not isinstance(self.adversaries, (list, tuple)):
+            raise ScenarioError(
+                "adversaries must be a list of {kind, params} mappings")
         advs = tuple(a if isinstance(a, AdversarySpec)
                      else AdversarySpec.from_dict(a)
                      for a in self.adversaries)
@@ -288,47 +279,6 @@ class Scenario:
             out["adversaries"] = [a.to_dict() for a in self.adversaries]
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Build and validate a scenario from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"scenario must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
-        kw = dict(data)
-        if "fault_plan" in kw and kw["fault_plan"] is not None and \
-                not isinstance(kw["fault_plan"], FaultPlan):
-            from repro.errors import FaultPlanError
-            try:
-                kw["fault_plan"] = FaultPlan.from_dict(
-                    dict(kw["fault_plan"]))
-            except FaultPlanError as exc:
-                raise ScenarioError(f"bad fault_plan: {exc}") from None
-        if "adversaries" in kw:
-            advs = kw["adversaries"]
-            if not isinstance(advs, (list, tuple)):
-                raise ScenarioError(
-                    "adversaries must be a list of {kind, params} "
-                    "mappings")
-            kw["adversaries"] = tuple(
-                a if isinstance(a, AdversarySpec)
-                else AdversarySpec.from_dict(a) for a in advs)
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise ScenarioError(f"bad scenario: {exc}") from None
-
-    def digest(self) -> str:
-        """Stable content address of the scenario (cache-key and
-        fingerprint ingredient, exactly like a fault plan's digest)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def describe(self) -> str:
         """One-paragraph human summary (``repro scenarios list|show``)."""
         bits = []
@@ -386,46 +336,3 @@ adversaries:              # topology-aware generators, expanded once
 # - kind: straggler       # slow wavefront-critical ranks (app-aware)
 #   params: {factor: 4.0, count: 1}
 """
-
-
-def loads_scenario(text: str) -> Scenario:
-    """Parse a scenario from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"unparsable scenario: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"unparsable scenario: {exc}") from None
-    if data is None:
-        data = {}
-    return Scenario.from_dict(data)
-
-
-def load_scenario(path: str) -> Scenario:
-    """Load a :class:`Scenario` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(
-            f"cannot read scenario {path!r}: {exc}") from None
-    return loads_scenario(text)
-
-
-def dumps_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario back to YAML (JSON without PyYAML)."""
-    data = scenario.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=True)

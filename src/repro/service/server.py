@@ -70,9 +70,9 @@ def parse_submission(text: str,
     Malformed submissions raise :class:`ServiceError` — the server maps
     it to 400, so a bad plan never reaches the queue.
     """
-    from repro.fuzz import loads_campaign
-    from repro.scenarios import loads_scenario_job
-    from repro.sweep import loads_sweep_plan
+    from repro.fuzz import FuzzCampaign
+    from repro.scenarios import ScenarioJob
+    from repro.sweep import SweepPlan
     kind = kind_hint or "sweep"
     body = text
     try:
@@ -85,17 +85,11 @@ def parse_submission(text: str,
     if kind not in JOB_KINDS:
         raise ServiceError(f"unknown job kind {kind!r}; choose from "
                            f"{JOB_KINDS}")
+    spec_cls = {"sweep": SweepPlan, "scenario": ScenarioJob,
+                "fuzz": FuzzCampaign}[kind]
     try:
-        if kind == "sweep":
-            plan = loads_sweep_plan(body)
-            plan.check()
-        elif kind == "scenario":
-            # a ScenarioJob validates (and compiles its one-point
-            # sweep plan) at construction — no separate check()
-            plan = loads_scenario_job(body)
-        else:
-            plan = loads_campaign(body)
-            plan.check()
+        plan = spec_cls.loads(body)
+        plan.check()
     except ReproError as exc:
         raise ServiceError(f"invalid {kind} submission: {exc}") from None
     return kind, plan

@@ -32,8 +32,7 @@ cache-sharing semantics.
 from repro.sweep.engine import (PointResult, SweepResult, default_workers,
                                 run_sweep)
 from repro.sweep.plan import (MODES, TEMPLATE, SweepAxis, SweepPlan,
-                              SweepPoint, build_config, dumps_sweep_plan,
-                              load_sweep_plan, loads_sweep_plan)
+                              SweepPoint, build_config)
 
 __all__ = [
     "MODES",
@@ -45,8 +44,5 @@ __all__ = [
     "TEMPLATE",
     "build_config",
     "default_workers",
-    "dumps_sweep_plan",
-    "load_sweep_plan",
-    "loads_sweep_plan",
     "run_sweep",
 ]

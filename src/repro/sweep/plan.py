@@ -24,20 +24,19 @@ then the explicit points follow.  The plan's :meth:`~SweepPlan.digest`
 is a stable content address over the whole description, used to key
 sweep results exactly as a fault plan's digest keys faulted artifacts.
 
-Plans serialize to/from YAML (or JSON when PyYAML is unavailable); see
-``docs/SWEEPS.md`` for the schema and ``repro sweep template`` for a
-commented example.
+Plans are spec files (:mod:`repro.spec`: YAML or JSON, digest-keyed);
+see ``docs/SWEEPS.md`` for the schema and ``repro sweep template`` for
+a commented example.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import SweepPlanError
+from repro.spec import Spec
 
 #: pipeline suffixes a plan may target: the full Fig. 1 flow, the flow
 #: without the final execution, or tracing alone (cache warming)
@@ -59,11 +58,11 @@ def _config_fields() -> Dict[str, Any]:
             if f.name not in _EXCLUDED_FIELDS}
 
 
-def _check_fields(where: str, mapping: Mapping[str, Any]) -> None:
+def _check_fields(where: str, names: Iterable[Any]) -> None:
     """Reject unknown or excluded config fields with a helpful message."""
     known = _config_fields()
-    for key in mapping:
-        if key not in known:
+    for key in names:
+        if not isinstance(key, str) or key not in known:
             hint = (" (cache settings belong to the sweep invocation, "
                     "not the plan)" if key in _EXCLUDED_FIELDS else "")
             raise SweepPlanError(
@@ -80,7 +79,7 @@ class SweepAxis:
 
     def __post_init__(self):
         """Validate the axis: known field, non-empty value list."""
-        _check_fields("axis", {self.field: None})
+        _check_fields("axis", (self.field,))
         if not isinstance(self.values, (list, tuple)) or not self.values:
             raise SweepPlanError(
                 f"axis {self.field!r} needs a non-empty list of values, "
@@ -108,16 +107,22 @@ class SweepPoint:
 def _short(value: Any) -> str:
     """Compact value rendering for point labels."""
     if isinstance(value, dict):
-        return "{" + ",".join(f"{k}={_short(v)}"
-                              for k, v in sorted(value.items())) + "}"
+        return "{" + ",".join(
+            f"{k}={_short(v)}"
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))) \
+            + "}"
     if isinstance(value, float):
         return f"{value:g}"
     return str(value)
 
 
 @dataclass(frozen=True)
-class SweepPlan:
+class SweepPlan(Spec):
     """A digest-keyed description of one batched what-if study."""
+
+    what = "sweep plan"
+    error = SweepPlanError
+    file_keys = frozenset({"name", "mode", "base", "axes", "points"})
 
     name: str = "sweep"             #: study name (reports, result files)
     mode: str = "run"               #: pipeline suffix to execute (MODES)
@@ -127,8 +132,8 @@ class SweepPlan:
 
     def __post_init__(self):
         """Validate mode, base fields, axis uniqueness, explicit points."""
-        if not self.name:
-            raise SweepPlanError("plan name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise SweepPlanError("plan name must be a non-empty string")
         if self.mode not in MODES:
             raise SweepPlanError(
                 f"unknown mode {self.mode!r}; choose from {MODES}")
@@ -171,12 +176,11 @@ class SweepPlan:
         """Build every point's :class:`PipelineConfig`, surfacing any
         invalid value as a :class:`SweepPlanError`; returns the point
         count (``repro sweep validate``)."""
-        from repro.errors import FaultPlanError, PipelineConfigError
         pts = self.points()
         for point in pts:
             try:
                 build_config(point.overrides)
-            except (PipelineConfigError, FaultPlanError) as exc:
+            except Exception as exc:
                 raise SweepPlanError(
                     f"point {point.index} ({point.label()}): {exc}") \
                     from None
@@ -195,48 +199,27 @@ class SweepPlan:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepPlan":
-        """Build and validate a plan from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise SweepPlanError(
-                f"sweep plan must be a mapping, got {type(data).__name__}")
-        known = {"name", "mode", "base", "axes", "points"}
-        unknown = set(data) - known
-        if unknown:
-            raise SweepPlanError(
-                f"unknown sweep-plan keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
-        axes_data = data.get("axes", [])
-        if not isinstance(axes_data, Sequence) or \
-                isinstance(axes_data, (str, bytes)):
+    def _build(cls, data: Dict[str, Any]) -> "SweepPlan":
+        """The plan from file keys (``points`` holds the explicit
+        points); each axis needs exactly ``field`` and ``values``."""
+        axes = data.get("axes", [])
+        points = data.get("points", [])
+        if not isinstance(axes, (list, tuple)):
             raise SweepPlanError("axes must be a list of "
                                  "{field, values} entries")
-        axes = []
-        for entry in axes_data:
+        if not isinstance(points, (list, tuple)):
+            raise SweepPlanError("points must be a list of mappings")
+        for entry in axes:
             if not isinstance(entry, Mapping) or \
                     set(entry) != {"field", "values"}:
                 raise SweepPlanError(
                     f"each axis needs exactly the keys 'field' and "
                     f"'values', got {entry!r}")
-            axes.append(SweepAxis(entry["field"], tuple(entry["values"])))
-        points = data.get("points", [])
-        if not isinstance(points, Sequence) or \
-                isinstance(points, (str, bytes)):
-            raise SweepPlanError("points must be a list of mappings")
-        try:
-            return cls(name=data.get("name", "sweep"),
-                       mode=data.get("mode", "run"),
-                       base=dict(data.get("base", {})),
-                       axes=tuple(axes),
-                       extra_points=tuple(points))
-        except TypeError as exc:
-            raise SweepPlanError(f"bad sweep plan: {exc}") from None
-
-    def digest(self) -> str:
-        """Stable content address of the plan (keys sweep results the
-        way a fault plan's digest keys faulted artifacts)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return cls(name=data.get("name", "sweep"),
+                   mode=data.get("mode", "run"),
+                   base=dict(data.get("base", {})),
+                   axes=tuple(SweepAxis(**a) for a in axes),
+                   extra_points=tuple(points))
 
     def describe(self) -> str:
         """One-line human summary (``repro sweep validate``)."""
@@ -245,9 +228,8 @@ class SweepPlan:
             bits.append(f"{a.field} x{len(a.values)}")
         if self.extra_points:
             bits.append(f"+{len(self.extra_points)} explicit point(s)")
-        n = len(self.points())
-        return (f"{self.name}: {n} point(s) ({'; '.join(bits)}; "
-                f"digest {self.digest()})")
+        return (f"{self.name}: {len(self.points())} point(s) "
+                f"({'; '.join(bits)})")
 
 
 def build_config(overrides: Mapping[str, Any], *,
@@ -263,7 +245,7 @@ def build_config(overrides: Mapping[str, Any], *,
     kw = dict(overrides)
     plan = kw.get("fault_plan")
     if isinstance(plan, Mapping):
-        kw["fault_plan"] = FaultPlan.from_dict(dict(plan))
+        kw["fault_plan"] = FaultPlan.from_dict(plan)
     return PipelineConfig(use_cache=use_cache, cache_dir=cache_dir, **kw)
 
 
@@ -301,46 +283,3 @@ points: []                # explicit extra points, e.g.
 #  - field: fault_plan
 #    values: [null, {seed: 42, drop_rate: 0.05, max_retries: 12}]
 """
-
-
-def loads_sweep_plan(text: str) -> SweepPlan:
-    """Parse a plan from YAML (preferred) or JSON text."""
-    data: Optional[Any] = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise SweepPlanError(f"unparsable sweep plan: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepPlanError(f"unparsable sweep plan: {exc}") from None
-    if data is None:
-        data = {}
-    return SweepPlan.from_dict(data)
-
-
-def load_sweep_plan(path: str) -> SweepPlan:
-    """Load a :class:`SweepPlan` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SweepPlanError(
-            f"cannot read sweep plan {path!r}: {exc}") from None
-    return loads_sweep_plan(text)
-
-
-def dumps_sweep_plan(plan: SweepPlan) -> str:
-    """Serialize a plan back to YAML (JSON without PyYAML)."""
-    data = plan.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=False)

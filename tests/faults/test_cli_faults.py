@@ -33,6 +33,15 @@ class TestFaultsCommand:
         assert main(["faults", "validate", "bad.yaml"]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_validate_bad_value_is_invalid_not_a_traceback(self, workdir,
+                                                           capsys):
+        with open("bad.yaml", "w") as fh:
+            fh.write("drop_rate: abc\n")
+        assert main(["faults", "validate", "bad.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: bad fault plan: ")
+        assert "Traceback" not in err
+
     def test_run_prints_fault_report(self, workdir, capsys):
         with open("plan.yaml", "w") as fh:
             fh.write("seed: 7\ndrop_rate: 0.1\nmax_retries: 10\n")

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import FaultPlanError
-from repro.faults import (FaultPlan, LinkWindow, TEMPLATE, dumps_fault_plan,
-                          load_fault_plan, loads_fault_plan)
+from repro.faults import FaultPlan, LinkWindow, TEMPLATE
 
 
 class TestValidation:
@@ -89,12 +88,12 @@ class TestSerialization:
 
     def test_roundtrip(self):
         plan = self._rich_plan()
-        again = loads_fault_plan(dumps_fault_plan(plan))
+        again = FaultPlan.loads(plan.dumps())
         assert again == plan
         assert again.digest() == plan.digest()
 
     def test_template_parses_and_is_valid(self):
-        plan = loads_fault_plan(TEMPLATE)
+        plan = FaultPlan.loads(TEMPLATE)
         assert plan.seed == 42
         assert plan.drop_rate == 0.05
         assert not plan.is_null()
@@ -102,23 +101,23 @@ class TestSerialization:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "plan.yaml"
         path.write_text("seed: 3\ndrop_rate: 0.2\n")
-        plan = load_fault_plan(str(path))
+        plan = FaultPlan.load(str(path))
         assert plan.seed == 3 and plan.drop_rate == 0.2
 
     def test_load_missing_file(self):
         with pytest.raises(FaultPlanError):
-            load_fault_plan("/nonexistent/plan.yaml")
+            FaultPlan.load("/nonexistent/plan.yaml")
 
     def test_json_text_accepted(self):
-        plan = loads_fault_plan('{"seed": 4, "drop_rate": 0.1}')
+        plan = FaultPlan.loads('{"seed": 4, "drop_rate": 0.1}')
         assert plan.seed == 4
 
     def test_garbage_rejected(self):
         with pytest.raises(FaultPlanError):
-            loads_fault_plan("{ not yaml ][")
+            FaultPlan.loads("{ not yaml ][")
 
     def test_empty_text_is_null_plan(self):
-        assert loads_fault_plan("").is_null()
+        assert FaultPlan.loads("").is_null()
 
     def test_digest_distinguishes_plans(self):
         assert FaultPlan(seed=1).digest() != FaultPlan(seed=2).digest()

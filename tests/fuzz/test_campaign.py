@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import FuzzCampaignError
-from repro.fuzz import (TEMPLATE, FuzzCampaign, dumps_campaign,
-                        loads_campaign)
+from repro.fuzz import TEMPLATE, FuzzCampaign
 
 _CELL = {"app": "race", "nranks": 4, "cls": "S", "platform": "simple"}
 
@@ -118,7 +117,7 @@ class TestSerialization:
     def test_roundtrip_preserves_digest(self):
         c = _campaign(policies=("random", "adversarial-delay"),
                       topologies=(None, "fattree"), seeds=3, seed0=2)
-        again = loads_campaign(dumps_campaign(c))
+        again = FuzzCampaign.loads(c.dumps())
         assert again == c
         assert again.digest() == c.digest()
 
@@ -127,21 +126,21 @@ class TestSerialization:
         assert _campaign().digest() == _campaign().digest()
 
     def test_template_parses_and_validates(self):
-        c = loads_campaign(TEMPLATE)
+        c = FuzzCampaign.loads(TEMPLATE)
         assert c.name == "race-hunt"
         assert c.check() > 0
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(FuzzCampaignError, match="unknown fuzz"):
-            loads_campaign("name: x\nturbo: true\n")
+            FuzzCampaign.loads("name: x\nturbo: true\n")
 
     def test_non_mapping_rejected(self):
         with pytest.raises(FuzzCampaignError, match="mapping"):
-            loads_campaign("- just\n- a list\n")
+            FuzzCampaign.loads("- just\n- a list\n")
 
     def test_unparsable_rejected(self):
         with pytest.raises(FuzzCampaignError, match="unparsable"):
-            loads_campaign("{unbalanced: [")
+            FuzzCampaign.loads("{unbalanced: [")
 
     def test_describe_mentions_scale(self):
         text = _campaign().describe()

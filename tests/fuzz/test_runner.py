@@ -155,9 +155,8 @@ class TestCorpus:
 
 class TestCLI:
     def _write_campaign(self, tmp_path, **kw):
-        from repro.fuzz import dumps_campaign
         path = tmp_path / "campaign.yaml"
-        path.write_text(dumps_campaign(_campaign(**kw)))
+        path.write_text(_campaign(**kw).dumps())
         return str(path)
 
     def test_template_validate_run(self, tmp_path, capsys):

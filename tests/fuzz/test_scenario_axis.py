@@ -7,8 +7,7 @@ like the topology axis, and old campaign files keep their digests."""
 import pytest
 
 from repro.errors import FuzzCampaignError
-from repro.fuzz import FuzzCampaign, dumps_campaign, loads_campaign, \
-    run_campaign
+from repro.fuzz import FuzzCampaign, run_campaign
 
 
 def campaign(**kw):
@@ -36,7 +35,7 @@ class TestScenarioAxis:
 
     def test_round_trip_preserves_digest(self):
         c = campaign(scenarios=("calm", "torus-hotlink"))
-        again = loads_campaign(dumps_campaign(c))
+        again = FuzzCampaign.loads(c.dumps())
         assert again.digest() == c.digest()
 
     def test_inline_scenario_entries_normalize(self):

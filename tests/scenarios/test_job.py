@@ -7,7 +7,7 @@ compilation itself must be deterministic and digest-stable."""
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import Scenario, ScenarioJob, loads_scenario_job
+from repro.scenarios import Scenario, ScenarioJob
 
 
 class TestScenarioJob:
@@ -47,7 +47,7 @@ class TestScenarioJob:
         assert a.to_sweep_plan().digest() == b.to_sweep_plan().digest()
 
     def test_loads_scenario_job(self):
-        job = loads_scenario_job(
+        job = ScenarioJob.loads(
             "scenario: calm\napp: ring\nnranks: 4\ncls: S\n")
         assert job.app == "ring" and job.nranks == 4
 

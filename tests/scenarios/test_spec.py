@@ -9,8 +9,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import (SCENARIOS, AdversarySpec, Scenario,
-                             dumps_scenario, get_scenario, loads_scenario,
-                             scenario_names)
+                             get_scenario, scenario_names)
 
 
 class TestScenarioSpec:
@@ -41,7 +40,7 @@ class TestScenarioSpec:
                      queue_discipline="codel",
                      queue_params={"target": 1e-6},
                      adversaries=(AdversarySpec("uplink-loss"),))
-        again = loads_scenario(dumps_scenario(s))
+        again = Scenario.loads(s.dumps())
         assert again == s
         assert again.digest() == s.digest()
 

@@ -84,10 +84,11 @@ class TestJobsCommands:
         assert health["status"] == "ok"
 
     def test_unreachable_service_raises_cleanly(self, tmp_path,
-                                                monkeypatch):
-        from repro.errors import ServiceError
+                                                monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "plan.yaml").write_text(PLAN_YAML)
-        with pytest.raises(ServiceError, match="cannot reach service"):
-            main(["jobs", "submit", "plan.yaml",
-                  "--url", "http://127.0.0.1:9"])
+        assert main(["jobs", "submit", "plan.yaml",
+                     "--url", "http://127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot reach service")
+        assert "Traceback" not in err

@@ -143,6 +143,15 @@ class TestErrorPaths:
         with pytest.raises(ServiceError, match="invalid sweep"):
             client.submit(service.url, "mode: [unclosed")
 
+    @pytest.mark.parametrize("fault_plan", [
+        {"windows": [3]}, {"stragglers": [3]}, {"drop_rate": "abc"}])
+    def test_nested_bad_fault_plan_is_400(self, service, fault_plan):
+        body = dict(PLAN, axes=[{"field": "fault_plan",
+                                 "values": [fault_plan]}])
+        with pytest.raises(ServiceError,
+                           match=r"point 0 .*bad fault plan.*HTTP 400"):
+            client.submit(service.url, json.dumps(body))
+
     def test_bad_kind_is_400(self, service):
         with pytest.raises(ServiceError, match="unknown job kind"):
             client.submit(service.url, json.dumps(PLAN), kind="bake")

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import SweepPlanError
-from repro.sweep import (TEMPLATE, SweepPlan, build_config,
-                         dumps_sweep_plan, loads_sweep_plan)
+from repro.sweep import TEMPLATE, SweepPlan, build_config
 
 
 def tiny_plan(**kw):
@@ -17,14 +16,14 @@ def tiny_plan(**kw):
 
 class TestTemplate:
     def test_template_parses_and_validates(self):
-        plan = loads_sweep_plan(TEMPLATE)
+        plan = SweepPlan.loads(TEMPLATE)
         assert plan.name == "fig7-whatif"
         assert plan.mode == "run"
         assert plan.check() == 11  # the Fig. 7 grid
 
     def test_roundtrip(self):
-        plan = loads_sweep_plan(TEMPLATE)
-        again = loads_sweep_plan(dumps_sweep_plan(plan))
+        plan = SweepPlan.loads(TEMPLATE)
+        again = SweepPlan.loads(plan.dumps())
         assert again == plan
         assert again.digest() == plan.digest()
 
@@ -61,7 +60,7 @@ class TestValidation:
 
     def test_unknown_top_level_key(self):
         with pytest.raises(SweepPlanError, match="unknown sweep-plan"):
-            loads_sweep_plan("name: x\ngrid: []\n")
+            SweepPlan.loads("name: x\ngrid: []\n")
 
     def test_check_surfaces_bad_point_values(self):
         plan = tiny_plan(axes=[{"field": "nranks", "values": [4, -1]}])

@@ -9,7 +9,7 @@ drop counters)."""
 import pytest
 
 from repro.errors import SweepPlanError
-from repro.sweep import SweepPlan, loads_sweep_plan, run_sweep
+from repro.sweep import SweepPlan, run_sweep
 
 
 def scenario_plan(values, **base_extra):
@@ -73,7 +73,7 @@ class TestScenarioAxis:
         assert codel.metrics["link_drops"] > 0
 
     def test_inline_scenario_mapping_in_plan_text(self, tmp_path):
-        plan = loads_sweep_plan("""
+        plan = SweepPlan.loads("""
 name: inline-scn
 base: {app: ring, nranks: 4}
 axes:

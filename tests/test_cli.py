@@ -74,12 +74,23 @@ class TestExtrapolateValidation:
         assert not os.path.exists("big.scalatrace")
 
 
+class TestTypedErrorEdge:
+    def test_run_arithmetic_fault_is_one_line(self, workdir, capsys):
+        with open("div.ncptl", "w") as fh:
+            fh.write("ALL TASKS COMPUTE FOR 1/0 MICROSECONDS\n")
+        assert main(["run", "div.ncptl", "--np", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot evaluate 1 / 0")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestAtomicGenerate:
-    def test_failed_generation_leaves_no_output(self, workdir):
+    def test_failed_generation_leaves_no_output(self, workdir, capsys):
         with open("bogus.scalatrace", "w") as fh:
             fh.write("not a trace\n")
-        with pytest.raises(Exception):
-            main(["generate", "bogus.scalatrace", "-o", "out.ncptl"])
+        assert main(["generate", "bogus.scalatrace",
+                     "-o", "out.ncptl"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists("out.ncptl")
         # no temp-file droppings either
         assert not [f for f in os.listdir(".") if f.startswith(".tmp-")]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import APPS, PATTERNS
 from repro.cli import main
-from repro.scenarios import SCENARIOS, ScenarioJob, loads_scenario
+from repro.scenarios import SCENARIOS, Scenario, ScenarioJob
 from repro.sweep import run_sweep
 
 
@@ -68,7 +68,7 @@ class TestScenariosShow:
         assert main(["scenarios", "show", "torus-hotlink"]) == 0
         out = capsys.readouterr().out
         yaml_part = out.rsplit("# ", 1)[0]
-        again = loads_scenario(yaml_part)
+        again = Scenario.loads(yaml_part)
         assert again.digest() == SCENARIOS["torus-hotlink"].digest()
 
     def test_show_a_file(self, workdir, capsys):
@@ -85,8 +85,21 @@ class TestScenariosShow:
 class TestScenariosTemplate:
     def test_template_validates(self, workdir, capsys):
         assert main(["scenarios", "template", "-o", "scn.yaml"]) == 0
-        scn = loads_scenario(open("scn.yaml").read())
+        scn = Scenario.loads(open("scn.yaml").read())
         assert scn.name
+
+    def test_validate_command(self, workdir, capsys):
+        assert main(["scenarios", "template", "-o", "scn.yaml"]) == 0
+        assert main(["scenarios", "validate", "scn.yaml"]) == 0
+        out = capsys.readouterr().out
+        scn = Scenario.load("scn.yaml")
+        assert f"OK: {scn.describe()} (digest {scn.digest()})" in out
+
+    def test_validate_rejects_bad_spec(self, workdir, capsys):
+        with open("bad.yaml", "w") as fh:
+            fh.write("name: x\nadversaries: [{kind: hotspot, params: 3}]\n")
+        assert main(["scenarios", "validate", "bad.yaml"]) == 1
+        assert capsys.readouterr().err.startswith("INVALID: ")
 
 
 class TestScenariosRun:
