@@ -67,18 +67,26 @@ def _add_topology(parser):
                              "'dims=[2,2,2]'")
 
 
-def _topology_kwargs(args) -> dict:
-    """PipelineConfig keyword args for the ``--topology`` flag family."""
+def _parse_params(items, flag: str) -> dict:
+    """``KEY=VALUE`` items of a repeatable ``flag`` as a mapping; each
+    value is read as JSON when it parses, else kept as a string."""
     params = {}
-    for item in getattr(args, "topology_params", None) or []:
+    for item in items or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise SystemExit(
-                f"error: --topology-param needs KEY=VALUE, got {item!r}")
+                f"error: {flag} needs KEY=VALUE, got {item!r}")
         try:
             params[key] = json.loads(value)
         except ValueError:
             params[key] = value
+    return params
+
+
+def _topology_kwargs(args) -> dict:
+    """PipelineConfig keyword args for the ``--topology`` flag family."""
+    params = _parse_params(getattr(args, "topology_params", None),
+                           "--topology-param")
     out = {"topology": args.topology, "placement": args.placement}
     if params:
         out["topology_params"] = params
@@ -137,16 +145,8 @@ def _queueing_kwargs(args) -> dict:
     an argv error, caught here rather than deep inside a run.
     """
     discipline = getattr(args, "queue_discipline", "fifo")
-    params = {}
-    for item in getattr(args, "queue_params", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"error: --queue-param needs KEY=VALUE, got {item!r}")
-        try:
-            params[key] = json.loads(value)
-        except ValueError:
-            params[key] = value
+    params = _parse_params(getattr(args, "queue_params", None),
+                           "--queue-param")
     if discipline in (None, "fifo"):
         if params:
             raise SystemExit(
@@ -307,7 +307,6 @@ def cmd_pipeline(args):
                             use_cache=not args.no_cache,
                             cache_dir=args.cache_dir,
                             fault_plan=plan,
-                            stage_retries=args.stage_retries,
                             profile=args.profile,
                             scenario=(_scenario_ref(args.scenario)
                                       if args.scenario else None),
@@ -762,8 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", metavar="FILE",
                    help="subject simulation stages to the fault plan "
                         "(YAML/JSON; see 'repro faults template')")
-    p.add_argument("--stage-retries", type=int, default=0,
-                   help="re-run a failed stage up to N times")
     p.add_argument("--profile", action="store_true",
                    help="attribute engine wall time to phases "
                         "(schedule/match/execute/fabric) and print a "

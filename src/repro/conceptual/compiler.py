@@ -593,19 +593,12 @@ class ConceptualProgram:
         return program
 
     def run(self, nranks: int, model=None, hooks=None,
-            max_steps=None, faults=None, profile=False,
-            schedule_policy=None, schedule_seed=None,
-            queue_discipline=None,
-            queue_params=None) -> Tuple[SpmdResult, LogDatabase]:
+            **engine_options) -> Tuple[SpmdResult, LogDatabase]:
         """Compile-and-run convenience: returns the simulation result and
-        the program's log database."""
+        the program's log database; ``engine_options`` go to
+        :func:`repro.mpi.run_spmd` unchanged."""
         logs = LogDatabase()
         self.specialise(nranks)  # before the engine starts, not in rank 0
-        result = run_spmd(self.instantiate(logs), nranks,
-                          model=model, hooks=hooks, max_steps=max_steps,
-                          faults=faults, profile=profile,
-                          schedule_policy=schedule_policy,
-                          schedule_seed=schedule_seed,
-                          queue_discipline=queue_discipline,
-                          queue_params=queue_params)
+        result = run_spmd(self.instantiate(logs), nranks, model=model,
+                          hooks=hooks, **engine_options)
         return result, logs

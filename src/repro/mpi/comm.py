@@ -33,9 +33,6 @@ class Communicator:
     def size(self) -> int:
         return len(self.world_ranks)
 
-    def contains_world(self, world_rank: int) -> bool:
-        return world_rank in self._index
-
     def rank_of_world(self, world_rank: int) -> int:
         """Communicator rank of a world rank (the inverse of to_world)."""
         try:

@@ -73,10 +73,6 @@ class MPIEvent:
         self.matched_source = matched_source
 
     @property
-    def is_collective(self) -> bool:
-        return self.op in COLLECTIVE_OPS
-
-    @property
     def total_bytes(self) -> int:
         if isinstance(self.nbytes, tuple):
             return sum(self.nbytes)

@@ -19,16 +19,8 @@ class World:
 
     def __init__(self, nranks: int, model: NetworkModel,
                  hooks: Optional[Sequence[MPIHook]] = None,
-                 max_steps: Optional[int] = None, faults=None,
-                 profile: bool = False, schedule_policy=None,
-                 schedule_seed: Optional[int] = None,
-                 queue_discipline=None, queue_params=None):
-        self.engine = Engine(nranks, model, max_steps=max_steps,
-                             faults=faults, profile=profile,
-                             schedule_policy=schedule_policy,
-                             schedule_seed=schedule_seed,
-                             queue_discipline=queue_discipline,
-                             queue_params=queue_params)
+                 **engine_options):
+        self.engine = Engine(nranks, model, **engine_options)
         self.registry = CommRegistry(nranks)
         self.hooks: List[MPIHook] = list(hooks or [])
         self.split_data: Dict[tuple, Dict[int, tuple]] = {}
@@ -88,34 +80,24 @@ def _wrap(program: Callable, mpi: MPIProcess):
 def run_spmd(program: Callable, nranks: int,
              model: Optional[NetworkModel] = None,
              hooks: Optional[Sequence[MPIHook]] = None,
-             max_steps: Optional[int] = None,
-             faults=None, profile: bool = False,
-             schedule_policy=None,
-             schedule_seed: Optional[int] = None,
-             queue_discipline=None, queue_params=None) -> SpmdResult:
+             **engine_options) -> SpmdResult:
     """Execute ``program`` on ``nranks`` simulated ranks.
 
     ``program(mpi)`` must be a generator function taking an
     :class:`MPIProcess` and must end with ``yield from mpi.finalize()``.
     Returns an :class:`SpmdResult`; hooks observe every MPI event and are
-    told when the run ends.  ``faults`` (a
-    :class:`~repro.faults.FaultInjector`) subjects the run to an injected
-    fault plan; when the faulted simulation dies (deadlock/livelock) the
-    raised :class:`SimulationError` carries a ``partial`` attribute with
-    the :class:`SpmdResult` of everything that executed before the hang,
-    and hooks still observe the end of the run — that is what lets the
-    pipeline salvage a trace prefix and fault report.
-    ``schedule_policy``/``schedule_seed`` pick the engine's tie-break
-    policy (default canonical; see :mod:`repro.sim.policy`);
-    ``queue_discipline``/``queue_params`` pick the routed fabric's
-    per-link queue (default FIFO; see :mod:`repro.sim.queueing`).
+    told when the run ends.  ``engine_options`` go to
+    :class:`~repro.sim.engine.Engine` unchanged (``max_steps``,
+    ``faults``, ``profile``, the schedule policy and the queue
+    discipline are declared there).  When a faulted simulation dies
+    (deadlock/livelock) the raised :class:`SimulationError` carries a
+    ``partial`` attribute with the :class:`SpmdResult` of everything that
+    executed before the hang, and hooks still observe the end of the run
+    — that is what lets the pipeline salvage a trace prefix and fault
+    report.
     """
     world = World(nranks, model or LogGPModel(), hooks=hooks,
-                  max_steps=max_steps, faults=faults, profile=profile,
-                  schedule_policy=schedule_policy,
-                  schedule_seed=schedule_seed,
-                  queue_discipline=queue_discipline,
-                  queue_params=queue_params)
+                  **engine_options)
     gens = [_wrap(program, MPIProcess(world, r)) for r in range(nranks)]
     try:
         total = world.engine.run(gens)

@@ -20,17 +20,9 @@ concurrent run can never leave a truncated entry behind.
 Both artifacts and their lock files are sharded by the first two hex
 digits of the key, so hot service traffic (many concurrent submissions
 over one shared cache) fans out across 256 directories instead of
-serializing directory operations on a single flat ``locks/``.  Legacy
-flat *artifacts* are migrated transparently: a read that misses the
-sharded location probes the legacy flat location
-(``<root>/<key><suffix>``) and, on a hit, moves the artifact into its
-shard atomically — accounting exactly one hit for the read, never a
-miss-plus-recompute.  Lock files carry no content, so there is nothing
-to migrate: :meth:`ArtifactCache.lock` only ever takes the sharded
-path.  An older-version process sharing the cache would lock the flat
-``locks/<key>.lock`` instead — the two can then compute the same key
-concurrently, which costs duplicate work but never corruption, since
-artifact writes are atomic either way.
+serializing directory operations on a single flat ``locks/``.  Entries
+left in the older flat layout (``<root>/<key><suffix>``) are never read:
+they are plain misses that recompute into the sharded location.
 """
 
 from __future__ import annotations
@@ -76,66 +68,25 @@ class ArtifactCache:
         """Sharded on-disk location of ``key``'s artifact."""
         return os.path.join(self.root, key[:2], key + suffix)
 
-    def legacy_path(self, key: str, suffix: str = "") -> str:
-        """Pre-sharding flat location of ``key``'s artifact (read-only:
-        entries found here are migrated into their shard)."""
-        return os.path.join(self.root, key + suffix)
-
     def get(self, key: str, suffix: str = "",
             record: bool = True) -> Optional[str]:
         """The cached artifact text, or None (counted as hit/miss).
-
-        Probes the sharded location first, then the legacy flat layout;
-        a legacy hit migrates the entry into its shard so the flat
-        directory drains as it is read.  However the read is satisfied,
-        it accounts **exactly one** hit or miss — the double-checked
-        read under :meth:`lock` must see the same view, or two racing
-        clients on a legacy-layout cache would each record a miss and
-        recompute the artifact.
 
         ``record=False`` reads without touching the hit/miss accounting
         — used by the double-checked read under :meth:`lock`, whose
         outcome is accounted for explicitly by the caller.
         """
-        text = self._read(self.path(key, suffix))
-        if text is None:
-            text = self._read(self.legacy_path(key, suffix))
-            if text is not None:
-                self._migrate(key, suffix)
-        if text is None:
-            if record:
-                self.misses += 1
-                obs.count("pipeline.cache_misses")
-            return None
+        try:
+            with open(self.path(key, suffix)) as fh:
+                text = fh.read()
+        except OSError:  # absent or unreadable
+            text = None
         if record:
-            self.hits += 1
-            obs.count("pipeline.cache_hits")
+            if text is None:
+                self.record_miss()
+            else:
+                self.record_hit()
         return text
-
-    @staticmethod
-    def _read(path: str) -> Optional[str]:
-        """The file's text, or None when absent/unreadable."""
-        try:
-            with open(path) as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def _migrate(self, key: str, suffix: str) -> None:
-        """Move a legacy flat entry into its shard (atomic, best-effort).
-
-        ``os.replace`` is atomic within the cache filesystem, so a
-        concurrent migrator or reader sees either layout but never a
-        truncated entry; losing the race just means the other process
-        already migrated the file.
-        """
-        path = self.path(key, suffix)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        try:
-            os.replace(self.legacy_path(key, suffix), path)
-            obs.count("pipeline.cache_migrated")
-        except OSError:  # pragma: no cover - lost a benign migration race
-            pass
 
     def record_hit(self) -> None:
         """Account one cache hit (for reads done with ``record=False``)."""

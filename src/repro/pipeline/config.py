@@ -105,8 +105,6 @@ class PipelineConfig:
     #:                                     pipeline (repro.sim.policy)
     schedule_seed: Optional[int] = None  #: seed for non-canonical
     #:                                      schedule policies
-    stage_retries: int = 0             #: re-run attempts for failed stages
-    stage_retry_backoff: float = 0.0   #: seconds slept before retry k (*2^k)
     profile: bool = False              #: per-phase engine wall-time
     #:                                    attribution (``engine.profile.*``
     #:                                    counters via repro.obs)
@@ -147,13 +145,6 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"fault_plan must be a FaultPlan, got "
                 f"{type(self.fault_plan).__name__}")
-        if self.stage_retries < 0:
-            raise PipelineConfigError(
-                f"stage_retries must be >= 0, got {self.stage_retries}")
-        if self.stage_retry_backoff < 0:
-            raise PipelineConfigError(
-                f"stage_retry_backoff must be >= 0, got "
-                f"{self.stage_retry_backoff}")
         if self.compute_scale < 0:
             raise PipelineConfigError(
                 f"compute_scale must be >= 0, got {self.compute_scale}")
@@ -297,11 +288,9 @@ class PipelineConfig:
         (cache bookkeeping fields are deliberately excluded)."""
         out = {}
         for f in fields(self):
-            # retries and profiling are execution policy, not artifact
-            # content (every stage is deterministic, so a retry
-            # reproduces the result, and profiling only adds timers)
-            if f.name in ("use_cache", "cache_dir", "stage_retries",
-                          "stage_retry_backoff", "profile"):
+            # profiling is execution policy, not artifact content (it
+            # only adds timers)
+            if f.name in ("use_cache", "cache_dir", "profile"):
                 continue
             out[f.name] = getattr(self, f.name)
         # a fault plan enters the fingerprint by digest: a faulted trace

@@ -14,7 +14,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.errors import PipelineError, ReproError
+from repro.errors import PipelineError
 from repro.pipeline.cache import cache_key
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.context import PipelineResult, RunContext
@@ -77,7 +77,7 @@ class Pipeline:
         if cache is not None and stage.cacheable and ctx.key:
             if self._run_cached_stage(ctx, stage, cache, t0):
                 return
-        out = self._attempt(ctx, stage)
+        out = self._execute(ctx, stage)
         # stages return a detail string, or (status, detail) to override
         # the cache status (e.g. "skipped" for a pass that wasn't needed)
         status, detail = out if isinstance(out, tuple) else (None, out)
@@ -103,7 +103,7 @@ class Pipeline:
                 text = cache.get(ctx.key, stage.suffix, record=False)
                 if text is None:
                     cache.record_miss()
-                    out = self._attempt(ctx, stage)
+                    out = self._execute(ctx, stage)
                     status, detail = (out if isinstance(out, tuple)
                                       else (None, out))
                     if status is None:
@@ -126,29 +126,11 @@ class Pipeline:
         ctx.record(stage.name, time.perf_counter() - t0, "hit", detail)
         return True
 
-    def _attempt(self, ctx: RunContext, stage: Stage):
-        """Run the stage under the config's per-stage retry policy.
-
-        A stage that raises a :class:`ReproError` is re-run up to
-        ``stage_retries`` times (with exponential backoff sleeps when
-        ``stage_retry_backoff`` is set); the final failure propagates.
-        Non-repro exceptions are programming errors and never retried.
-        """
-        attempts = 1 + ctx.config.stage_retries
-        for attempt in range(attempts):
-            try:
-                with obs.span(f"pipeline.{stage.name}", attempt=attempt):
-                    return stage.run(ctx)
-            except ReproError as exc:
-                if attempt + 1 >= attempts:
-                    raise
-                obs.count("pipeline.stage_retries")
-                obs.event("stage_retry", "pipeline.retry",
-                          stage=stage.name, attempt=attempt,
-                          error=type(exc).__name__)
-                backoff = ctx.config.stage_retry_backoff
-                if backoff > 0:
-                    time.sleep(backoff * (2 ** attempt))
+    @staticmethod
+    def _execute(ctx: RunContext, stage: Stage):
+        """Run the stage inside its ``pipeline.<name>`` span."""
+        with obs.span(f"pipeline.{stage.name}"):
+            return stage.run(ctx)
 
 
 def generation_stages() -> List[Stage]:

@@ -27,83 +27,80 @@ from repro.errors import PipelineError, SimulationError
 from repro.pipeline.context import RunContext
 
 
-def _fault_injector(ctx: RunContext, execution: bool = False):
-    """A FaultInjector for the stage's effective plan, or None when no
-    plan applies — the fault-free path never touches the faults package.
+def _simulate(ctx: RunContext, launch, hooks, execution: bool):
+    """Run one simulation under the pipeline's engine settings.
+
+    The one simulate step shared by the trace, run and replay stages, so
+    an application, its generated benchmark and its ScalaReplay all run
+    under the same settings (the §5.2 comparison).  ``launch(**options)``
+    starts the simulation (a :func:`~repro.mpi.world.run_spmd` call) and
+    returns its :class:`SpmdResult`; the options are the network model
+    (``run_model`` for ``execution`` stages), ``hooks``, ``max_steps``,
+    ``profile``, a FaultInjector when a plan applies, and the schedule
+    policy and queue discipline when they are not the canonical/FIFO
+    defaults (so the untouched path passes exactly what it always did).
 
     ``execution=True`` marks the run/replay stages: only there does a
-    scenario's fault content (its base plan plus expanded adversaries)
-    engage.  The trace stage never sees it, which is what keeps the
-    canonical trace — and its cache address — scenario-independent.
+    scenario's fault content and schedule pin engage, and only there
+    does the queue discipline (it acts on the routed execution fabric).
+    The trace stage never sees them, which keeps the canonical trace —
+    and its cache address — scenario-independent.
+
+    When a faulted simulation dies, the :class:`SpmdResult` prefix the
+    launcher attached to the error is kept instead of propagating.
+    Returns ``(result, note)``: ``note`` is None for a clean run, else
+    ``(status, why)`` for a salvaged or crashed-rank prefix, in which
+    case the context is marked ``degraded``.
     """
-    plan = ctx.config.fault_plan
-    if execution:
-        scn = ctx.config.scenario
-        if scn is not None and scn.has_fault_content():
-            # config.fault_plan + scenario fault content is rejected at
-            # config construction, so the scenario's plan stands alone
+    c = ctx.config
+    plan, policy, seed = c.fault_plan, c.schedule_policy, c.schedule_seed
+    options = {"model": ctx.run_model if execution else ctx.model,
+               "hooks": hooks, "max_steps": c.max_steps,
+               "profile": c.profile}
+    scn = c.scenario if execution else None
+    if scn is not None:
+        # config-level fault plans and schedule policies are rejected
+        # next to a scenario's at config construction, so its settings
+        # stand alone
+        if scn.has_fault_content():
             from repro.scenarios import scenario_fault_plan
-            plan = scenario_fault_plan(scn, ctx.config.app,
-                                       ctx.config.nranks)
-    if plan is None or plan.is_null():
-        return None
-    from repro.faults import FaultInjector
-    return FaultInjector(plan)
-
-
-def _salvage(ctx: RunContext, exc: SimulationError, faults):
-    """Partial-artifact salvage: when a faulted simulation dies, keep the
-    :class:`SpmdResult` prefix the launcher attached to the error instead
-    of propagating.  Returns the partial result, or None when the failure
-    is not salvageable (no injector, or the error carries no partial)."""
-    partial = getattr(exc, "partial", None)
-    if faults is None or partial is None:
-        return None
-    ctx.artifacts["degraded"] = True
-    ctx.artifacts["fault_report"] = partial.fault_report
-    ctx.artifacts["fault_error"] = str(exc)
-    return partial
-
-
-def _schedule_kwargs(ctx: RunContext, execution: bool = False) -> dict:
-    """``run_spmd`` keyword arguments for the stage's schedule policy.
-
-    Empty for the canonical default, so the untouched-path call sites
-    stay exactly as before; a non-canonical policy is rebuilt fresh per
-    stage (each simulated run must see the same seeded RNG sequence a
-    standalone ``repro run --schedule-policy ... --schedule-seed ...``
-    would).
-
-    ``execution=True`` marks the run/replay stages: only there does a
-    scenario's schedule pin engage (the trace stays canonical, so a
-    schedule-pinning scenario still shares the canonical trace cache).
-    A config-level non-canonical policy keys the trace and wins
-    everywhere; the combination of both is rejected at config time.
-    """
-    c = ctx.config
-    policy, seed = c.schedule_policy, c.schedule_seed
-    if execution and policy == "canonical":
-        scn = c.scenario
-        if scn is not None and scn.pins_schedule():
+            plan = scenario_fault_plan(scn, c.app, c.nranks)
+        if scn.pins_schedule():
             policy, seed = scn.schedule_policy, scn.schedule_seed
-    if policy == "canonical":
-        return {}
-    return {"schedule_policy": policy, "schedule_seed": seed}
+    faults = None
+    if plan is not None and not plan.is_null():
+        from repro.faults import FaultInjector
+        faults = options["faults"] = FaultInjector(plan)
+    if policy != "canonical":
+        # rebuilt fresh per stage: each simulated run sees the seeded RNG
+        # sequence a standalone `repro run --schedule-seed` would
+        options.update(schedule_policy=policy, schedule_seed=seed)
+    if execution and c.queue_discipline not in (None, "fifo"):
+        options.update(queue_discipline=c.queue_discipline,
+                       queue_params=dict(c.queue_params or ()))
+    try:
+        result, note = launch(**options), None
+    except SimulationError as exc:
+        result = getattr(exc, "partial", None)
+        if faults is None or result is None:
+            raise
+        note = ("salvaged", f"prefix; {exc}")
+        ctx.artifacts["fault_error"] = str(exc)
+    if faults is not None:
+        ctx.artifacts["fault_report"] = result.fault_report
+        if note is None and result.degraded:
+            note = ("degraded", "crashed-rank prefix")
+        if note is not None:
+            ctx.artifacts["degraded"] = True
+    return result, note
 
 
-def _queue_kwargs(ctx: RunContext) -> dict:
-    """``run_spmd`` keyword arguments for the config's queue discipline.
-
-    Empty for the FIFO default (the call sites — and the engine's inline
-    fold — stay byte-identical to the pre-queueing code path); only the
-    execution stages call this, because queue disciplines act on the
-    routed execution fabric.
-    """
-    c = ctx.config
-    if c.queue_discipline in (None, "fifo"):
-        return {}
-    return {"queue_discipline": c.queue_discipline,
-            "queue_params": dict(c.queue_params or ())}
+def _noted(detail: str, note):
+    """A stage's report for ``detail`` under a :func:`_simulate` note."""
+    if note is None:
+        return detail
+    status, why = note
+    return status, f"{detail} ({why})"
 
 
 class Stage:
@@ -167,39 +164,18 @@ class TraceStage(Stage):
         from repro.mpi.world import run_spmd
         from repro.scalatrace.tracer import ScalaTraceHook
         tracer = ScalaTraceHook()
-        hooks = [tracer] + list(ctx.hooks or [])
         nranks = ctx.config.nranks
         if nranks is None:
             raise PipelineError("TraceStage requires config.nranks")
-        faults = _fault_injector(ctx)
-        try:
-            result = run_spmd(ctx.program, nranks, model=ctx.model,
-                              hooks=hooks, max_steps=ctx.config.max_steps,
-                              faults=faults, profile=ctx.config.profile,
-                              **_schedule_kwargs(ctx))
-        except SimulationError as exc:
-            partial = _salvage(ctx, exc, faults)
-            if partial is None:
-                raise
-            ctx.artifacts["trace_run_result"] = partial
-            trace = tracer.trace
-            ctx.artifacts["trace"] = trace
-            return ("salvaged",
-                    f"{trace.event_count()} events in "
-                    f"{trace.node_count()} nodes (prefix; {exc})")
-        trace = tracer.trace
-        ctx.artifacts["trace"] = trace
+        result, note = _simulate(
+            ctx, lambda **options: run_spmd(ctx.program, nranks, **options),
+            [tracer] + list(ctx.hooks or []), execution=False)
+        trace = ctx.artifacts["trace"] = tracer.trace
         # the traced application's own SpmdResult: trace-mode harnesses
         # (the fuzzer) read the makespan from here without a run stage
         ctx.artifacts["trace_run_result"] = result
-        detail = (f"{trace.event_count()} events in "
-                  f"{trace.node_count()} nodes")
-        if faults is not None:
-            ctx.artifacts["fault_report"] = result.fault_report
-            if result.degraded:
-                ctx.artifacts["degraded"] = True
-                return ("degraded", detail + " (crashed-rank prefix)")
-        return detail
+        return _noted(f"{trace.event_count()} events in "
+                      f"{trace.node_count()} nodes", note)
 
     def serialize(self, ctx):
         """The trace's text serialization."""
@@ -341,44 +317,29 @@ class RunStage(Stage):
     def run(self, ctx):
         """Run the benchmark under the execution-stage model, applying
         the §5.4 what-if knobs (compute scaling, platform overrides)."""
+        from repro.conceptual.runtime import LogDatabase
+        from repro.mpi.world import run_spmd
         program = ctx.require("benchmark")
         nranks = ctx.config.nranks
         if nranks is None:
             raise PipelineError("RunStage requires config.nranks")
-        if ctx.config.compute_scale != 1.0:
+        scale = ctx.config.compute_scale
+        if scale != 1.0:
             # §5.4 what-if: scale the benchmark's COMPUTE statements at
             # the last moment, so the cached trace/source stay pristine
             from repro.generator.api import scale_compute
-            program = scale_compute(program, ctx.config.compute_scale)
-        faults = _fault_injector(ctx, execution=True)
-        try:
-            result, logs = program.run(nranks, model=ctx.run_model,
-                                       hooks=ctx.hooks,
-                                       max_steps=ctx.config.max_steps,
-                                       faults=faults,
-                                       profile=ctx.config.profile,
-                                       **_queue_kwargs(ctx),
-                                       **_schedule_kwargs(
-                                           ctx, execution=True))
-        except SimulationError as exc:
-            partial = _salvage(ctx, exc, faults)
-            if partial is None:
-                raise
-            ctx.artifacts["run_result"] = partial
-            return ("salvaged",
-                    f"{partial.total_time * 1e6:.1f} us simulated "
-                    f"(prefix; {exc})")
+            program = scale_compute(program, scale)
+        logs = ctx.artifacts["logs"] = LogDatabase()
+        program.specialise(nranks)  # before the engine starts
+        result, note = _simulate(
+            ctx, lambda **options: run_spmd(program.instantiate(logs),
+                                            nranks, **options),
+            ctx.hooks, execution=True)
         ctx.artifacts["run_result"] = result
-        ctx.artifacts["logs"] = logs
         detail = f"{result.total_time * 1e6:.1f} us simulated"
-        if ctx.config.compute_scale != 1.0:
-            detail += f" (compute x{ctx.config.compute_scale:g})"
-        if faults is not None:
-            ctx.artifacts["fault_report"] = result.fault_report
-            if result.degraded:
-                ctx.artifacts["degraded"] = True
-                return ("degraded", detail + " (crashed-rank prefix)")
-        return detail
+        if scale != 1.0:
+            detail += f" (compute x{scale:g})"
+        return _noted(detail, note)
 
 
 class ReplayStage(Stage):
@@ -393,30 +354,15 @@ class ReplayStage(Stage):
 
     def run(self, ctx):
         """Re-execute the trace event by event under the run model."""
-        from repro.tools.replay import replay_program
         from repro.mpi.world import run_spmd
+        from repro.tools.replay import replay_program
         trace = ctx.require("trace")
-        faults = _fault_injector(ctx, execution=True)
-        try:
-            result = run_spmd(
-                replay_program(trace,
-                               include_timing=ctx.config.include_timing),
-                trace.world_size, model=ctx.run_model, hooks=ctx.hooks,
-                max_steps=ctx.config.max_steps, faults=faults,
-                profile=ctx.config.profile, **_queue_kwargs(ctx),
-                **_schedule_kwargs(ctx, execution=True))
-        except SimulationError as exc:
-            partial = _salvage(ctx, exc, faults)
-            if partial is None:
-                raise
-            ctx.artifacts["run_result"] = partial
-            return ("salvaged",
-                    f"{partial.total_time * 1e6:.1f} us simulated, "
-                    f"{partial.messages_sent} messages (prefix; {exc})")
+        program = replay_program(trace,
+                                 include_timing=ctx.config.include_timing)
+        result, note = _simulate(
+            ctx, lambda **options: run_spmd(program, trace.world_size,
+                                            **options),
+            ctx.hooks, execution=True)
         ctx.artifacts["run_result"] = result
-        if faults is not None:
-            ctx.artifacts["fault_report"] = result.fault_report
-            if result.degraded:
-                ctx.artifacts["degraded"] = True
-        return (f"{result.total_time * 1e6:.1f} us simulated, "
-                f"{result.messages_sent} messages")
+        return _noted(f"{result.total_time * 1e6:.1f} us simulated, "
+                      f"{result.messages_sent} messages", note)

@@ -114,10 +114,6 @@ def nodes_match(a: Node, b: Node) -> bool:
     return _pair_plan(a, b) != _NO_MATCH
 
 
-def _segments_match(xs: List[Node], ys: List[Node]) -> bool:
-    return len(xs) == len(ys) and _segments_plan(xs, ys) != _NO_MATCH
-
-
 def _merge_events(a: EventNode, b: EventNode,
                   separate_entries: bool) -> Optional[EventNode]:
     """Node representing all instances of ``a`` followed by all of ``b``.

@@ -62,14 +62,6 @@ class ParamField:
     def of(cls, value) -> "ParamField":
         return cls(seq=ValueSeq.constant(value, 1))
 
-    @classmethod
-    def from_seq(cls, seq: ValueSeq) -> "ParamField":
-        return cls(seq=seq)
-
-    @classmethod
-    def from_expr(cls, expr: ParamExpr) -> "ParamField":
-        return cls(expr=expr)
-
     # -- queries ------------------------------------------------------------
     def is_constant(self) -> bool:
         if self.seq is not None:

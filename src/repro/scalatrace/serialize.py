@@ -205,9 +205,16 @@ def load_trace(source: Union[TextIO, str]) -> Trace:
 
 
 def _load_stream(stream: Iterable[str]) -> Trace:
+    """Parse a trace; every malformed input ends in one
+    :class:`TraceError` naming the line the parser stopped at."""
     parser = _Parser(stream)
     with obs.span("scalatrace.parse"):
-        trace = _parse_trace(parser)
+        try:
+            trace = _parse_trace(parser)
+        except (TraceError, ValueError, IndexError, ArithmeticError,
+                RecursionError) as exc:
+            raise TraceError(
+                f"bad trace at line {parser.consumed}: {exc}") from None
         obs.count("scalatrace.parse_lines", parser.consumed)
     return trace
 

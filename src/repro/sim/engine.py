@@ -78,7 +78,16 @@ class _RankState:
 
 
 class Engine:
-    """Run a set of rank generator programs to completion in virtual time."""
+    """Run a set of rank generator programs to completion in virtual time.
+
+    The run options (``max_steps``, ``faults``, ``profile``,
+    ``schedule_policy``/``schedule_seed`` and
+    ``queue_discipline``/``queue_params``) are declared here only;
+    :class:`~repro.mpi.world.World`, :func:`~repro.mpi.world.run_spmd`
+    and :meth:`ConceptualProgram.run
+    <repro.conceptual.compiler.ConceptualProgram.run>` forward them as
+    ``**engine_options``.
+    """
 
     def __init__(self, nranks: int, model: NetworkModel,
                  max_steps: Optional[int] = None, faults=None,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 #: policy names accepted by :func:`make_placement`
 PLACEMENTS = ("block", "roundrobin", "random", "map")
@@ -140,10 +140,3 @@ def make_placement(spec: str, nranks: int,
         return random_placement(nranks, num_nodes,
                                 seed=int(arg) if arg else 0)
     return load_placement_map(arg or "", nranks, num_nodes)
-
-
-def explicit_placement(assignment: Sequence[int], nranks: int,
-                       num_nodes: int) -> Tuple[int, ...]:
-    """Validate a caller-supplied rank→node assignment."""
-    return _check_assignment(tuple(int(n) for n in assignment), nranks,
-                             num_nodes, where="explicit assignment")

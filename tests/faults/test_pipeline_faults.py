@@ -1,14 +1,15 @@
 """Pipeline-layer faults: config plumbing, cache keying by plan digest,
-per-stage retry policy, and partial-artifact salvage."""
+and partial-artifact salvage."""
 
 import pytest
 
 from repro import obs
-from repro.errors import PipelineConfigError, PipelineError
+from repro.errors import PipelineConfigError
 from repro.faults import FaultPlan
-from repro.pipeline import (Pipeline, PipelineConfig, RunContext,
-                            TraceStage, full_pipeline)
-from repro.pipeline.stages import Stage
+from repro.pipeline import (Pipeline, PipelineConfig, ReplayStage,
+                            RunContext, RunStage, TraceStage,
+                            full_pipeline)
+from repro.scenarios import Scenario
 
 
 class TestConfig:
@@ -22,23 +23,15 @@ class TestConfig:
             PipelineConfig(app="jacobi", nranks=4,
                            fault_plan={"drop_rate": 0.1})
 
-    def test_stage_retries_validated(self):
-        with pytest.raises(PipelineConfigError):
-            PipelineConfig(app="jacobi", nranks=4, stage_retries=-1)
-        with pytest.raises(PipelineConfigError):
-            PipelineConfig(app="jacobi", nranks=4,
-                           stage_retry_backoff=-0.5)
-
     def test_fingerprint_carries_plan_digest_not_object(self):
         plan = FaultPlan(seed=1, drop_rate=0.1)
         fp = PipelineConfig(app="jacobi", nranks=4,
                             fault_plan=plan).fingerprint()
         assert fp["fault_plan"] == plan.digest()
 
-    def test_fingerprint_ignores_retry_policy_and_null_plans(self):
+    def test_fingerprint_ignores_profiling_and_null_plans(self):
         base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
-        tuned = PipelineConfig(app="jacobi", nranks=4, stage_retries=3,
-                               stage_retry_backoff=0.1,
+        tuned = PipelineConfig(app="jacobi", nranks=4, profile=True,
                                fault_plan=FaultPlan(seed=9)).fingerprint()
         assert base == tuned
 
@@ -64,51 +57,6 @@ class TestCacheKeying:
             PipelineConfig(app="jacobi", nranks=4,
                            fault_plan=FaultPlan(seed=77))))
         assert base == nulled
-
-
-class _FlakyStage(Stage):
-    name = "flaky"
-
-    def __init__(self, fail_times):
-        self.fail_times = fail_times
-        self.calls = 0
-
-    def run(self, ctx):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise PipelineError(f"transient failure #{self.calls}")
-        return "recovered"
-
-
-class TestStageRetries:
-    def test_retry_recovers_transient_failure(self):
-        stage = _FlakyStage(fail_times=2)
-        config = PipelineConfig(app="jacobi", nranks=4, stage_retries=2)
-        result = Pipeline([stage]).run(config)
-        assert stage.calls == 3
-        assert result.records[0].detail == "recovered"
-
-    def test_exhausted_retries_propagate(self):
-        stage = _FlakyStage(fail_times=5)
-        config = PipelineConfig(app="jacobi", nranks=4, stage_retries=2)
-        with pytest.raises(PipelineError):
-            Pipeline([stage]).run(config)
-        assert stage.calls == 3
-
-    def test_no_retries_by_default(self):
-        stage = _FlakyStage(fail_times=1)
-        with pytest.raises(PipelineError):
-            Pipeline([stage]).run(PipelineConfig(app="jacobi", nranks=4))
-        assert stage.calls == 1
-
-    def test_retries_counted_on_obs_bus(self):
-        stage = _FlakyStage(fail_times=1)
-        config = PipelineConfig(app="jacobi", nranks=4, stage_retries=1)
-        with obs.instrumented() as inst:
-            Pipeline([stage]).run(config)
-        assert inst.counters["pipeline.stage_retries"] == 1
-        retries = [e for e in inst.events if e["kind"] == "stage_retry"]
-        assert retries and retries[0]["stage"] == "flaky"
 
 
 class TestFaultedPipeline:
@@ -159,3 +107,54 @@ class TestFaultedPipeline:
         again = pipe.run(clean)
         assert again.cache_hits() > 0
         assert again.trace.event_count() == base
+
+
+_CRASH = FaultPlan(crashes=((1, 5e-5),))
+
+
+def _clean_artifacts():
+    """The jacobi np 4 trace and benchmark of a fault-free pipeline."""
+    clean = full_pipeline(run=False).run(
+        PipelineConfig(app="jacobi", nranks=4))
+    return {"trace": clean.trace, "benchmark": clean.benchmark}
+
+
+class TestSalvageContract:
+    """Every simulation stage salvages a crashed run the same way: it
+    reports the prefix, marks the run degraded with a fault report, and
+    everything downstream is skipped."""
+
+    @pytest.mark.parametrize("stage", ["trace", "run", "replay"])
+    def test_crashed_stage_degrades_and_skips_downstream(self, stage):
+        ctx = RunContext(PipelineConfig(app="jacobi", nranks=4,
+                                        fault_plan=_CRASH))
+        if stage == "trace":
+            stages = full_pipeline(run=True).stages
+        else:
+            ctx.artifacts.update(_clean_artifacts())
+            stages = ([RunStage(), ReplayStage()] if stage == "run"
+                      else [ReplayStage(), RunStage()])
+        result = Pipeline(stages).run(context=ctx)
+        statuses = {r.stage: r.cache for r in result.records}
+        assert statuses.pop(stage) in ("salvaged", "degraded")
+        assert statuses and set(statuses.values()) == {"skipped"}
+        assert result.degraded
+        assert result.fault_report is not None
+        assert result.fault_report.crashed_ranks == (1,)
+
+    @pytest.mark.parametrize("stage", ["run", "replay"])
+    def test_scenario_faults_reach_execution_only(self, stage):
+        scn = Scenario(name="crash-one", fault_plan=_CRASH)
+        plain = PipelineConfig(app="jacobi", nranks=4)
+        config = plain.replace(scenario=scn)
+        assert (TraceStage().key_parts(RunContext(config))
+                == TraceStage().key_parts(RunContext(plain)))
+        last = RunStage() if stage == "run" else ReplayStage()
+        stages = (full_pipeline(run=False).stages + [last]
+                  if stage == "run" else [TraceStage(), last])
+        result = Pipeline(stages).run(config)
+        statuses = {r.stage: r.cache for r in result.records}
+        assert statuses.pop(stage) in ("salvaged", "degraded")
+        assert statuses["trace"] == "off"  # traced fault-free
+        assert result.degraded
+        assert result.fault_report.crashed_ranks == (1,)

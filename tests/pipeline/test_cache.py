@@ -85,48 +85,6 @@ class TestArtifactCache:
         assert [p.name for p in shard.iterdir()] == [key + ".trace"]
 
 
-class TestLegacyLayoutMigration:
-    """Caches written before lock/artifact sharding keep working: flat
-    entries are found, served, and migrated into their shard."""
-
-    def _plant_legacy(self, tmp_path, payload="legacy payload"):
-        cache = ArtifactCache(str(tmp_path / "c"))
-        key = cache_key("pre-sharding")
-        os.makedirs(cache.root, exist_ok=True)
-        with open(cache.legacy_path(key, ".trace"), "w") as fh:
-            fh.write(payload)
-        return cache, key
-
-    def test_legacy_entry_is_served_and_migrated(self, tmp_path):
-        cache, key = self._plant_legacy(tmp_path)
-        assert cache.get(key, ".trace") == "legacy payload"
-        # exactly one hit, no miss, for the whole fallback read
-        assert (cache.hits, cache.misses) == (1, 0)
-        # the entry moved into its shard; the flat file is gone
-        assert os.path.exists(cache.path(key, ".trace"))
-        assert not os.path.exists(cache.legacy_path(key, ".trace"))
-
-    def test_migrated_entry_hits_the_sharded_path_next(self, tmp_path):
-        cache, key = self._plant_legacy(tmp_path)
-        cache.get(key, ".trace")
-        assert cache.get(key, ".trace") == "legacy payload"
-        assert (cache.hits, cache.misses) == (2, 0)
-
-    def test_sharded_entry_shadows_legacy(self, tmp_path):
-        cache, key = self._plant_legacy(tmp_path, payload="stale flat")
-        cache.put(key, "sharded wins", ".trace")
-        assert cache.get(key, ".trace") == "sharded wins"
-
-    def test_unrecorded_read_still_migrates(self, tmp_path):
-        # the double-checked read under the key lock uses record=False;
-        # it must see legacy entries too, or two racing clients would
-        # each record a miss and recompute (the accounting bug)
-        cache, key = self._plant_legacy(tmp_path)
-        assert cache.get(key, ".trace", record=False) == "legacy payload"
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert os.path.exists(cache.path(key, ".trace"))
-
-
 class TestEndToEndCaching:
     def test_second_run_hits_and_matches(self, tmp_path):
         config = PipelineConfig(app="jacobi", nranks=4, use_cache=True,

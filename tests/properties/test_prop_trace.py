@@ -2,9 +2,13 @@
 compression and merging are LOSSLESS — any event stream survives
 folding, cross-rank merging, and serialization bit-for-bit."""
 
-from hypothesis import given, settings
+import functools
+
+import pytest
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceError
 from repro.scalatrace.compress import CompressionQueue
 from repro.scalatrace.merge import merge_traces, set_merge_fastpath
 from repro.scalatrace.rsd import Trace
@@ -172,3 +176,53 @@ class TestSerializeByteStability:
         assert dumps_trace(again) == text
         got = [e.node.callsite.frames[0][0] for e in again.iter_rank(0)]
         assert got == labels
+
+
+@functools.lru_cache(maxsize=None)
+def _lu4_text():
+    """The serialized lu np 4 trace (traced once per test process)."""
+    from repro.pipeline import Pipeline, PipelineConfig, TraceStage
+    trace = Pipeline([TraceStage()]).run(
+        PipelineConfig(app="lu", nranks=4)).trace
+    return dumps_trace(trace)
+
+
+#: one byte edit: (position as a fraction of the text, edit kind, char);
+#: the characters are the ones the trace grammar is made of
+_mutation = st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                      st.sampled_from(("replace", "delete", "insert")),
+                      st.sampled_from("0123456789-,.:;=xQ{}| \nabZ"))
+
+
+def mutate(text, edits):
+    chars = list(text)
+    for where, kind, ch in edits:
+        pos = int(where * len(chars))
+        if kind == "insert":
+            chars.insert(pos, ch)
+        elif kind == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = ch
+    return "".join(chars)
+
+
+class TestParseTypedEdge:
+    """Malformed trace text ends in a :class:`TraceError`, never in a
+    raw parser exception."""
+
+    @seed(20111)
+    @given(st.lists(_mutation, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_trace_parses_or_raises_trace_error(self, edits):
+        try:
+            trace = loads_trace(mutate(_lu4_text(), edits))
+        except TraceError as exc:
+            assert str(exc).startswith("bad trace at line ")
+        else:
+            assert isinstance(trace, Trace)
+
+    def test_deep_nesting_is_a_trace_error(self):
+        text = "SCALATRACE 1\nworld 1\nnodes {\n" + "loop 1 ranks=0 {\n" * 5000
+        with pytest.raises(TraceError, match="bad trace at line "):
+            loads_trace(text)

@@ -97,8 +97,7 @@ class TestKeyLock:
 class TestRacingSameDigestClients:
     """Two clients submitting the same digest concurrently (the service
     dedup scenario at the cache layer) must keep exactly-one hit-or-miss
-    accounting per artifact request — even when the cache still holds
-    the legacy flat layout."""
+    accounting per artifact request."""
 
     def _race(self, cache_dir):
         from repro.pipeline import PipelineConfig, full_pipeline
@@ -132,9 +131,9 @@ class TestRacingSameDigestClients:
         assert hits == 2
         assert len(glob.glob(cache_dir + "/*/*.trace")) == 1
 
-    def test_legacy_layout_race_accounts_hits_only(self, tmp_path):
-        """A cache populated in the pre-sharding flat layout must serve
-        both racing clients as hits (no recompute, no double miss)."""
+    def test_legacy_flat_entries_are_plain_misses(self, tmp_path):
+        """Entries in the pre-sharding flat layout are never read: the
+        race accounts like a cold cache and recomputes into the shards."""
         import os
         cache_dir = str(tmp_path / "shared")
         # populate sharded, then flatten into the legacy layout
@@ -152,8 +151,7 @@ class TestRacingSameDigestClients:
         hits = sum(r.cache_hits() for r in results)
         misses = sum(sum(1 for rec in r.records if rec.cache == "miss")
                      for r in results)
-        assert (hits, misses) == (4, 0)
-        # and the entries migrated back into their shards
+        assert (hits, misses) == (2, 2)
         assert len(glob.glob(cache_dir + "/*/*.trace")) == 1
 
 

@@ -95,6 +95,20 @@ class TestAtomicGenerate:
         # no temp-file droppings either
         assert not [f for f in os.listdir(".") if f.startswith(".tmp-")]
 
+    def test_corrupt_trace_field_is_one_line(self, workdir, capsys):
+        main(["trace", "--app", "lu", "--np", "4", "-o", "lu.scalatrace"])
+        capsys.readouterr()
+        with open("lu.scalatrace") as fh:
+            text = fh.read()
+        assert "peer=Q3x8" in text
+        with open("lu.scalatrace", "w") as fh:
+            fh.write(text.replace("peer=Q3x8", "peer=Qx8", 1))
+        assert main(["generate", "lu.scalatrace", "-o", "lu.ncptl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace at line ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists("lu.ncptl")
+
     def test_success_writes_output(self, workdir, capsys):
         main(["trace", "--app", "ring", "--np", "4",
               "-o", "r.scalatrace"])
