@@ -21,16 +21,7 @@ from repro import obs
 from repro.generator.rebuild import rebuild_trace
 from repro.generator.traversal import TraceScheduler
 from repro.mpi.hooks import COLLECTIVE_OPS
-from repro.scalatrace.compress import compress_node_list
-from repro.scalatrace.rsd import EventNode, Trace
-
-
-def _walk_events(nodes):
-    for n in nodes:
-        if isinstance(n, EventNode):
-            yield n
-        else:
-            yield from _walk_events(n.body)
+from repro.scalatrace.rsd import Trace
 
 
 def needs_alignment(trace: Trace) -> bool:
@@ -39,7 +30,7 @@ def needs_alignment(trace: Trace) -> bool:
     A collective whose RSD covers only a subset of its communicator's
     members must have been recorded from multiple call sites.
     """
-    for node in _walk_events(trace.nodes):
+    for node in trace.iter_events():
         if node.op not in COLLECTIVE_OPS:
             continue
         members = set(trace.comm_ranks(node.comm_id))
@@ -59,10 +50,4 @@ def align_collectives(trace: Trace, force: bool = False) -> Trace:
     with obs.span("generator.align"):
         result = TraceScheduler(trace, block_p2p=False).run()
         obs.count("generator.rsds_aligned", len(result.collectives))
-        # Rebuild without folding around collectives, merge, then recompress
-        # globally: collectives now occupy one structural slot per logical
-        # operation on every rank, so the merge unifies them, and the global
-        # pass restores the loop structure (§4.3's output-queue compression).
-        rebuilt = rebuild_trace(trace, result, fold_collectives=False)
-        rebuilt.nodes = compress_node_list(rebuilt.nodes)
-        return rebuilt
+        return rebuild_trace(trace, result)

@@ -101,6 +101,53 @@ def _attribute_variation(values: List, chain: List[_LoopCtx]):
     return None
 
 
+def _flat_index(chain: List[_LoopCtx]) -> Expr:
+    """The flattened iteration index over a loop chain (innermost index
+    fastest), e.g. ``rep0 * 2 + rep1``; marks every level as used."""
+    for c in chain:
+        c.used = True
+    index: Expr = Var(chain[0].var)
+    for c in chain[1:]:
+        index = BinOp("+", BinOp("*", index, Num(c.count)), Var(c.var))
+    return index
+
+
+def _segmented(index: Expr, values: List, emit) -> List[Stmt]:
+    """One statement group per run of equal ``values`` (one value per
+    iteration of ``index``): ``emit(value)`` guarded by a range test on
+    ``index``, unless the run spans every iteration."""
+    last = len(values) - 1
+    out: List[Stmt] = []
+    a = 0
+    for b, v in enumerate(values):
+        if b < last and values[b + 1] == v:
+            continue
+        stmts = emit(v)
+        if a == 0 and b == last:
+            out.extend(stmts)
+        else:
+            if a == b:
+                cond: Expr = BinOp("=", index, Num(a))
+            elif a == 0:
+                cond = BinOp("<=", index, Num(b))
+            elif b == last:
+                cond = BinOp(">=", index, Num(a))
+            else:
+                cond = BinOp("/\\", BinOp(">=", index, Num(a)),
+                             BinOp("<=", index, Num(b)))
+            out.append(IfStmt(cond, stmts))
+        a = b + 1
+    return out
+
+
+def _field(v) -> Optional[ParamField]:
+    """A segment value as a field: raw per-iteration values become
+    constant fields; fields and None pass through."""
+    if v is None or isinstance(v, ParamField):
+        return v
+    return ParamField.of(v)
+
+
 class ConceptualEmitter:
     """Emit a coNCePTuaL program AST from an aligned trace (unresolved
     wildcards remain representable as FROM ANY TASK)."""
@@ -322,41 +369,14 @@ class ConceptualEmitter:
                 return attributed[name][1][k]
             return field  # constant, rank expression, or inner-varying
 
-        count = target_ctx.count
-        segments: List[Tuple[int, int, tuple]] = []
-        for k in range(count):
-            vals = (value_at("peer", peer, k), value_at("size", size, k),
-                    value_at("tag", tag, k))
-            if segments and segments[-1][2] == vals:
-                segments[-1] = (segments[-1][0], k, vals)
-            else:
-                segments.append((k, k, vals))
-
-        def as_field(v):
-            if v is None or isinstance(v, ParamField):
-                return v
-            return ParamField.of(v)
-
-        out: List[Stmt] = []
-        var = Var(target_ctx.var)
-        for a, b, (pv, sv, tv) in segments:
-            pf, sf, tf = as_field(pv), as_field(sv), as_field(tv)
-            # recurse: remaining (inner-loop) variation nests inside
-            stmt_list = self._emit_p2p_ranks(node, ctx, ranks, pf, sf, tf)
-            if a == 0 and b == count - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", var, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", var, Num(b))
-            elif b == count - 1:
-                cond = BinOp(">=", var, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", var, Num(a)),
-                             BinOp("<=", var, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
+        values = [(value_at("peer", peer, k), value_at("size", size, k),
+                   value_at("tag", tag, k))
+                  for k in range(target_ctx.count)]
+        # recurse: remaining (inner-loop) variation nests inside
+        return _segmented(
+            Var(target_ctx.var), values,
+            lambda v: self._emit_p2p_ranks(node, ctx, ranks,
+                                           *map(_field, v)))
 
     def _emit_p2p_flat(self, node, ctx, ranks, peer, size, tag,
                        varying) -> List[Stmt]:
@@ -364,18 +384,15 @@ class ConceptualEmitter:
         instance index across all enclosing loops.  Verbose but exact —
         used when per-instance values follow no loop-aligned pattern."""
         chain = ctx.chain()
+        index = _flat_index(chain)
         total = 1
         for c in chain:
-            c.used = True
             total *= c.count
         for name, field in varying.items():
             if len(field.seq) != total:
                 raise GenerationError(
                     f"{node!r}: parameter {name} has {len(field.seq)} "
                     f"instances but the loop nest runs {total} iterations")
-        flat: Expr = Var(chain[0].var)
-        for c in chain[1:]:
-            flat = BinOp("+", BinOp("*", flat, Num(c.count)), Var(c.var))
 
         def value_at(field, k):
             if field is None:
@@ -384,37 +401,11 @@ class ConceptualEmitter:
                 return self._seq_value(field.seq, k)
             return field
 
-        segments: List[Tuple[int, int, tuple]] = []
-        for k in range(total):
-            vals = (value_at(peer, k), value_at(size, k), value_at(tag, k))
-            if segments and segments[-1][2] == vals:
-                segments[-1] = (segments[-1][0], k, vals)
-            else:
-                segments.append((k, k, vals))
-
-        def as_field(v):
-            if v is None or isinstance(v, ParamField):
-                return v
-            return ParamField.of(v)
-
-        out: List[Stmt] = []
-        for a, b, (pv, sv, tv) in segments:
-            stmt_list = self._emit_p2p_groups(node, ranks, as_field(pv),
-                                              as_field(sv), as_field(tv))
-            if a == 0 and b == total - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", flat, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", flat, Num(b))
-            elif b == total - 1:
-                cond = BinOp(">=", flat, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", flat, Num(a)),
-                             BinOp("<=", flat, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
+        values = [(value_at(peer, k), value_at(size, k), value_at(tag, k))
+                  for k in range(total)]
+        return _segmented(
+            index, values,
+            lambda v: self._emit_p2p_groups(node, ranks, *map(_field, v)))
 
     @staticmethod
     def _seq_value(seq: ValueSeq, k: int):
@@ -581,41 +572,14 @@ class ConceptualEmitter:
         chain = ctx.chain()
         res = _attribute_variation(combined, chain)
         if res is not None:
-            target_ctx, period = res
+            target_ctx, values = res
             target_ctx.used = True
             index: Expr = Var(target_ctx.var)
-            values = period
         else:
             # flattened-index fallback (cf. _emit_p2p_flat)
-            for c in chain:
-                c.used = True
-            index = Var(chain[0].var)
-            for c in chain[1:]:
-                index = BinOp("+", BinOp("*", index, Num(c.count)),
-                              Var(c.var))
-            values = combined
-        segments: List[Tuple[int, int, object]] = []
-        for k, v in enumerate(values):
-            if segments and segments[-1][2] == v:
-                segments[-1] = (segments[-1][0], k, v)
-            else:
-                segments.append((k, k, v))
-        out: List[Stmt] = []
-        for a, b, (size_v, root_v) in segments:
-            root_world = None if root_v is None else members[int(root_v)]
-            stmt_list = map_collective(node.op, size_v, root_world, sel,
-                                       members)
-            if a == 0 and b == len(values) - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", index, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", index, Num(b))
-            elif b == len(values) - 1:
-                cond = BinOp(">=", index, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", index, Num(a)),
-                             BinOp("<=", index, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
+            index, values = _flat_index(chain), combined
+        return _segmented(
+            index, values,
+            lambda v: map_collective(
+                node.op, v[0], None if v[1] is None else members[int(v[1])],
+                sel, members))

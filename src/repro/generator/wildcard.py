@@ -20,22 +20,13 @@ from __future__ import annotations
 from repro import obs
 from repro.generator.rebuild import rebuild_trace
 from repro.generator.traversal import TraceScheduler
-from repro.scalatrace.compress import compress_node_list
-from repro.scalatrace.rsd import EventNode, Trace
+from repro.scalatrace.rsd import Trace
 from repro.util.expr import ANY_SOURCE
-
-
-def _walk_events(nodes):
-    for n in nodes:
-        if isinstance(n, EventNode):
-            yield n
-        else:
-            yield from _walk_events(n.body)
 
 
 def has_wildcards(trace: Trace) -> bool:
     """O(r) pre-check (§4.4): does any receive use MPI_ANY_SOURCE?"""
-    for node in _walk_events(trace.nodes):
+    for node in trace.iter_events():
         if node.op not in ("Recv", "Irecv") or node.peer is None:
             continue
         field = node.peer
@@ -62,10 +53,4 @@ def resolve_wildcards(trace: Trace, force: bool = False) -> Trace:
     with obs.span("generator.resolve"):
         result = TraceScheduler(trace, block_p2p=True).run()
         obs.count("generator.wildcards_resolved", len(result.resolutions))
-        # same output-queue discipline as Algorithm 1: resolved per-rank
-        # streams may fold differently across ranks (resolved sources
-        # differ), which would split already-aligned collectives; folding
-        # around collectives is deferred to the global recompression pass
-        rebuilt = rebuild_trace(trace, result, fold_collectives=False)
-        rebuilt.nodes = compress_node_list(rebuilt.nodes)
-        return rebuilt
+        return rebuild_trace(trace, result)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import PipelineConfigError
 from repro.faults.plan import FaultPlan
+from repro.spec import params_tuple
 
 #: problem classes accepted by the application suite
 _CLASSES = ("S", "W", "A", "B", "C")
@@ -116,9 +117,10 @@ class PipelineConfig:
         from repro.sim.network import PLATFORMS
         # normalize the params fields first so scenario expansion can
         # compare values in canonical (sorted-pair-tuple) form
-        self._normalize_params("run_platform_params")
-        self._normalize_params("topology_params")
-        self._normalize_params("queue_params")
+        for name in ("run_platform_params", "topology_params",
+                     "queue_params"):
+            object.__setattr__(self, name, params_tuple(
+                name, getattr(self, name), PipelineConfigError))
         self._expand_scenario()
         if self.app is not None and self.app.lower() not in APPS:
             raise PipelineConfigError(
@@ -249,39 +251,13 @@ class PipelineConfig:
         for name, value in scn.dimensions().items():
             current = getattr(self, name)
             if current == defaults[name]:
-                object.__setattr__(self, name, value)
                 if name.endswith("_params"):
-                    self._normalize_params(name)
+                    value = params_tuple(name, value, PipelineConfigError)
+                object.__setattr__(self, name, value)
             elif current != value:
                 raise PipelineConfigError(
                     f"scenario {scn.name!r} sets {name}={value!r} but "
                     f"the config already has {name}={current!r}")
-
-    def _normalize_params(self, field_name: str) -> None:
-        """Normalize a params field (mapping or pair sequence) to a
-        sorted tuple of ``(name, value)`` pairs, in place."""
-        params = getattr(self, field_name)
-        if params is None:
-            return
-        if isinstance(params, Mapping):
-            items = list(params.items())
-        else:
-            try:
-                items = [(k, v) for k, v in params]
-            except (TypeError, ValueError):
-                raise PipelineConfigError(
-                    f"{field_name} must be a mapping or a sequence of "
-                    f"(name, value) pairs, got {params!r}") from None
-        norm = []
-        for k, v in items:
-            if not isinstance(k, str) or not k:
-                raise PipelineConfigError(
-                    f"{field_name} keys must be non-empty strings, "
-                    f"got {k!r}")
-            norm.append((k, v))
-        object.__setattr__(
-            self, field_name,
-            tuple(sorted(norm, key=lambda kv: kv[0])) or None)
 
     def fingerprint(self) -> Dict[str, Any]:
         """Stable mapping of the fields that determine artifact content

@@ -492,6 +492,30 @@ class Trace:
         counters: Dict[int, int] = {}
         yield from _expand(self, self.nodes, rank, counters)
 
+    def iter_timed(self, rank: int
+                   ) -> Iterator[Tuple["ConcreteEvent", float]]:
+        """This rank's events, each with the computation delta preceding
+        it.  Path-aware timing (§3.1): loop-entry-first instances draw
+        from the node's first-iteration histogram, the rest from its
+        subsequent-iteration one.  Draws are deterministic round-robin
+        replays, so each node's total recorded time is preserved."""
+        draws: Dict[tuple, Iterator[float]] = {}
+        for ev in self.iter_rank(rank):
+            node = ev.node
+            period = node.first_period()
+            rest = bool(node.time_rest.count) and (
+                period is None or ev.instance % period != 0)
+            it = draws.get((id(node), rest))
+            if it is None:
+                hist = node.time_rest if rest else node.time_first
+                it = draws[(id(node), rest)] = hist.replay_values()
+            yield ev, next(it)
+
+    def iter_events(self) -> Iterator[EventNode]:
+        """Every event node (RSD) of the trace, loop bodies included."""
+        for node in self.nodes:
+            yield from node.iter_events()
+
     def __repr__(self) -> str:
         return (f"Trace(world={self.world_size}, nodes={self.node_count()}, "
                 f"events={self.event_count()})")

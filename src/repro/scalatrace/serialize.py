@@ -26,12 +26,15 @@ lazily read file handle — so loading never materialises the file either.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Set, TextIO,
+                    Union)
 
 from repro import obs
 from repro.errors import TraceError
+from repro.mpi.hooks import P2P_OPS
 from repro.scalatrace.rsd import EventNode, LoopNode, Node, ParamField, Trace
 from repro.util.callsite import Callsite
+from repro.util.expr import ANY_SOURCE
 from repro.util.histogram import TimeHistogram
 from repro.util.rankset import RankSet
 
@@ -126,6 +129,8 @@ class _Parser:
     def __init__(self, lines: Iterable[str]):
         self._lines = iter(lines)
         self.consumed = 0
+        #: comm_id -> {world rank: communicator rank}, from the header
+        self.comm_pos: Dict[int, Dict[int, int]] = {}
 
     def next_line(self) -> str:
         for raw in self._lines:
@@ -135,7 +140,9 @@ class _Parser:
                 return line
         raise TraceError("unexpected end of trace file")
 
-    def parse_nodes(self) -> List[Node]:
+    def parse_nodes(self, repeats: int = 1) -> List[Node]:
+        """Parse a node list whose enclosing loops run ``repeats`` times
+        in total, so each event's per-rank instance count is known."""
         nodes: List[Node] = []
         while True:
             line = self.next_line()
@@ -146,12 +153,46 @@ class _Parser:
                 bits = head.split()
                 count = int(bits[1])
                 ranks = RankSet.parse(self._kv(bits, "ranks"))
-                body = self.parse_nodes()
+                body = self.parse_nodes(repeats * max(count, 1))
                 nodes.append(LoopNode(count, body, ranks))
             elif line.startswith("event "):
-                nodes.append(self._parse_event(line))
+                node = self._parse_event(line)
+                self._check_event(node, repeats * node.instances)
+                nodes.append(node)
             else:
                 raise TraceError(f"bad trace line: {line!r}")
+
+    def _check_event(self, node: EventNode, instances: int) -> None:
+        """Reject an event the generator could not expand: every p2p
+        event names a peer, every value sequence holds one value or one
+        per instance on each rank, and peers and roots lie inside the
+        event's communicator."""
+        if node.instances < 1:
+            raise TraceError("event instance count must be >= 1")
+        pos = self.comm_pos.get(node.comm_id)
+        if pos is None:
+            raise TraceError(f"unknown communicator {node.comm_id}")
+        try:
+            comm_ranks = [pos[r] for r in node.ranks]
+        except KeyError as exc:
+            raise TraceError(f"rank {exc.args[0]} not in communicator "
+                             f"{node.comm_id}") from None
+        if node.op in P2P_OPS and node.peer is None:
+            raise TraceError(f"{node.op} event has no peer")
+        for name in ("peer", "size", "tag", "root"):
+            field = getattr(node, name)
+            if field is None:
+                continue
+            values = _field_values(field, comm_ranks, instances, name)
+            if name in ("size", "tag"):
+                continue
+            wildcard_ok = name == "peer" and node.op in ("Recv", "Irecv")
+            for v in values:
+                if not (isinstance(v, int) and 0 <= v < len(pos)) and \
+                        not (wildcard_ok and v == ANY_SOURCE):
+                    raise TraceError(
+                        f"{name} {v!r} outside communicator "
+                        f"{node.comm_id} ({len(pos)} ranks)")
 
     @staticmethod
     def _kv(bits: List[str], key: str, default: str = None) -> str:
@@ -191,6 +232,32 @@ class _Parser:
                          fields["root"], offsets, time_first, time_rest)
 
 
+def _field_values(field: ParamField, comm_ranks: List[int],
+                  instances: int, name: str) -> Set:
+    """The distinct values ``field`` takes on ``comm_ranks``; raises
+    :class:`TraceError` when a sequence's length is neither one (a
+    constant) nor the per-rank instance count."""
+    if field.expr is not None:
+        try:
+            return {field.expr.evaluate(r) for r in comm_ranks}
+        except KeyError as exc:
+            raise TraceError(f"{name}: {exc.args[0]}") from None
+    if field.seq is not None:
+        seqs = [field.seq]
+    else:
+        missing = set(comm_ranks) - field.rank_map.keys()
+        if missing:
+            raise TraceError(f"{name}: rank {min(missing)} missing from "
+                             f"rank_map")
+        seqs = list(field.rank_map.values())
+    for seq in seqs:
+        if len(seq) not in (1, instances):
+            raise TraceError(
+                f"{name} has {len(seq)} values but the event runs "
+                f"{instances} times per rank")
+    return {v for seq in seqs for v, _ in seq.runs}
+
+
 def load_trace(source: Union[TextIO, str]) -> Trace:
     """Read a trace from a file path, text stream, or serialized string.
 
@@ -226,6 +293,8 @@ def _parse_trace(parser: _Parser) -> Trace:
     if head[0] != "world":
         raise TraceError("expected 'world <n>'")
     world_size = int(head[1])
+    if world_size < 1:
+        raise TraceError(f"world size must be >= 1, not {world_size}")
     comm_table = {}
     while True:
         line = parser.next_line()
@@ -233,11 +302,18 @@ def _parse_trace(parser: _Parser) -> Trace:
             _, cid, body = line.split()
             ranks = (tuple() if body == "-"
                      else tuple(int(r) for r in body.split(",")))
+            if len(set(ranks)) != len(ranks) or \
+                    not all(0 <= r < world_size for r in ranks):
+                raise TraceError(f"communicator {cid} is not a set of "
+                                 f"ranks in a world of {world_size}")
             comm_table[int(cid)] = ranks
+            parser.comm_pos[int(cid)] = {r: i for i, r in enumerate(ranks)}
         elif line == "nodes {":
             break
         else:
             raise TraceError(f"unexpected header line: {line!r}")
+    if not comm_table:
+        parser.comm_pos[0] = {r: r for r in range(world_size)}
     nodes = parser.parse_nodes()
     return Trace(world_size, nodes, comm_table)
 

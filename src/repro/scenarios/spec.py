@@ -36,34 +36,11 @@ scenarios show`` for rendered examples.  Curated named scenarios live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ScenarioError
 from repro.faults.plan import FaultPlan
-from repro.spec import Spec
-
-
-def _params_tuple(where: str, params) -> Optional[Tuple[Tuple[str, Any],
-                                                        ...]]:
-    """Normalize a params mapping (or pair sequence) to a sorted tuple
-    of ``(name, value)`` pairs — the same canonical form
-    :class:`~repro.pipeline.config.PipelineConfig` uses."""
-    if params is None:
-        return None
-    if isinstance(params, Mapping):
-        items = list(params.items())
-    else:
-        try:
-            items = [(k, v) for k, v in params]
-        except (TypeError, ValueError):
-            raise ScenarioError(
-                f"{where} must be a mapping or a sequence of "
-                f"(name, value) pairs, got {params!r}") from None
-    for k, _ in items:
-        if not isinstance(k, str) or not k:
-            raise ScenarioError(
-                f"{where} keys must be non-empty strings, got {k!r}")
-    return tuple(sorted(items, key=lambda kv: kv[0])) or None
+from repro.spec import Spec, params_tuple
 
 
 def _params_data(params: Optional[Tuple[Tuple[str, Any], ...]]):
@@ -92,8 +69,8 @@ class AdversarySpec(Spec):
         from repro.scenarios.adversaries import validate_adversary
         object.__setattr__(
             self, "params",
-            _params_tuple(f"adversary {self.kind!r} params", self.params)
-            or ())
+            params_tuple(f"adversary {self.kind!r} params", self.params,
+                         ScenarioError) or ())
         validate_adversary(self.kind, dict(self.params))
 
     def param_dict(self) -> Dict[str, Any]:
@@ -143,8 +120,8 @@ class Scenario(Spec):
                 f"scenario description must be a string, got "
                 f"{self.description!r}")
         for f in ("run_platform_params", "topology_params", "queue_params"):
-            object.__setattr__(self, f,
-                               _params_tuple(f, getattr(self, f)))
+            object.__setattr__(
+                self, f, params_tuple(f, getattr(self, f), ScenarioError))
         if self.run_platform is not None:
             from repro.sim.network import (PLATFORMS,
                                            validate_platform_params)

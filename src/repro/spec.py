@@ -34,7 +34,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Optional, Type
+from typing import (Any, ClassVar, Dict, FrozenSet, Mapping, Optional,
+                    Tuple, Type)
 
 from repro.errors import ReproError
 
@@ -58,6 +59,28 @@ def canonical(value: Any, error: Type[ReproError]) -> Any:
         return out
     raise error(f"{type(value).__name__} value {value!r} has no plain "
                 f"JSON form")
+
+
+def params_tuple(where: str, params, error: Type[ReproError]
+                 ) -> Optional[Tuple[Tuple[str, Any], ...]]:
+    """Normalize a params mapping (or pair sequence) to its canonical
+    form, a sorted tuple of ``(name, value)`` pairs (None when empty);
+    a malformed one raises ``error`` naming ``where``."""
+    if params is None:
+        return None
+    if isinstance(params, Mapping):
+        items = list(params.items())
+    else:
+        try:
+            items = [(k, v) for k, v in params]
+        except (TypeError, ValueError):
+            raise error(
+                f"{where} must be a mapping or a sequence of "
+                f"(name, value) pairs, got {params!r}") from None
+    for k, _ in items:
+        if not isinstance(k, str) or not k:
+            raise error(f"{where} keys must be non-empty strings, got {k!r}")
+    return tuple(sorted(items, key=lambda kv: kv[0])) or None
 
 
 class Spec:

@@ -71,16 +71,7 @@ def traces_equivalent(a: Trace, b: Trace,
 
 def total_recorded_time(trace: Trace) -> float:
     """Sum of all computation deltas recorded in the trace (all ranks)."""
-    def walk(nodes):
-        from repro.scalatrace.rsd import EventNode
-        total = 0.0
-        for n in nodes:
-            if isinstance(n, EventNode):
-                total += n.time.total
-            else:
-                total += walk(n.body)
-        return total
-    return walk(trace.nodes)
+    return sum((n.time.total for n in trace.iter_events()), 0.0)
 
 
 def compression_ratio(trace: Trace) -> float:

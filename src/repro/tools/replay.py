@@ -9,14 +9,21 @@ trace-driven twin of the generated benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import TraceError
 from repro.mpi.api import ANY_SOURCE, MPIProcess
-from repro.mpi.hooks import WAIT_OPS
+from repro.mpi.hooks import COLLECTIVE_OPS, WAIT_OPS
 from repro.mpi.world import SpmdResult
 from repro.scalatrace.rsd import Trace
 from repro.util.expr import ANY_SOURCE as TRACE_ANY
+
+#: collectives whose replay is ``mpi.<op.lower()>(...)``; the
+#: communicator-management ops and Finalize are replayed individually
+_COLLECTIVES = COLLECTIVE_OPS - {"Comm_split", "Comm_dup", "Finalize"}
+_ROOTED = frozenset({"Bcast", "Reduce", "Gather", "Gatherv", "Scatter",
+                     "Scatterv"})
+_VECTOR = frozenset({"Alltoallv", "Reduce_scatter"})
 
 
 def replay_program(trace: Trace, include_timing: bool = True):
@@ -31,7 +38,6 @@ def replay_program(trace: Trace, include_timing: bool = True):
 
     def program(mpi: MPIProcess):
         outstanding = []
-        replay_iters: Dict[int, object] = {}
         # trace comm id -> replayed Communicator, matched by membership
         by_ranks = {tuple(range(trace.world_size)): mpi.comm_world}
 
@@ -44,24 +50,7 @@ def replay_program(trace: Trace, include_timing: bool = True):
                     f"replay reached an event on communicator {comm_id} "
                     f"({ranks}) before replaying its creation") from None
 
-        def draw(node, kind, hist):
-            it = replay_iters.get((id(node), kind))
-            if it is None:
-                it = hist.replay_values()
-                replay_iters[(id(node), kind)] = it
-            return next(it)
-
-        for ev in trace.iter_rank(mpi.rank):
-            node = ev.node
-            # loop-entry-first instances draw from the first-iteration
-            # histogram, the rest from the subsequent-iteration one
-            period = node.first_period()
-            if period is not None and ev.instance % period == 0:
-                delta = draw(node, "first", node.time_first)
-            elif node.time_rest.count:
-                delta = draw(node, "rest", node.time_rest)
-            else:
-                delta = draw(node, "first", node.time_first)
+        for ev, delta in trace.iter_timed(mpi.rank):
             if include_timing and delta > 0:
                 yield from mpi.compute(delta)
 
@@ -96,37 +85,15 @@ def replay_program(trace: Trace, include_timing: bool = True):
                     yield from mpi.wait(reqs[0])
                 else:
                     yield from mpi.waitall(reqs)
-            elif op == "Barrier":
-                yield from mpi.barrier(comm=comm_for(ev.comm_id))
-            elif op == "Bcast":
-                yield from mpi.bcast(ev.size, root=ev.root,
-                                     comm=comm_for(ev.comm_id))
-            elif op == "Reduce":
-                yield from mpi.reduce(ev.size, root=ev.root,
-                                      comm=comm_for(ev.comm_id))
-            elif op == "Allreduce":
-                yield from mpi.allreduce(ev.size,
-                                         comm=comm_for(ev.comm_id))
-            elif op in ("Gather", "Gatherv"):
-                fn = mpi.gather if op == "Gather" else mpi.gatherv
-                yield from fn(ev.size, root=ev.root,
-                              comm=comm_for(ev.comm_id))
-            elif op in ("Scatter", "Scatterv"):
-                fn = mpi.scatter if op == "Scatter" else mpi.scatterv
-                yield from fn(ev.size, root=ev.root,
-                              comm=comm_for(ev.comm_id))
-            elif op in ("Allgather", "Allgatherv"):
-                fn = (mpi.allgather if op == "Allgather"
-                      else mpi.allgatherv)
-                yield from fn(ev.size, comm=comm_for(ev.comm_id))
-            elif op == "Alltoall":
-                yield from mpi.alltoall(ev.size, comm=comm_for(ev.comm_id))
-            elif op == "Alltoallv":
-                yield from mpi.alltoallv(list(ev.size),
-                                         comm=comm_for(ev.comm_id))
-            elif op == "Reduce_scatter":
-                yield from mpi.reduce_scatter(list(ev.size),
-                                              comm=comm_for(ev.comm_id))
+            elif op in _COLLECTIVES:
+                # one call shape per argument list: rooted, vector-sized,
+                # scalar-sized, or none (Barrier)
+                kwargs = {"comm": comm_for(ev.comm_id)}
+                if op in _ROOTED:
+                    kwargs["root"] = ev.root
+                args = (() if op == "Barrier" else
+                        (list(ev.size),) if op in _VECTOR else (ev.size,))
+                yield from getattr(mpi, op.lower())(*args, **kwargs)
             elif op == "Comm_split":
                 color, key = ev.size
                 sub = yield from mpi.comm_split(

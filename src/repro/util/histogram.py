@@ -22,6 +22,9 @@ _BIN_BASE = 2.0 ** 0.25
 _LOG_BASE = math.log(_BIN_BASE)
 #: Durations below this (seconds) all land in bin 0.
 _MIN_T = 1e-9
+#: Parsed bin means must stay below this (seconds): far beyond any run,
+#: and far below where ``_bin_index`` would overflow.
+_MAX_T = 1e12
 
 
 def _bin_index(t: float) -> int:
@@ -141,6 +144,8 @@ class TimeHistogram:
         for part in text.split(";"):
             idx_s, c_s, s_s = part.split(":")
             idx, c, s = int(idx_s), int(c_s), float(s_s)
+            if c < 1 or not 0.0 <= s / c < _MAX_T:
+                raise ValueError(f"bad histogram bin {part!r}")
             c0, s0 = h.bins.get(idx, (0, 0.0))
             h.bins[idx] = (c0 + c, s0 + s)
             h.count += c

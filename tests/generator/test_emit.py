@@ -3,11 +3,15 @@
 import pytest
 
 from repro.conceptual import parse
-from repro.generator import generate_from_application
+from repro.generator import generate_benchmark, generate_from_application
 from repro.mpi import run_spmd
+from repro.scalatrace.rsd import EventNode, LoopNode, ParamField, Trace
 from repro.sim import SimpleModel
 from repro.tools import MpiPHook
 from repro.tools.mpip import stats_match
+from repro.util.callsite import Callsite
+from repro.util.rankset import RankSet
+from repro.util.valueseq import ValueSeq
 
 
 def gen(app, nranks, **kw):
@@ -132,6 +136,36 @@ class TestIterationConditionals:
         assert ok, diff
         assert "TASK 0 MULTICASTS" in bench.source
         assert "TASK 1 MULTICASTS" in bench.source
+
+
+    def test_unattributable_collective_sizes_use_flat_index(self):
+        # sizes 8, 16, 16, 8 over a 2x2 nest: neither loop alone explains
+        # them, so the conditions fall back to the flattened index
+        ranks = RankSet.interval(0, 3)
+        size = ValueSeq()
+        for v in (8, 16, 16, 8):
+            size.append(v)
+        allreduce = EventNode("Allreduce", Callsite.synthetic("p", 1), 0,
+                              ranks, size=ParamField(seq=size))
+        finalize = EventNode("Finalize", Callsite.synthetic("p", 2), 0,
+                             ranks, size=ParamField.of(0))
+        trace = Trace(4, [LoopNode(2, [LoopNode(2, [allreduce], ranks)],
+                                   ranks), finalize])
+        bench = generate_benchmark(trace, include_timing=False)
+        conds = [line.strip() for line in bench.source.splitlines()
+                 if line.strip().startswith("IF ")]
+        assert conds == ["IF rep0 * 2 + rep1 = 0 THEN {",
+                         "IF rep0 * 2 + rep1 >= 1 /\\ rep0 * 2 + rep1 <= 2 "
+                         "THEN {",
+                         "IF rep0 * 2 + rep1 = 3 THEN {"]
+        assert parse(bench.source) == bench.program.ast
+        prof = MpiPHook()
+        bench.program.run(4, model=SimpleModel(), hooks=[prof])
+        for rank in range(4):
+            sizes = [e.size for e in trace.iter_rank(rank)
+                     if e.op == "Allreduce"]
+            got = prof.rank_snapshot(rank)["Allreduce"]
+            assert got == (len(sizes), sum(sizes))
 
 
 class TestGeneratedProgramsParse:

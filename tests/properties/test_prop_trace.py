@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 from repro.scalatrace.compress import CompressionQueue
 from repro.scalatrace.merge import merge_traces, set_merge_fastpath
 from repro.scalatrace.rsd import Trace
@@ -209,18 +209,29 @@ def mutate(text, edits):
 
 class TestParseTypedEdge:
     """Malformed trace text ends in a :class:`TraceError`, never in a
-    raw parser exception."""
+    raw parser exception; a mutant that parses generates a benchmark or
+    ends in a typed error, never in a raw one."""
 
     @seed(20111)
     @given(st.lists(_mutation, min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_mutated_trace_parses_or_raises_trace_error(self, edits):
+        from repro.pipeline import (Pipeline, PipelineConfig, RunContext,
+                                    generation_stages)
         try:
             trace = loads_trace(mutate(_lu4_text(), edits))
         except TraceError as exc:
             assert str(exc).startswith("bad trace at line ")
-        else:
-            assert isinstance(trace, Trace)
+            return
+        assert isinstance(trace, Trace)
+        ctx = RunContext(PipelineConfig(nranks=trace.world_size,
+                                        platform=None))
+        ctx.artifacts["trace"] = trace
+        try:
+            Pipeline(generation_stages()).run(context=ctx)
+        except ReproError:
+            return
+        assert ctx.artifacts["source"]
 
     def test_deep_nesting_is_a_trace_error(self):
         text = "SCALATRACE 1\nworld 1\nnodes {\n" + "loop 1 ranks=0 {\n" * 5000

@@ -203,6 +203,78 @@ class TestErrors:
             loads_trace("SCALATRACE 1\nworld 2\nnodes {\nbogus line\n}\n")
 
 
+_HEADER = "SCALATRACE 1\nworld 4\ncomm 0 0,1,2,3\ncomm 1 0,2\nnodes {\n"
+
+
+def _one_event(event, loop=None):
+    """Trace text holding one event line, optionally inside a loop."""
+    body = event + "\n"
+    if loop is not None:
+        body = f"loop {loop} ranks=0:3 {{\n{body}}}\n"
+    return _HEADER + body + "}\n"
+
+
+class TestSemanticValidation:
+    """A trace that parses is one the generator can expand: the parser
+    rejects events that would crash Algorithms 1 and 2 or emission."""
+
+    def test_valid_event_loads(self):
+        trace = loads_trace(_one_event(
+            "event Send ranks=0:3 comm=0 inst=1 peer=ER1%4 size=Q8x4 "
+            "tag=Q0x4 time=-", loop=4))
+        assert [e.peer for e in trace.iter_rank(3)] == [0] * 4
+
+    @pytest.mark.parametrize("event, loop, message", [
+        ("event Send ranks=0:3 comm=0 inst=1 size=Q8x4 tag=Q0x4 time=-",
+         4, "Send event has no peer"),
+        ("event Send ranks=0:3 comm=0 inst=1 peer=Q3x3 size=Q8x4 tag=Q0x4 "
+         "time=-", 4, "peer has 3 values but the event runs 4 times"),
+        ("event Send ranks=0:3 comm=0 inst=2 peer=Q3 size=Q8,9,8,9 "
+         "tag=Q0 time=-", 4, "size has 4 values but the event runs 8"),
+        ("event Send ranks=0:3 comm=0 inst=1 peer=Q4 size=Q8 time=-",
+         None, "peer 4 outside communicator 0 (4 ranks)"),
+        ("event Recv ranks=0,2 comm=1 inst=1 peer=Q2 size=Q8 time=-",
+         None, "peer 2 outside communicator 1 (2 ranks)"),
+        ("event Send ranks=0:3 comm=0 inst=1 peer=Q-1 size=Q8 time=-",
+         None, "peer -1 outside communicator 0"),
+        ("event Bcast ranks=0:3 comm=0 inst=1 size=Q8 root=Q07 time=-",
+         None, "root 7 outside communicator 0"),
+        ("event Bcast ranks=0:3 comm=0 inst=1 size=Q8 root=Q time=-",
+         None, "root has 0 values"),
+        ("event Send ranks=0:3 comm=0 inst=1 peer=ET0=1,1=2 size=Q8 "
+         "time=-", None, "rank 2 not in table expression"),
+        ("event Send ranks=0:3 comm=0 inst=1 peer=M0=1;1=2 size=Q8 "
+         "time=-", None, "peer: rank 2 missing from rank_map"),
+        ("event Barrier ranks=0:3 comm=1 inst=1 size=Q0 time=-",
+         None, "rank 1 not in communicator 1"),
+        ("event Barrier ranks=0:3 comm=7 inst=1 size=Q0 time=-",
+         None, "unknown communicator 7"),
+        ("event Barrier ranks=0:3 comm=0 inst=0 size=Q0 time=-",
+         None, "event instance count must be >= 1"),
+        ("event Barrier ranks=0:3 comm=0 inst=1 size=Q0 time=42:1:1e305",
+         None, "bad histogram bin"),
+    ])
+    def test_rejected(self, event, loop, message):
+        with pytest.raises(TraceError, match="bad trace at line ") as exc:
+            loads_trace(_one_event(event, loop))
+        assert message in str(exc.value)
+
+    def test_wildcard_receive_loads(self):
+        text = _one_event(
+            "event Recv ranks=0:3 comm=0 inst=1 peer=Q-1 size=Q8 time=-")
+        assert loads_trace(text).nodes[0].peer.constant_value() == \
+            ANY_SOURCE
+
+    @pytest.mark.parametrize("header, message", [
+        ("world 2\ncomm 1 0,2", "communicator 1 is not a set of ranks"),
+        ("world 2\ncomm 1 1,1", "communicator 1 is not a set of ranks"),
+        ("world 0", "world size must be >= 1"),
+    ])
+    def test_rejected_header(self, header, message):
+        with pytest.raises(TraceError, match=message):
+            loads_trace(f"SCALATRACE 1\n{header}\nnodes {{\n}}\n")
+
+
 class TestIrregularFieldRoundTrip:
     def test_rank_map_fields_survive(self):
         """CG's butterfly peers merge into per-rank maps; serialization

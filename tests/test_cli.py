@@ -109,6 +109,27 @@ class TestAtomicGenerate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists("lu.ncptl")
 
+    @pytest.mark.parametrize("old, new, message", [
+        (" peer=Q3x8 ", " ", "Send event has no peer"),
+        ("peer=Q3x8 ", "peer=Q3x7 ",
+         "peer has 7 values but the event runs 8 times per rank"),
+    ])
+    def test_parsed_but_unexpandable_trace_is_one_line(
+            self, workdir, capsys, old, new, message):
+        main(["trace", "--app", "lu", "--np", "4", "-o", "lu.scalatrace"])
+        capsys.readouterr()
+        with open("lu.scalatrace") as fh:
+            text = fh.read()
+        assert old in text
+        with open("lu.scalatrace", "w") as fh:
+            fh.write(text.replace(old, new, 1))
+        assert main(["generate", "lu.scalatrace", "-o", "lu.ncptl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace at line ")
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists("lu.ncptl")
+
     def test_success_writes_output(self, workdir, capsys):
         main(["trace", "--app", "ring", "--np", "4",
               "-o", "r.scalatrace"])
