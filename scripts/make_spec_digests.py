@@ -3,8 +3,9 @@
 Writes ``tests/golden/spec_digests.json``: the content digest of every
 spec the repository ships — the four ``repro * template`` texts, the
 nightly fuzz campaign, every curated scenario — plus one inline
-``ScenarioJob`` and one ``FaultPlan`` with windows, stragglers and
-crashes.  Run from the repo root:
+``FaultPlan`` with windows, stragglers and crashes and the sweep plan
+of one inline scenario × app cell (``scenario_plan``).  Run from the
+repo root:
 
     PYTHONPATH=src python scripts/make_spec_digests.py
 
@@ -50,15 +51,16 @@ INLINE = [
 ]
 
 
-def families():
-    """Family name -> spec class, keyed as in the golden file."""
+def builders():
+    """Family name -> spec builder from data, keyed as in the golden
+    file; a scenario job pins the digest of its sweep plan."""
     from repro.faults import FaultPlan
     from repro.fuzz import FuzzCampaign
-    from repro.scenarios import Scenario, ScenarioJob
+    from repro.scenarios import Scenario, scenario_plan
     from repro.sweep import SweepPlan
-    return {"faults": FaultPlan, "sweep": SweepPlan,
-            "fuzz": FuzzCampaign, "scenario": Scenario,
-            "scenario-job": ScenarioJob}
+    return {"faults": FaultPlan.from_dict, "sweep": SweepPlan.from_dict,
+            "fuzz": FuzzCampaign.from_dict, "scenario": Scenario.from_dict,
+            "scenario-job": scenario_plan}
 
 
 def entries():
@@ -85,11 +87,11 @@ def entries():
 
 
 def main() -> int:
-    classes = families()
+    build = builders()
     golden = []
     for family, name, source, data in entries():
         entry = {"family": family, "name": name, "source": source,
-                 "digest": classes[family].from_dict(data).digest()}
+                 "digest": build[family](data).digest()}
         if source == "inline":
             entry["data"] = data
         golden.append(entry)

@@ -40,10 +40,50 @@ from repro.tools.matrix import (communication_matrix, hotspots,
                                 render_matrix)
 
 
+def _add_workload(parser):
+    parser.add_argument("--app", required=True, choices=sorted(APPS))
+    parser.add_argument("--np", type=int, required=True)
+    parser.add_argument("--class", dest="cls", default="S",
+                        help="problem class (S/W/A/B/C)")
+
+
 def _add_platform(parser):
     parser.add_argument("--platform", default="bluegene",
                         choices=sorted(PLATFORMS),
                         help="network model preset")
+
+
+def _workers(text: str) -> int:
+    """A ``--workers`` count; 0 (one per CPU) is resolved here."""
+    from repro.sweep import default_workers
+    workers = int(text)
+    if workers < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive count or 0 (one per CPU), got {workers}")
+    return workers or default_workers()
+
+
+def _add_workers(parser, what="worker processes"):
+    parser.add_argument("--workers", type=_workers, default=1,
+                        help=f"{what} (0 = one per CPU; default 1)")
+
+
+def _add_plan_run(parser, output_help):
+    """The options of a command that runs one sweep plan (_run_plan)."""
+    _add_workers(parser)
+    parser.add_argument("-o", "--output", help=output_help)
+    parser.add_argument("--jsonl", metavar="FILE",
+                        help="write canonical per-point JSON lines here "
+                             "(byte-identical for any --workers value)")
+    parser.add_argument("--cache-dir", default=".repro-cache",
+                        help="shared artifact cache directory "
+                             "(default: .repro-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the artifact cache entirely")
+    parser.add_argument("--report", action="store_true",
+                        help="also print the per-layer instrumentation "
+                             "report")
+    _add_metrics(parser)
 
 
 def _add_metrics(parser):
@@ -437,19 +477,27 @@ def cmd_faults_run(args):
     return 1 if result.degraded else 0
 
 
-def cmd_sweep_run(args):
-    from repro.sweep import SweepPlan, default_workers, run_sweep
-    plan = SweepPlan.load(args.plan)
-    workers = args.workers if args.workers > 0 else default_workers()
+def _run_plan(args, plan, full_output=True):
+    """Run a sweep plan (``sweep run``, ``scenarios run``): print the
+    report and any point's link extras, then write ``-o`` (the full
+    result, or only its canonical JSON) and ``--jsonl``."""
+    from repro.sweep import run_sweep
     with _metrics(args) as inst:
-        result = run_sweep(plan, workers=workers,
+        result = run_sweep(plan, workers=args.workers,
                            use_cache=not args.no_cache,
                            cache_dir=args.cache_dir)
     print(result.report())
+    for point in result.points:
+        extras = {k: point.metrics[k] for k in
+                  ("links_used", "link_wait_s", "link_drops")
+                  if k in point.metrics}
+        if extras:
+            print(f"  {point.index:<6d} " + "  ".join(
+                f"{k}={v}" for k, v in sorted(extras.items())))
     if args.output:
-        _write_atomic(args.output,
-                      json.dumps(result.to_dict(), indent=2,
-                                 sort_keys=True) + "\n")
+        _write_atomic(args.output, json.dumps(
+            result.to_dict(), indent=2, sort_keys=True) + "\n"
+            if full_output else result.canonical_json())
         print(f"wrote {args.output}")
     if args.jsonl:
         _write_atomic(args.jsonl, result.canonical_jsonl())
@@ -459,18 +507,21 @@ def cmd_sweep_run(args):
     return 1 if result.failed else 0
 
 
+def cmd_sweep_run(args):
+    from repro.sweep import SweepPlan
+    return _run_plan(args, SweepPlan.load(args.plan))
+
+
 def cmd_fuzz_run(args):
     import dataclasses
     from repro.fuzz import (FuzzCampaign, load_corpus, run_campaign,
                             save_corpus)
-    from repro.sweep import default_workers
     campaign = FuzzCampaign.load(args.campaign)
     if args.seeds is not None:
         campaign = dataclasses.replace(campaign, seeds=args.seeds)
-    workers = args.workers if args.workers > 0 else default_workers()
     corpus = load_corpus(args.corpus) if args.corpus else None
     with _metrics(args) as inst:
-        report = run_campaign(campaign, workers=workers,
+        report = run_campaign(campaign, workers=args.workers,
                               use_cache=args.cache_dir is not None,
                               cache_dir=args.cache_dir or ".repro-cache",
                               corpus=corpus)
@@ -525,51 +576,23 @@ def cmd_scenarios_show(args):
 
 
 def cmd_scenarios_run(args):
-    """Run one scenario × app cell through the sweep engine.
-
-    The job compiles to a one-point sweep plan — the identical plan the
-    service's ``scenario`` job kind executes — so ``-o`` writes the same
-    canonical bytes ``repro jobs result`` would return for the same
-    submission.
-    """
-    from repro.scenarios import ScenarioJob
-    from repro.sweep import default_workers, run_sweep
-    job = ScenarioJob(scenario=_scenario_ref(args.scenario),
-                      app=args.app, nranks=args.np, cls=args.cls,
-                      platform=args.platform, mode=args.mode)
-    workers = args.workers if args.workers > 0 else default_workers()
-    with _metrics(args) as inst:
-        result = run_sweep(job.to_sweep_plan(), workers=workers,
-                           use_cache=not args.no_cache,
-                           cache_dir=args.cache_dir)
-    print(job.describe())
-    print(result.report())
-    for point in result.points:
-        extras = {k: point.metrics[k] for k in
-                  ("links_used", "link_wait_s", "link_drops")
-                  if k in point.metrics}
-        if extras:
-            print("  " + "  ".join(f"{k}={v}" for k, v
-                                   in sorted(extras.items())))
-    if args.output:
-        _write_atomic(args.output, result.canonical_json())
-        print(f"wrote {args.output}")
-    if args.jsonl:
-        _write_atomic(args.jsonl, result.canonical_jsonl())
-        print(f"wrote {args.jsonl}")
-    if args.report:
-        print(inst.report())
-    return 1 if result.failed else 0
+    """Run one scenario × app cell: its one-point sweep plan, the plan a
+    service ``scenario`` submission runs, so ``-o`` writes the canonical
+    bytes ``repro jobs result`` returns for the same submission."""
+    from repro.scenarios import scenario_plan
+    plan = scenario_plan(scenario=_scenario_ref(args.scenario),
+                         app=args.app, nranks=args.np, cls=args.cls,
+                         platform=args.platform, mode=args.mode)
+    print(plan.describe())
+    return _run_plan(args, plan, full_output=False)
 
 
 def cmd_serve(args):
     """Run the sweep service until interrupted (see docs/SERVICE.md)."""
     import asyncio
     from repro.service import SweepService
-    from repro.sweep import default_workers
-    workers = args.workers if args.workers > 0 else default_workers()
     service = SweepService(args.state_dir, cache_dir=args.cache_dir,
-                           workers=workers, host=args.host,
+                           workers=args.workers, host=args.host,
                            port=args.port)
 
     async def serve() -> None:
@@ -578,7 +601,7 @@ def cmd_serve(args):
         print(f"repro service {__version__} on "
               f"http://{service.host}:{service.port} "
               f"(state {args.state_dir}, cache {args.cache_dir}, "
-              f"{workers} engine worker(s))", flush=True)
+              f"{args.workers} engine worker(s))", flush=True)
         if replay.get("jobs"):
             print(f"journal replay: {replay['jobs']} job(s), "
                   f"{replay['requeued']} requeued", flush=True)
@@ -694,10 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_apps)
 
     p = sub.add_parser("trace", help="trace an application")
-    p.add_argument("--app", required=True, choices=sorted(APPS))
-    p.add_argument("--np", type=int, required=True)
-    p.add_argument("--class", dest="cls", default="S",
-                   help="problem class (S/W/A/B/C)")
+    _add_workload(p)
     p.add_argument("-o", "--output", required=True)
     _add_platform(p)
     _add_schedule(p)
@@ -743,10 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full Fig. 1 flow (trace -> align -> "
                             "resolve -> emit -> compile -> run) with "
                             "per-stage timing, caching, and metrics")
-    p.add_argument("--app", required=True, choices=sorted(APPS))
-    p.add_argument("--np", type=int, required=True)
-    p.add_argument("--class", dest="cls", default="S",
-                   help="problem class (S/W/A/B/C)")
+    _add_workload(p)
     p.add_argument("-o", "--output",
                    help="also write the generated benchmark here")
     p.add_argument("--no-run", action="store_true",
@@ -786,10 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp = fsub.add_parser("run",
                          help="run an application under a fault plan and "
                               "print the fault report")
-    fp.add_argument("--app", required=True, choices=sorted(APPS))
-    fp.add_argument("--np", type=int, required=True)
-    fp.add_argument("--class", dest="cls", default="S",
-                    help="problem class (S/W/A/B/C)")
+    _add_workload(fp)
     fp.add_argument("--plan", required=True, help="fault-plan file")
     _add_platform(fp)
     _add_metrics(fp)
@@ -808,21 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "deterministically")
     sp.add_argument("plan", help="sweep-plan file (YAML/JSON; see "
                                  "'repro sweep template')")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (0 = one per CPU; default 1)")
-    sp.add_argument("-o", "--output",
-                    help="write the full sweep result (JSON) here")
-    sp.add_argument("--jsonl", metavar="FILE",
-                    help="write canonical per-point JSON lines here "
-                         "(byte-identical for any --workers value)")
-    sp.add_argument("--cache-dir", default=".repro-cache",
-                    help="shared artifact cache directory "
-                         "(default: .repro-cache)")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="bypass the artifact cache entirely")
-    sp.add_argument("--report", action="store_true",
-                    help="also print the per-layer instrumentation report")
-    _add_metrics(sp)
+    _add_plan_run(sp, "write the full sweep result (JSON) here")
     sp.set_defaults(func=cmd_sweep_run)
 
     p = sub.add_parser("fuzz",
@@ -840,8 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "finding, not a failure)")
     zp.add_argument("campaign", help="fuzz-campaign file (YAML/JSON; "
                                      "see 'repro fuzz template')")
-    zp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (0 = one per CPU; default 1)")
+    _add_workers(zp)
     zp.add_argument("--seeds", type=int, default=None, metavar="N",
                     help="override the campaign's seeds-per-policy "
                          "count")
@@ -881,30 +880,13 @@ def build_parser() -> argparse.ArgumentParser:
     cp = csub.add_parser("run",
                          help="run one scenario x app cell through the "
                               "sweep engine (canonical result bytes "
-                              "match the service's scenario job kind)")
+                              "match a service scenario submission)")
     cp.add_argument("scenario", help="curated name or spec file")
-    cp.add_argument("--app", required=True, choices=sorted(APPS))
-    cp.add_argument("--np", type=int, required=True)
-    cp.add_argument("--class", dest="cls", default="S",
-                    help="problem class (S/W/A/B/C)")
+    _add_workload(cp)
     cp.add_argument("--mode", default="run", choices=["run", "trace"],
                     help="pipeline suffix per point (default: run)")
-    cp.add_argument("--workers", type=int, default=1,
-                    help="worker processes (0 = one per CPU; default 1)")
-    cp.add_argument("-o", "--output",
-                    help="write the canonical result (JSON) here")
-    cp.add_argument("--jsonl", metavar="FILE",
-                    help="write canonical per-point JSON lines here")
-    cp.add_argument("--cache-dir", default=".repro-cache",
-                    help="shared artifact cache directory "
-                         "(default: .repro-cache)")
-    cp.add_argument("--no-cache", action="store_true",
-                    help="bypass the artifact cache entirely")
-    cp.add_argument("--report", action="store_true",
-                    help="also print the per-layer instrumentation "
-                         "report")
     _add_platform(cp)
-    _add_metrics(cp)
+    _add_plan_run(cp, "write the canonical result (JSON) here")
     cp.set_defaults(func=cmd_scenarios_run)
 
     _add_spec_commands(csub, "repro.scenarios", "Scenario",
@@ -918,9 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default: 127.0.0.1)")
     p.add_argument("--port", type=int, default=8642,
                    help="bind port (0 = ephemeral; default 8642)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="sweep-engine worker processes per execution "
-                        "(0 = one per CPU; default 1)")
+    _add_workers(p, "sweep-engine worker processes per execution")
     p.add_argument("--cache-dir", default=".repro-cache",
                    help="shared artifact cache directory "
                         "(default: .repro-cache)")
@@ -939,11 +919,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     jp = jsub.add_parser("submit",
                          help="submit a sweep plan, fuzz campaign, or "
-                              "scenario job")
+                              "scenario cell (run as its sweep plan)")
     jp.add_argument("plan", help="plan/campaign/job file (YAML/JSON)")
     jp.add_argument("--kind", choices=["sweep", "fuzz", "scenario"],
                     default="sweep",
-                    help="what the file describes (default: sweep)")
+                    help="what the file describes (default: sweep; a "
+                         "scenario cell runs as its one-point sweep plan)")
     jp.add_argument("--url", **url_kw)
     jp.add_argument("--wait", action="store_true",
                     help="block until the job reaches a terminal state")

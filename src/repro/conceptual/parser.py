@@ -317,7 +317,12 @@ class Parser:
                 raise ConceptualSyntaxError("expected a numeric tag",
                                             tok.line, tok.column)
             self.advance()
-            return int(float(tok.value))
+            tag = float(tok.value)
+            if not tag.is_integer():  # also rejects inf and nan
+                raise ConceptualSyntaxError(
+                    f"tag must be a finite integer, got {tok.value}",
+                    tok.line, tok.column)
+            return int(tag)
         return 0
 
     def _parse_send(self, sel: TaskSelector, is_async: bool) -> SendStmt:

@@ -9,18 +9,16 @@ The package layers (see ``docs/SCENARIOS.md``):
 * :mod:`repro.scenarios.adversaries` — topology-aware generators that
   expand adversary specs into concrete link-targeted fault-plan
   content for a concrete (app, nranks) run;
-* :mod:`repro.scenarios.registry` — the curated named scenarios;
-* :mod:`repro.scenarios.job` — :class:`ScenarioJob`, one scenario ×
-  app cell compiled to a one-point sweep plan (the byte-parity bridge
-  between ``repro scenarios run`` and the service's ``scenario`` job
-  kind).
+* :mod:`repro.scenarios.registry` — the curated named scenarios, and
+  :func:`scenario_plan`, which turns one scenario × app cell into its
+  one-point sweep plan (what ``repro scenarios run`` and a service
+  ``scenario`` submission both execute).
 """
 
 from repro.scenarios.adversaries import (ADVERSARIES,
                                          scenario_fault_plan)
-from repro.scenarios.job import ScenarioJob
-from repro.scenarios.registry import SCENARIOS, get_scenario, \
-    scenario_names
+from repro.scenarios.registry import (SCENARIOS, get_scenario,
+                                     scenario_names, scenario_plan)
 from repro.scenarios.spec import TEMPLATE, AdversarySpec, Scenario
 
 __all__ = [
@@ -28,9 +26,9 @@ __all__ = [
     "AdversarySpec",
     "SCENARIOS",
     "Scenario",
-    "ScenarioJob",
     "TEMPLATE",
     "get_scenario",
     "scenario_fault_plan",
     "scenario_names",
+    "scenario_plan",
 ]

@@ -3,7 +3,7 @@
 Each entry is a named, digest-keyed :class:`~repro.scenarios.spec.
 Scenario` exercising one distinct adversity mechanism, so ``repro
 scenarios run`` / the sweep's ``scenario`` axis / the service's
-``scenario`` job kind all draw from the same library.  The registry is
+``scenario`` submissions all draw from the same library.  The registry is
 ordered from benign to hostile; ``calm`` is the deliberate no-op
 control every benchmark row is compared against.
 
@@ -15,7 +15,7 @@ torus factorization).
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.errors import ScenarioError
 from repro.scenarios.spec import AdversarySpec, Scenario
@@ -100,3 +100,60 @@ def get_scenario(spec: Union[str, dict, Scenario]) -> Scenario:
     raise ScenarioError(
         f"a scenario must be a curated name, a mapping, or a Scenario, "
         f"got {type(spec).__name__}")
+
+
+#: the keys of one scenario × app cell; the first three are required
+_CELL_KEYS = ("scenario", "app", "nranks", "cls", "platform", "mode",
+              "overrides")
+
+
+def scenario_plan(job: Optional[Mapping[str, Any]] = None, **fields):
+    """The one-point :class:`~repro.sweep.plan.SweepPlan` of one
+    scenario × app cell, named ``scenario-<scenario name>-<app>``.
+
+    The cell is a mapping (a service body, a journaled spec) and/or
+    keywords: ``scenario`` (curated name, inline mapping or
+    :class:`Scenario`), ``app``, ``nranks``, and optionally ``cls``,
+    ``platform``, ``mode`` and ``overrides`` (more config fields).  The
+    plan's ``check()`` validates the cell; any failure is a
+    :class:`ScenarioError`.
+    """
+    from repro.errors import SweepPlanError
+    from repro.sweep.plan import SweepPlan
+    if job is not None and not isinstance(job, Mapping):
+        raise ScenarioError(f"scenario job must be a mapping, got "
+                            f"{type(job).__name__}")
+    data = {**(job or {}), **fields}
+    unknown = set(data) - set(_CELL_KEYS)
+    if unknown:
+        raise ScenarioError(
+            f"unknown scenario-job keys: {sorted(unknown, key=str)}; "
+            f"known keys: {sorted(_CELL_KEYS)}")
+    for need in _CELL_KEYS[:3]:
+        if need not in data:
+            raise ScenarioError(f"scenario job needs {need!r}")
+    overrides = data.get("overrides") or {}
+    if not isinstance(overrides, Mapping):
+        raise ScenarioError(f"overrides must be a mapping, got "
+                            f"{overrides!r}")
+    clash = sorted(set(overrides) & set(_CELL_KEYS), key=str)
+    if clash:
+        raise ScenarioError(
+            f"override(s) {clash} collide with the job's own fields; "
+            f"set them directly")
+    scenario = data["scenario"]
+    resolved = get_scenario(scenario)
+    point = {"app": data["app"], "nranks": data["nranks"],
+             "cls": data.get("cls", "S"),
+             "platform": data.get("platform", "bluegene"),
+             # a curated name stays a name; an inline spec is normalized
+             "scenario": resolved if isinstance(scenario, Mapping)
+             else scenario, **overrides}
+    try:
+        plan = SweepPlan(name=f"scenario-{resolved.name}-{data['app']}",
+                         mode=data.get("mode", "run"),
+                         extra_points=(point,))
+        plan.check()
+    except SweepPlanError as exc:
+        raise ScenarioError(f"bad scenario job: {exc}") from None
+    return plan

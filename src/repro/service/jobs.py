@@ -1,9 +1,9 @@
 """Persistent job queue for the sweep service: journal, dedup, replay.
 
-The service accepts **jobs** — a :class:`~repro.sweep.plan.SweepPlan`,
-:class:`~repro.fuzz.campaign.FuzzCampaign`, or
-:class:`~repro.scenarios.job.ScenarioJob` submitted over HTTP — and
-runs each underlying plan exactly once per content digest.  Two
+The service accepts **jobs** — a :class:`~repro.sweep.plan.SweepPlan`
+or a :class:`~repro.fuzz.campaign.FuzzCampaign` submitted over HTTP (a
+scenario × app cell arrives as its one-point sweep plan) — and runs
+each underlying plan exactly once per content digest.  Two
 clients submitting the same digest share one **execution**: both jobs
 point at the same execution record and both observe its terminal
 state.  The split mirrors the artifact cache's dogpile guarantee one
@@ -38,7 +38,11 @@ Replay rules (``tests/service/test_journal.py``):
   records apply cleanly;
 * a corrupt *trailing* journal line (the torn write of a crash) is
   truncated with a warning, never a crash; records after a corrupt
-  line are discarded with it.
+  line are discarded with it;
+* a ``job`` record of the retired ``scenario`` kind replays as the
+  ``sweep`` job of its cell's plan; its ``scenario:<digest>`` state
+  records name no execution and are skipped, so it re-runs and
+  (deterministically) reproduces the old result bytes.
 
 Result payloads live next to the journal under ``<state>/results/``,
 keyed by ``<kind>-<digest>`` — content-addressed like everything else,
@@ -56,7 +60,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 
 #: job/execution lifecycle states, in order
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -65,11 +69,10 @@ JOB_STATES = ("queued", "running", "done", "failed")
 TERMINAL_STATES = ("done", "failed")
 
 #: plan kinds the service executes
-JOB_KINDS = ("sweep", "fuzz", "scenario")
+JOB_KINDS = ("sweep", "fuzz")
 
 #: result payload formats persisted per kind
-RESULT_FORMATS = {"sweep": ("json", "jsonl"), "fuzz": ("json",),
-                  "scenario": ("json", "jsonl")}
+RESULT_FORMATS = {"sweep": ("json", "jsonl"), "fuzz": ("json",)}
 
 
 @dataclass
@@ -253,8 +256,20 @@ class JobStore:
             return False
         if job_id in self.jobs:  # replayed submit: idempotent
             return True
-        key = _execution_key(kind, digest)
         gen = record.get("gen")
+        if kind == "scenario":  # retired kind: replay as its sweep plan
+            from repro.scenarios import scenario_plan
+            try:
+                plan = scenario_plan(spec)
+            except ReproError as exc:
+                warnings.warn(f"service journal: scenario job {job_id!r} "
+                              f"skipped: {exc}", stacklevel=2)
+                return False
+            # its gen counted scenario retries: join like a gen-less record
+            kind, digest, name, spec, gen = ("sweep", plan.digest(),
+                                             plan.name, plan.to_dict(),
+                                             None)
+        key = _execution_key(kind, digest)
         ex = self.executions.get(key)
         # mirror submit(): a job record for a *new* generation starts a
         # fresh execution superseding the current one (earlier jobs keep

@@ -8,8 +8,8 @@ enough to audit end-to-end (``docs/SERVICE.md`` is the API reference):
 ========  ======================  ========================================
 method    path                    meaning
 ========  ======================  ========================================
-POST      ``/jobs``               submit a SweepPlan, FuzzCampaign, or
-                                  ScenarioJob
+POST      ``/jobs``               submit a SweepPlan or FuzzCampaign
+                                  (or a scenario cell, run as its plan)
 GET       ``/jobs``               list all known jobs
 GET       ``/jobs/{id}``          job status + live per-point progress
 GET       ``/jobs/{id}/result``   canonical result bytes (terminal only)
@@ -63,36 +63,37 @@ def parse_submission(text: str,
 
     * a JSON **envelope** ``{"kind": "sweep"|"fuzz"|"scenario",
       "spec": {...}}`` (the explicit form the client CLI sends);
-    * a bare plan/campaign/job body (YAML or JSON), whose kind comes
-      from ``kind_hint`` (the ``?kind=`` query parameter, default
+    * a bare plan/campaign/cell body (JSON, else YAML), whose kind
+      comes from ``kind_hint`` (the ``?kind=`` query parameter, default
       sweep).
 
-    Malformed submissions raise :class:`ServiceError` — the server maps
-    it to 400, so a bad plan never reaches the queue.
+    ``scenario`` is an alias: the body is one scenario × app cell, and
+    its plan (:func:`~repro.scenarios.scenario_plan`) is a ``sweep``
+    job.  Malformed submissions raise :class:`ServiceError` — the
+    server maps it to 400, so a bad plan never reaches the queue.
     """
     from repro.fuzz import FuzzCampaign
-    from repro.scenarios import ScenarioJob
+    from repro.scenarios import scenario_plan
+    from repro.spec import parse
     from repro.sweep import SweepPlan
+    loaders = {"sweep": SweepPlan.from_dict,
+               "fuzz": FuzzCampaign.from_dict, "scenario": scenario_plan}
     kind = kind_hint or "sweep"
-    body = text
     try:
-        data = json.loads(text)
-    except ValueError:
-        data = None
-    if isinstance(data, dict) and "spec" in data:
-        kind = str(data.get("kind", kind))
-        body = json.dumps(data["spec"])
-    if kind not in JOB_KINDS:
-        raise ServiceError(f"unknown job kind {kind!r}; choose from "
-                           f"{JOB_KINDS}")
-    spec_cls = {"sweep": SweepPlan, "scenario": ScenarioJob,
-                "fuzz": FuzzCampaign}[kind]
-    try:
-        plan = spec_cls.loads(body)
+        try:  # JSON first: YAML would read a JSON 1e-05 as a string
+            data = json.loads(text)
+        except ValueError:
+            data = parse(text, "submission body", ServiceError)
+        if isinstance(data, dict) and "spec" in data:
+            kind, data = str(data.get("kind", kind)), data["spec"]
+        if kind not in loaders:
+            raise ServiceError(f"unknown job kind {kind!r}; choose from "
+                               f"{tuple(loaders)}")
+        plan = loaders[kind](data)
         plan.check()
     except ReproError as exc:
         raise ServiceError(f"invalid {kind} submission: {exc}") from None
-    return kind, plan
+    return ("sweep" if kind == "scenario" else kind), plan
 
 
 def execute_spec(kind: str, spec: Dict[str, Any], workers: int,
@@ -109,18 +110,12 @@ def execute_spec(kind: str, spec: Dict[str, Any], workers: int,
     ``pipeline.*`` counter snapshot.
     """
     from repro.fuzz import FuzzCampaign, run_campaign
-    from repro.scenarios import ScenarioJob
     from repro.sweep import SweepPlan, run_sweep
     inst = obs.Instrumentation()
     t0 = time.perf_counter()
     with obs.instrumented(inst):
-        if kind in ("sweep", "scenario"):
-            # a scenario job compiles to its one-point sweep plan and
-            # runs through the same engine, so its canonical result is
-            # byte-identical to `repro scenarios run` on the same job
-            plan = (ScenarioJob.from_dict(spec).to_sweep_plan()
-                    if kind == "scenario" else SweepPlan.from_dict(spec))
-            result = run_sweep(plan, workers,
+        if kind == "sweep":
+            result = run_sweep(SweepPlan.from_dict(spec), workers,
                                use_cache=True, cache_dir=cache_dir,
                                progress=progress)
             payloads = {"json": result.canonical_json(),

@@ -1,17 +1,16 @@
 """One protocol for the digest-keyed spec files.
 
-Every what-if study is described by a spec file of one of five families
+Every what-if study is described by a spec file of one of four families
 — :class:`~repro.faults.plan.FaultPlan`,
 :class:`~repro.sweep.plan.SweepPlan`,
-:class:`~repro.fuzz.campaign.FuzzCampaign`,
-:class:`~repro.scenarios.spec.Scenario` and
-:class:`~repro.scenarios.job.ScenarioJob`.  They share one edge, defined
+:class:`~repro.fuzz.campaign.FuzzCampaign` and
+:class:`~repro.scenarios.spec.Scenario`.  They share one edge, defined
 here once:
 
 * **format** — YAML, with a JSON fallback when PyYAML is missing (the
   import stays lazy so ``import repro`` does not pay for it);
 * **reading** — :meth:`Spec.load` reads a file, :meth:`Spec.loads`
-  parses text, :meth:`Spec.dumps` writes YAML back (keys sorted);
+  parses text (:func:`parse`), :meth:`Spec.dumps` writes YAML back;
 * **shape** — the parsed document must be a mapping whose keys the
   family declares; anything else is rejected with the family's message
   ("unknown sweep-plan keys: ...");
@@ -59,6 +58,23 @@ def canonical(value: Any, error: Type[ReproError]) -> Any:
         return out
     raise error(f"{type(value).__name__} value {value!r} has no plain "
                 f"JSON form")
+
+
+def parse(text: str, what: str, error: Type[ReproError]) -> Any:
+    """The data in YAML (preferred) or JSON text; empty text is the
+    empty mapping, and unparsable text raises ``error``."""
+    try:
+        import yaml
+    except ImportError:  # pragma: no cover - PyYAML is normally present
+        yaml = None
+    try:
+        data = yaml.safe_load(text) if yaml is not None else json.loads(text)
+    # not only YAMLError: PyYAML's constructors raise ValueError,
+    # AttributeError or IndexError on malformed tagged scalars, and
+    # deep nesting raises RecursionError
+    except Exception as exc:
+        raise error(f"unparsable {what}: {exc}") from None
+    return {} if data is None else data
 
 
 def params_tuple(where: str, params, error: Type[ReproError]
@@ -133,19 +149,7 @@ class Spec:
     def loads(cls, text: str):
         """Parse a spec from YAML (preferred) or JSON text; empty text is
         the empty mapping."""
-        try:
-            import yaml
-        except ImportError:  # pragma: no cover - PyYAML is normally present
-            yaml = None
-        try:
-            data = (yaml.safe_load(text) if yaml is not None
-                    else json.loads(text))
-        # not only YAMLError: PyYAML's constructors raise ValueError,
-        # AttributeError or IndexError on malformed tagged scalars, and
-        # deep nesting raises RecursionError
-        except Exception as exc:
-            raise cls.error(f"unparsable {cls.what}: {exc}") from None
-        return cls.from_dict({} if data is None else data)
+        return cls.from_dict(parse(text, cls.what, cls.error))
 
     @classmethod
     def load(cls, path: str):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import SweepPlanError
-from repro.spec import Spec
+from repro.spec import Spec, canonical
 
 #: pipeline suffixes a plan may target: the full Fig. 1 flow, the flow
 #: without the final execution, or tracing alone (cache warming)
@@ -84,7 +84,8 @@ class SweepAxis:
             raise SweepPlanError(
                 f"axis {self.field!r} needs a non-empty list of values, "
                 f"got {self.values!r}")
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values",
+                           tuple(canonical(self.values, SweepPlanError)))
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,16 @@ class SweepPlan(Spec):
     extra_points: Tuple[Dict[str, Any], ...] = ()
 
     def __post_init__(self):
-        """Validate mode, base fields, axis uniqueness, explicit points."""
+        """Validate mode, base fields, axis uniqueness, explicit points;
+        values are kept in canonical form (a ``Scenario`` or ``FaultPlan``
+        object becomes its mapping), so results render them as JSON."""
         if not isinstance(self.name, str) or not self.name:
             raise SweepPlanError("plan name must be a non-empty string")
         if self.mode not in MODES:
             raise SweepPlanError(
                 f"unknown mode {self.mode!r}; choose from {MODES}")
+        object.__setattr__(self, "base",
+                           canonical(dict(self.base), SweepPlanError))
         _check_fields("base", self.base)
         axes = tuple(a if isinstance(a, SweepAxis) else SweepAxis(**a)
                      for a in self.axes)
@@ -147,7 +152,8 @@ class SweepPlan(Spec):
                 raise SweepPlanError(
                     f"field {axis.field!r} appears in more than one axis")
             seen.add(axis.field)
-        pts = tuple(dict(p) for p in self.extra_points)
+        pts = tuple(canonical(dict(p), SweepPlanError)
+                    for p in self.extra_points)
         for p in pts:
             _check_fields("point", p)
         object.__setattr__(self, "extra_points", pts)

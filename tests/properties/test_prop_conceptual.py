@@ -1,7 +1,11 @@
 """Property tests for the coNCePTuaL toolchain: for every AST the
-generator could emit, print → parse is the identity."""
+generator could emit, print → parse is the identity; and every word-level
+mutant of a generated benchmark parses or ends in a typed error."""
 
-from hypothesis import given, settings
+import functools
+import re
+
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
@@ -11,8 +15,10 @@ from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
                                         RecvStmt, ReduceStmt, ResetStmt,
                                         SendStmt, SingleTask, SuchThat,
                                         SyncStmt, Var)
+from repro.conceptual.compiler import ConceptualProgram
 from repro.conceptual.parser import parse
 from repro.conceptual.printer import print_program
+from repro.errors import ReproError
 
 # -- expression strategy ----------------------------------------------------
 _numbers = st.integers(min_value=0, max_value=4096).map(Num)
@@ -100,3 +106,66 @@ class TestRoundTripProperty:
     def test_printing_is_fixpoint(self, program):
         text = print_program(program)
         assert print_program(parse(text)) == text
+
+
+@functools.lru_cache(maxsize=None)
+def _generated(app):
+    """The coNCePTuaL benchmark generated from ``app`` at np 4."""
+    from repro.pipeline import (Pipeline, PipelineConfig, TraceStage,
+                                generation_stages)
+    return Pipeline([TraceStage()] + generation_stages()).run(
+        PipelineConfig(app=app, nranks=4)).source
+
+
+#: words an edit writes: keywords, operators, and numbers at the edges of
+#: what a literal can hold
+_WORDS = ("TASK", "TASKS", "ALL", "SENDS", "RECEIVES", "MESSAGE", "BYTES",
+          "WITH", "TAG", "FOR", "EACH", "IN", "REPETITIONS", "IF", "THEN",
+          "OTHERWISE", "SUCH", "THAT", "IS", "{", "}", "(", ")", ",",
+          "...", "=", "<=", "+", "-", "*", "/", "MOD", "t", "rep1", "0",
+          "1", "-1", "4", "1.5", "1e999", "-1e999", "1e-999", "nan",
+          "99999999999999999999")
+#: where an edit lands: a fraction of the way through the words, or the
+#: word right after the first occurrence of a keyword
+_SPOT = (st.floats(0.0, 1.0, exclude_max=True)
+         | st.sampled_from(("TAG", "BYTES", "TASK", "FOR", "IN",
+                            "COMPUTES", "IF")))
+_EDIT = st.tuples(_SPOT, st.sampled_from(("replace", "delete", "insert")),
+                  st.sampled_from(_WORDS))
+
+
+def mutate_words(text, edits):
+    """``text`` with each ``(spot, kind, word)`` edit applied in turn."""
+    parts = re.split(r"(\s+)", text)
+    for spot, kind, word in edits:
+        words = [i for i, p in enumerate(parts) if p and not p.isspace()]
+        if isinstance(spot, str):
+            after = [i for i in words if parts[i] == spot][:1]
+            at = words.index(after[0]) + 1 if after else 0
+        else:
+            at = int(spot * len(words))
+        i = words[min(at, len(words) - 1)]
+        if kind == "replace":
+            parts[i] = word
+        elif kind == "delete":
+            parts[i] = ""
+        else:
+            parts[i] = f"{word} {parts[i]}"
+    return "".join(parts)
+
+
+class TestMutatedSourceTypedEdge:
+    """A mutated generated benchmark parses, or ends in a
+    :class:`~repro.errors.ReproError`; never in a raw exception."""
+
+    @seed(2011)
+    @given(st.sampled_from(("lu", "mg", "sweep3d", "cg")),
+           st.lists(_EDIT, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    @example("lu", [("TAG", "replace", "1e999")])
+    def test_mutant_parses_or_raises_typed(self, app, edits):
+        try:
+            ConceptualProgram.from_source(mutate_words(_generated(app),
+                                                       edits))
+        except ReproError:
+            pass

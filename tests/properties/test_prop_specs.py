@@ -1,10 +1,11 @@
-"""Laws of the one spec protocol (:mod:`repro.spec`), over all five
-families:
+"""Laws of the one spec protocol (:mod:`repro.spec`), over all four
+families and the scenario × app cells that become sweep plans:
 
 * **typed edge** — any JSON-like mapping, built from a family's known
   keys plus stray ones, ends in a spec or in that family's typed
   :class:`~repro.errors.ReproError`, through both the loader and
-  ``check()``; never in a raw exception;
+  ``check()``; never in a raw exception.  A scenario cell ends in a
+  sweep plan (``scenario_plan``) or a :class:`ScenarioError`;
 * **round trip** — every spec that loads satisfies
   ``Cls.loads(s.dumps()) == s`` with an equal digest;
 * **object form is dict form** — a spec holding ``FaultPlan``/``Scenario``
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ScenarioError
 from repro.faults import FaultPlan, LinkWindow
 from repro.fuzz import FuzzCampaign
-from repro.scenarios import SCENARIOS, Scenario, ScenarioJob
+from repro.scenarios import SCENARIOS, Scenario, scenario_plan
 from repro.sweep import SweepPlan
 
 #: JSON leaves: small ints keep point expansion (axes product, fuzz
@@ -177,6 +179,13 @@ LAW = settings(max_examples=200, deadline=None,
                                       HealthCheck.data_too_large])
 
 
+def _round_trip(spec):
+    """``loads(dumps(s)) == s`` with an equal digest."""
+    again = type(spec).loads(spec.dumps())
+    assert again == spec
+    assert again.digest() == spec.digest()
+
+
 def _law(cls, data):
     """The typed-edge and round-trip laws for one input."""
     try:
@@ -184,9 +193,7 @@ def _law(cls, data):
         spec.check()
     except cls.error:
         return
-    again = cls.loads(spec.dumps())
-    assert again == spec
-    assert again.digest() == spec.digest()
+    _round_trip(spec)
 
 
 def _examples(cls):
@@ -225,9 +232,14 @@ class TestTypedEdgeAndRoundTrip:
         _law(Scenario, data)
 
     @LAW
-    @given(JOB)
+    @given(JOB | JSON)
     def test_scenario_job(self, data):
-        _law(ScenarioJob, data)
+        try:
+            plan = scenario_plan(data)
+        except ScenarioError:
+            return
+        assert plan.check() == 1
+        _round_trip(plan)
 
     @pytest.mark.parametrize("cls,data", RAW_AT_PARENT,
                              ids=[f"{c.__name__}-{i}" for i, (c, _)
@@ -236,8 +248,7 @@ class TestTypedEdgeAndRoundTrip:
         with pytest.raises(cls.error):
             cls.from_dict(data)
 
-    @given(st.sampled_from([FaultPlan, SweepPlan, FuzzCampaign, Scenario,
-                            ScenarioJob]),
+    @given(st.sampled_from([FaultPlan, SweepPlan, FuzzCampaign, Scenario]),
            st.text(max_size=40))
     @settings(max_examples=200, deadline=None)
     @example(SweepPlan, "!!int abc")
@@ -299,10 +310,9 @@ class TestObjectFormIsDictForm:
                        placement="roundrobin")
 
         def build(scenario, value):
-            return ScenarioJob(scenario=scenario, app="ring", nranks=4,
-                               overrides={"fault_plan": value})
+            return scenario_plan(scenario=scenario, app="ring", nranks=4,
+                                 overrides={"fault_plan": value})
         obj_form = build(scn, plan)
         dict_form = build(scn.to_dict(), plan.to_dict())
         self._same(obj_form, dict_form)
-        assert obj_form.to_sweep_plan().digest() == \
-            dict_form.to_sweep_plan().digest()
+        assert obj_form == dict_form

@@ -1,55 +1,65 @@
-"""Scenario jobs: validation, serialization, and plan compilation.
+"""Scenario jobs: one scenario × app cell as its one-point sweep plan.
 
-The job's one-point sweep plan is the byte-parity bridge between
-``repro scenarios run`` and the service's ``scenario`` job kind, so the
-compilation itself must be deterministic and digest-stable."""
+``scenario_plan`` is the byte-parity bridge between ``repro scenarios
+run``, a ``kind: scenario`` service submission and the same plan
+written by hand, so the cell → plan step must be deterministic,
+digest-stable and end in a plan or a typed error."""
 
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios import Scenario, ScenarioJob
+from repro.scenarios import Scenario, scenario_plan
+from repro.spec import parse
+from repro.sweep import SweepPlan
 
 
 class TestScenarioJob:
     def test_curated_job_round_trips(self):
-        job = ScenarioJob(scenario="torus-hotlink", app="sweep3d",
-                          nranks=8)
-        again = ScenarioJob.from_dict(job.to_dict())
-        assert again == job
-        assert again.digest() == job.digest()
+        plan = scenario_plan(scenario="torus-hotlink", app="sweep3d",
+                             nranks=8)
+        again = SweepPlan.from_dict(plan.to_dict())
+        assert again == plan
+        assert again.digest() == plan.digest()
 
     def test_inline_scenario_round_trips(self):
-        job = ScenarioJob(
-            scenario={"name": "inline", "topology": "torus3d",
-                      "adversaries": [{"kind": "hot-link"}]},
-            app="lu", nranks=8)
-        assert isinstance(job.scenario, Scenario)
-        again = ScenarioJob.from_dict(job.to_dict())
-        assert again.digest() == job.digest()
+        inline = {"name": "inline", "topology": "torus3d",
+                  "adversaries": [{"kind": "hot-link"}]}
+        plan = scenario_plan(scenario=inline, app="lu", nranks=8)
+        point = plan.points()[0].overrides
+        assert point["scenario"] == Scenario.from_dict(inline).to_dict()
+        again = SweepPlan.loads(plan.dumps())
+        assert again.digest() == plan.digest()
+        assert scenario_plan(scenario=Scenario.from_dict(inline),
+                             app="lu", nranks=8) == plan
 
     def test_name_matches_job_name(self):
-        job = ScenarioJob(scenario="calm", app="ring", nranks=4)
-        assert job.name == job.job_name() == "scenario-calm-ring"
+        plan = scenario_plan(scenario="calm", app="ring", nranks=4)
+        assert plan.name == "scenario-calm-ring"
+        assert plan.mode == "run"
 
     def test_plan_is_one_point_with_the_scenario_riding(self):
-        job = ScenarioJob(scenario="calm", app="ring", nranks=4,
-                          overrides={"max_steps": 50000})
-        plan = job.to_sweep_plan()
+        plan = scenario_plan(scenario="calm", app="ring", nranks=4,
+                             overrides={"max_steps": 50000})
         points = plan.points()
         assert len(points) == 1
-        overrides = points[0].overrides
-        assert overrides["scenario"] == "calm"
-        assert overrides["max_steps"] == 50000
+        assert points[0].overrides == {
+            "app": "ring", "nranks": 4, "cls": "S",
+            "platform": "bluegene", "scenario": "calm",
+            "max_steps": 50000}
 
     def test_plan_compilation_is_stable(self):
-        a = ScenarioJob(scenario="torus-hotlink", app="sweep3d", nranks=8)
-        b = ScenarioJob(scenario="torus-hotlink", app="sweep3d", nranks=8)
-        assert a.to_sweep_plan().digest() == b.to_sweep_plan().digest()
+        a = scenario_plan(scenario="torus-hotlink", app="sweep3d",
+                          nranks=8)
+        b = scenario_plan({"scenario": "torus-hotlink", "app": "sweep3d",
+                           "nranks": 8, "cls": "S"})
+        assert a.digest() == b.digest()
 
     def test_loads_scenario_job(self):
-        job = ScenarioJob.loads(
-            "scenario: calm\napp: ring\nnranks: 4\ncls: S\n")
-        assert job.app == "ring" and job.nranks == 4
+        plan = scenario_plan(parse(
+            "scenario: calm\napp: ring\nnranks: 4\ncls: S\n",
+            "scenario job", ScenarioError))
+        overrides = plan.points()[0].overrides
+        assert overrides["app"] == "ring" and overrides["nranks"] == 4
 
     @pytest.mark.parametrize("kwargs,needle", [
         ({"scenario": "nope", "app": "ring", "nranks": 4},
@@ -66,13 +76,17 @@ class TestScenarioJob:
     ])
     def test_invalid_jobs_rejected(self, kwargs, needle):
         with pytest.raises(ScenarioError, match=needle):
-            ScenarioJob(**kwargs)
+            scenario_plan(**kwargs)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ScenarioError, match="unknown scenario-job"):
-            ScenarioJob.from_dict({"scenario": "calm", "app": "ring",
-                                   "nranks": 4, "bogus": 1})
+            scenario_plan({"scenario": "calm", "app": "ring",
+                           "nranks": 4, "bogus": 1})
 
     def test_from_dict_requires_core_fields(self):
         with pytest.raises(ScenarioError, match="needs 'scenario'"):
-            ScenarioJob.from_dict({"app": "ring", "nranks": 4})
+            scenario_plan({"app": "ring", "nranks": 4})
+
+    def test_non_mapping_job_is_typed(self):
+        with pytest.raises(ScenarioError, match="must be a mapping"):
+            scenario_plan(["calm", "ring", 4])

@@ -309,3 +309,14 @@ class TestParseSubmission:
     def test_invalid_spec_raises_service_error(self):
         with pytest.raises(ServiceError, match="invalid fuzz"):
             parse_submission("apps: []", kind_hint="fuzz")
+
+    @pytest.mark.parametrize("wrap", [
+        lambda spec: json.dumps({"kind": "sweep", "spec": spec}),
+        json.dumps], ids=["envelope", "bare"])
+    def test_json_exponent_floats_stay_floats(self, wrap):
+        # YAML 1.1 reads a JSON 1e-05 as a string; JSON bodies parse
+        # as JSON, so the plan is the one the client sent
+        spec = dict(PLAN, axes=[{"field": "compute_scale",
+                                 "values": [1e-05, 1e+20]}])
+        _, plan = parse_submission(wrap(spec))
+        assert plan.axes[0].values == (1e-05, 1e+20)

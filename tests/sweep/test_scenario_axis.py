@@ -87,3 +87,49 @@ axes:
                            cache_dir=str(tmp_path / "cache"))
         assert result.counts()["ok"] == 2
         assert result.points[1].metrics["scenario"] == "mine"
+
+
+class TestSpecObjectsInPlans:
+    """A plan whose values are ``Scenario``/``FaultPlan`` objects is its
+    dict-form twin: one digest, and byte-identical canonical results at
+    any worker count (the plan keeps values in plain-data form)."""
+
+    @staticmethod
+    def _plan(scenario, faults):
+        return SweepPlan(
+            name="objects", base={"app": "ring", "nranks": 4},
+            axes=[{"field": "scenario",
+                   "values": [None, scenario]}],
+            extra_points=({"scenario": scenario, "fault_plan": faults},))
+
+    def test_object_form_is_dict_form(self, tmp_path):
+        from repro.faults import FaultPlan
+        from repro.scenarios import get_scenario
+        scenario = get_scenario("codel-pressure")
+        faults = FaultPlan(seed=1, drop_rate=0.05)
+        objects = self._plan(scenario, faults)
+        plain = self._plan(scenario.to_dict(), faults.to_dict())
+        assert objects.digest() == plain.digest()
+        assert objects == plain
+        outputs = set()
+        for name, plan in (("objects", objects), ("plain", plain)):
+            for workers in (1, 2):
+                result = run_sweep(
+                    plan, workers=workers,
+                    cache_dir=str(tmp_path / f"{name}-{workers}"))
+                assert result.counts()["ok"] == 3
+                outputs.add((result.canonical_json(),
+                             result.canonical_jsonl()))
+        assert len(outputs) == 1
+
+    def test_generate_point_holding_a_scenario_renders(self, tmp_path):
+        import json
+
+        from repro.scenarios import get_scenario
+        calm = get_scenario("calm")
+        plan = SweepPlan(mode="generate", extra_points=(
+            {"app": "ring", "nranks": 4, "scenario": calm},))
+        result = run_sweep(plan, workers=1,
+                           cache_dir=str(tmp_path / "cache"))
+        point = json.loads(result.canonical_json())["points"][0]
+        assert point["params"]["scenario"] == calm.to_dict()

@@ -83,6 +83,37 @@ class TestTypedErrorEdge:
         assert err.startswith("error: cannot evaluate 1 / 0")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_run_infinite_tag_is_one_line(self, workdir, capsys):
+        with open("tag.ncptl", "w") as fh:
+            fh.write("TASK 0 SENDS A 4 BYTE MESSAGE TO TASK 1 "
+                     "WITH TAG 1e999\n")
+        assert main(["run", "tag.ncptl", "--np", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite integer" in err
+        assert "line 1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "run", "plan.yaml"], ["fuzz", "run", "hunt.yaml"],
+        ["scenarios", "run", "calm", "--app", "ring", "--np", "4"],
+        ["serve"]])
+    def test_negative_workers_is_an_argv_error(self, workdir, capsys,
+                                               command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--workers", "-1"])
+        assert exc.value.code == 2
+        assert "--workers: must be a positive count or 0" in \
+            capsys.readouterr().err
+
+    def test_zero_workers_means_one_per_cpu(self, workdir, capsys):
+        from repro.sweep import default_workers
+        with open("plan.yaml", "w") as fh:
+            fh.write(TINY_SWEEP)
+        assert main(["sweep", "run", "plan.yaml", "--workers", "0",
+                     "--no-cache", "-o", "result.json"]) == 0
+        result = json.loads(open("result.json").read())
+        assert result["execution"]["workers"] == default_workers()
+
 
 class TestAtomicGenerate:
     def test_failed_generation_leaves_no_output(self, workdir, capsys):

@@ -2,9 +2,9 @@
 group, the queueing flags on run/replay/pipeline, ``--scenario`` on the
 pipeline, and the per-app ``pattern`` metadata in ``apps --json``.
 
-``scenarios run`` compiles to the same one-point sweep plan the service
-executes, so the ``-o`` artifact here is pinned byte-for-byte against a
-direct ``run_sweep`` of the equivalent job.
+``scenarios run`` runs the cell's one-point sweep plan, the plan a
+service ``scenario`` submission executes, so the ``-o`` artifact here is
+pinned byte-for-byte against a direct ``run_sweep`` of that plan.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps import APPS, PATTERNS
 from repro.cli import main
-from repro.scenarios import SCENARIOS, Scenario, ScenarioJob
+from repro.scenarios import SCENARIOS, Scenario, scenario_plan
 from repro.sweep import run_sweep
 
 
@@ -115,10 +115,9 @@ class TestScenariosRun:
         assert main(["scenarios", "run", "torus-hotlink", "--app",
                      "sweep3d", "--np", "8", "--workers", "1",
                      "--cache-dir", "c1", "-o", "out.json"]) == 0
-        job = ScenarioJob(scenario="torus-hotlink", app="sweep3d",
-                          nranks=8)
-        direct = run_sweep(job.to_sweep_plan(), workers=1,
-                           cache_dir="c2")
+        plan = scenario_plan(scenario="torus-hotlink", app="sweep3d",
+                             nranks=8)
+        direct = run_sweep(plan, workers=1, cache_dir="c2")
         assert open("out.json").read() == direct.canonical_json()
 
     def test_unknown_scenario_exits_2(self, workdir, capsys):

@@ -2,10 +2,11 @@
 
 ``tests/golden/spec_digests.json`` (regenerated only on purpose by
 ``scripts/make_spec_digests.py``) records the digest of each ``repro *
-template`` text, the nightly fuzz campaign, every curated scenario and
-two inline specs.  Fault-plan and scenario digests feed pipeline cache
-keys; sweep and fuzz digests key results, the service's dedup and the
-fuzz corpus — so none of them may move when the spec code does.
+template`` text, the nightly fuzz campaign, every curated scenario, an
+inline fault plan and the sweep plan of an inline scenario × app cell.
+Fault-plan and scenario digests feed pipeline cache keys; sweep and fuzz
+digests key results, the service's dedup and the fuzz corpus — so none
+of them may move when the spec code does.
 """
 
 import json
@@ -16,16 +17,17 @@ import yaml
 
 from repro.faults import FaultPlan
 from repro.fuzz import FuzzCampaign
-from repro.scenarios import SCENARIOS, Scenario, ScenarioJob
+from repro.scenarios import SCENARIOS, Scenario, scenario_plan
 from repro.sweep import SweepPlan
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "spec_digests.json")
 
-FAMILIES = {"faults": FaultPlan, "sweep": SweepPlan,
-            "fuzz": FuzzCampaign, "scenario": Scenario,
-            "scenario-job": ScenarioJob}
+#: family -> spec from data; a scenario job pins its sweep plan's digest
+BUILD = {"faults": FaultPlan.from_dict, "sweep": SweepPlan.from_dict,
+         "fuzz": FuzzCampaign.from_dict, "scenario": Scenario.from_dict,
+         "scenario-job": scenario_plan}
 
 with open(GOLDEN) as _fh:
     ENTRIES = json.load(_fh)
@@ -60,7 +62,7 @@ def test_golden_covers_every_shipped_spec():
                          ids=[f"{e['family']}-{e['name']}"
                               for e in ENTRIES])
 def test_digest_is_pinned(entry):
-    spec = FAMILIES[entry["family"]].from_dict(_data(entry))
+    spec = BUILD[entry["family"]](_data(entry))
     assert spec.digest() == entry["digest"]
     if entry["source"] == "curated":
         assert SCENARIOS[entry["name"]].digest() == entry["digest"]
