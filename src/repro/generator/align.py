@@ -12,7 +12,10 @@ RSDs, typically ≪ number of events), and only then runs the full
 O(p·e) blocking traversal: every rank's cursor stops at each collective
 until all members of the communicator arrive, the per-rank call sites are
 unified to a single canonical one, and the trace is rebuilt — leaving one
-RSD per logical collective, spanning the complete participant set.
+RSD per logical collective, spanning the complete participant set.  The
+rebuild (:mod:`repro.generator.rebuild`) recompresses one representative
+per rank class, not every rank: a rank's canonical call sites are part
+of its class key, everything else it needs is read off the trace.
 """
 
 from __future__ import annotations

@@ -30,16 +30,18 @@ def has_wildcards(trace: Trace) -> bool:
         if node.op not in ("Recv", "Irecv") or node.peer is None:
             continue
         field = node.peer
-        if field.seq is not None:
-            if any(v == ANY_SOURCE for v, _ in field.seq.runs):
-                return True
-        elif field.expr is not None:
+        if field.expr is not None:
             if field.expr.is_constant() and \
                     field.expr.constant_value() == ANY_SOURCE:
                 return True
             if field.expr.kind == "table" and \
                     ANY_SOURCE in field.expr.table.values():
                 return True
+            continue
+        seqs = [field.seq] if field.seq is not None \
+            else field.rank_map.values()
+        if any(v == ANY_SOURCE for seq in seqs for v, _ in seq.runs):
+            return True
     return False
 
 

@@ -212,7 +212,8 @@ _Alignment = Tuple[List[Tuple[int, int]], bool]
 
 
 class _PairMerge:
-    """One top-level pair merge: weight-only alignment, then building.
+    """One top-level pair merge's weight-only alignment (:meth:`plan`);
+    :func:`_build` then builds the merged list along it.
 
     The weighted LCS needs only each cell's *weight*, never the merged
     node, so alignment builds nothing: two events are mergeable iff
@@ -228,8 +229,7 @@ class _PairMerge:
     caller's lists keep every keyed object alive, so no id is reused.
     """
 
-    def __init__(self, comm_table: Dict[int, Tuple[int, ...]]):
-        self.comm_table = comm_table
+    def __init__(self):
         #: id(node) -> _match_weight(node)
         self._weights: Dict[int, int] = {}
         #: id(list) -> merge class of each node: equal classes mean the
@@ -241,8 +241,6 @@ class _PairMerge:
         self._loop_weights: Dict[Tuple[int, int], Optional[int]] = {}
         #: (id(list), id(list)) -> alignment
         self._alignments: Dict[Tuple[int, int], _Alignment] = {}
-        #: comm_id -> _comm_map(comm_table, comm_id)
-        self._comm_maps: Dict[int, _CommMap] = {}
 
     def _weight(self, node: Node) -> int:
         w = self._weights.get(id(node))
@@ -349,35 +347,78 @@ class _PairMerge:
                 j += 1
         return pairs, False
 
-    def build(self, xs: List[Node], ys: List[Node]) -> List[Node]:
-        """The merged supersequence of ``xs`` and ``ys``: unmatched nodes
-        keep their own rank sets, matched pairs merge (loops recurse on
-        their memoized body alignment, so no body DP runs twice)."""
+    def plan(self, xs: List[Node], ys: List[Node]) -> "_Plan":
+        """The alignment of ``xs`` and ``ys`` the merge builds from:
+        the traceback's pairs, each loop pair with its body's plan (the
+        memoized body alignment, so no body DP runs twice)."""
         pairs, fast = self._align(xs, ys)
         if fast:
             obs.count("scalatrace.merge_fastpath_hits", 1)
         else:
             obs.count("scalatrace.lcs_cells", len(xs) * len(ys))
             obs.count("scalatrace.lcs_alignments", len(pairs))
-        out: List[Node] = []
-        xi = yi = 0
-        for i, j in pairs:
-            out.extend(xs[xi:i])
-            out.extend(ys[yi:j])
-            a, b = xs[i], ys[j]
-            if isinstance(a, EventNode):
-                comm = self._comm_maps.get(a.comm_id)
-                if comm is None:
-                    comm = _comm_map(self.comm_table, a.comm_id)
-                    self._comm_maps[a.comm_id] = comm
-                out.append(_merge_events(a, b, comm))
-            else:
-                out.append(LoopNode(a.count, self.build(a.body, b.body),
-                                    a.ranks | b.ranks))
-            xi, yi = i + 1, j + 1
-        out.extend(xs[xi:])
-        out.extend(ys[yi:])
-        return out
+        return tuple(
+            (i, j, None if isinstance(xs[i], EventNode)
+             else self.plan(xs[i].body, ys[j].body))
+            for i, j in pairs)
+
+
+#: A pair merge's alignment: matched ``(i, j, body plan)`` triples, the
+#: body plan (the loop bodies' alignment, same form) None for events.
+#: It reads node structure only (signatures, counts, parameter
+#: presence), never ranks or values, so it applies to any two lists
+#: shaped like the ones it was computed on.
+_Plan = Tuple[Tuple[int, int, Optional[tuple]], ...]
+
+
+class _CommMaps(dict):
+    """comm_id -> :func:`_comm_map`, computed on first use."""
+
+    def __init__(self, comm_table: Dict[int, Tuple[int, ...]]):
+        super().__init__()
+        self.comm_table = comm_table
+
+    def __missing__(self, comm_id: int) -> _CommMap:
+        found = self[comm_id] = _comm_map(self.comm_table, comm_id)
+        return found
+
+
+def _build(xs: List[Node], ys: List[Node], plan: _Plan,
+           comm_maps: _CommMaps) -> List[Node]:
+    """The merged supersequence of ``xs`` and ``ys`` along ``plan``:
+    unmatched nodes keep their own rank sets, matched pairs merge."""
+    out: List[Node] = []
+    xi = yi = 0
+    for i, j, body in plan:
+        out.extend(xs[xi:i])
+        out.extend(ys[yi:j])
+        a, b = xs[i], ys[j]
+        if body is None:
+            out.append(_merge_events(a, b, comm_maps[a.comm_id]))
+        else:
+            out.append(LoopNode(a.count,
+                                _build(a.body, b.body, body, comm_maps),
+                                a.ranks | b.ranks))
+        xi, yi = i + 1, j + 1
+    out.extend(xs[xi:])
+    out.extend(ys[yi:])
+    return out
+
+
+def _shape_id(nodes: List[Node], ids: Dict[tuple, int]) -> int:
+    """Interned id of everything an alignment reads of ``nodes``: per
+    event its signature, instance count and parameter presence, per loop
+    its count and body (ids of both kinds share ``ids``; their keys
+    cannot collide)."""
+    key = []
+    for n in nodes:
+        if isinstance(n, EventNode):
+            k: tuple = (n.sig, n.instances, n.peer is None, n.size is None,
+                        n.tag is None, n.root is None)
+        else:
+            k = ("loop", n.count, _shape_id(n.body, ids))
+        key.append(ids.setdefault(k, len(ids)))
+    return ids.setdefault(tuple(key), len(ids))
 
 
 def merge_node_lists(xs: List[Node], ys: List[Node],
@@ -391,7 +432,7 @@ def merge_node_lists(xs: List[Node], ys: List[Node],
     skipping the O(n·m) DP.  Gated further by :func:`_diagonal_safe` so
     the diagonal is exactly what the DP's traceback would produce; any
     doubt falls through to the DP."""
-    return _PairMerge(comm_table).build(xs, ys)
+    return _build(xs, ys, _PairMerge().plan(xs, ys), _CommMaps(comm_table))
 
 
 class TraceMergeAccumulator:
@@ -412,19 +453,37 @@ class TraceMergeAccumulator:
     either way; ``tests/scalatrace/test_merge.py`` pins this against a
     reference reduction on every app preset), so results are
     byte-identical to the pre-streaming merge for any rank count.
+
+    Shared alignments (``share_alignments=True``): an alignment reads
+    node shape only (signatures, instance and iteration counts, parameter
+    presence; never ranks, values or timing), so each pair alignment is
+    computed once per distinct pair of partial shapes and replayed on
+    every other pair of that shape.  The generator's rebuild feeds P
+    per-rank lists that come in a few shapes, so its merges share most
+    alignments.  The association order, and every per-merge rank-set
+    union, parameter merge and histogram fold, are unchanged, so the
+    bytes are those of the unshared merge.
     """
 
     def __init__(self, world_size: Optional[int] = None,
-                 comm_table: Optional[Dict[int, Tuple[int, ...]]] = None):
+                 comm_table: Optional[Dict[int, Tuple[int, ...]]] = None,
+                 share_alignments: bool = False):
         self.world_size = world_size
         #: comm_id -> ordered world ranks; grows as rank tables arrive.
         #: Any comm referenced by a fed node list must already be
         #: present (callers feed each rank's table alongside its nodes).
         self.comm_table: Dict[int, Tuple[int, ...]] = dict(comm_table or {})
-        #: (span, nodes) partial merges, largest span first.
-        self._partials: List[Tuple[int, List[Node]]] = []
+        #: (span, nodes, shape id or None) partial merges, largest span
+        #: first.
+        self._partials: List[Tuple[int, List[Node], Optional[int]]] = []
         #: How many per-rank lists have been fed.
         self.fed = 0
+        #: shape key -> shape id (see :func:`_shape_id`); None when
+        #: alignments are not shared
+        self._shapes: Optional[Dict[tuple, int]] = (
+            {} if share_alignments else None)
+        #: (left shape, right shape) -> (alignment, merged shape)
+        self._plans: Dict[Tuple[int, int], Tuple[_Plan, int]] = {}
 
     def add(self, trace: Trace) -> None:
         """Feed one per-rank trace (nodes + comm table)."""
@@ -440,20 +499,37 @@ class TraceMergeAccumulator:
         tracer uses); merges equal-span partials immediately."""
         if comm_table:
             self.comm_table.update(comm_table)
+        shape = (None if self._shapes is None
+                 else _shape_id(nodes, self._shapes))
         span = 1
         while self._partials and self._partials[-1][0] == span:
-            _, prev = self._partials.pop()
-            nodes = merge_node_lists(prev, nodes, self.comm_table)
-            obs.count("scalatrace.pair_merges", 1)
+            _, prev, prev_shape = self._partials.pop()
+            nodes, shape = self._merge(prev, prev_shape, nodes, shape)
             span *= 2
-        self._partials.append((span, nodes))
+        self._partials.append((span, nodes, shape))
         self.fed += 1
+
+    def _merge(self, xs: List[Node], xshape: Optional[int], ys: List[Node],
+               yshape: Optional[int]) -> Tuple[List[Node], Optional[int]]:
+        """One pair merge, and the merged list's shape id."""
+        obs.count("scalatrace.pair_merges", 1)
+        if self._shapes is None:
+            return merge_node_lists(xs, ys, self.comm_table), None
+        found = self._plans.get((xshape, yshape))
+        if found is None:
+            plan = _PairMerge().plan(xs, ys)
+            merged = _build(xs, ys, plan, _CommMaps(self.comm_table))
+            found = self._plans[xshape, yshape] = (
+                plan, _shape_id(merged, self._shapes))
+            return merged, found[1]
+        plan, shape = found
+        return _build(xs, ys, plan, _CommMaps(self.comm_table)), shape
 
     def live_node_count(self) -> int:
         """Nodes currently held across all partial merges (the term the
         tracer samples into ``scalatrace.nodes_live_peak``)."""
         from repro.scalatrace.rsd import count_nodes
-        return sum(count_nodes(nodes) for _, nodes in self._partials)
+        return sum(count_nodes(nodes) for _, nodes, _ in self._partials)
 
     def result(self) -> Trace:
         """Finalize: fold remaining partials smallest-first (earlier
@@ -461,12 +537,11 @@ class TraceMergeAccumulator:
         if not self._partials:
             raise ValueError("no traces to merge")
         obs.count("scalatrace.merge_depth", (self.fed - 1).bit_length())
-        span, nodes = self._partials[-1]
-        for pspan, prev in reversed(self._partials[:-1]):
-            nodes = merge_node_lists(prev, nodes, self.comm_table)
-            obs.count("scalatrace.pair_merges", 1)
+        span, nodes, shape = self._partials[-1]
+        for pspan, prev, prev_shape in reversed(self._partials[:-1]):
+            nodes, shape = self._merge(prev, prev_shape, nodes, shape)
             span += pspan
-        self._partials = [(span, nodes)]
+        self._partials = [(span, nodes, shape)]
         if self.world_size is None:
             raise ValueError("accumulator was never told a world size")
         return Trace(self.world_size, nodes, self.comm_table)

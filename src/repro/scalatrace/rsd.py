@@ -51,7 +51,7 @@ class ParamField:
     def __init__(self, seq: Optional[ValueSeq] = None,
                  expr: Optional[ParamExpr] = None,
                  rank_map: Optional[Dict[int, ValueSeq]] = None):
-        if sum(x is not None for x in (seq, expr, rank_map)) != 1:
+        if (seq is None) + (expr is None) + (rank_map is None) != 2:
             raise TraceError(
                 "ParamField needs exactly one of seq/expr/rank_map")
         self.seq = seq
@@ -83,16 +83,30 @@ class ParamField:
             return seq.value
         return seq[instance]
 
-    def value_at(self, rank: int, instance: int):
-        """Concrete value for a given (communicator) rank and instance."""
+    def _rank_seq(self, rank: int) -> ValueSeq:
+        """The per-instance values on one rank (not for expr fields)."""
         if self.seq is not None:
-            return self._seq_at(self.seq, instance)
-        if self.expr is not None:
-            return self.expr.evaluate(rank)
+            return self.seq
         try:
-            return self._seq_at(self.rank_map[rank], instance)
+            return self.rank_map[rank]
         except KeyError:
             raise TraceError(f"rank {rank} missing from rank_map") from None
+
+    def value_at(self, rank: int, instance: int):
+        """Concrete value for a given (communicator) rank and instance."""
+        if self.expr is not None:
+            return self.expr.evaluate(rank)
+        return self._seq_at(self._rank_seq(rank), instance)
+
+    def rank_values(self, rank: int) -> Tuple[object, Optional[list]]:
+        """All of one rank's values: ``(value, None)`` when it is the
+        same on every instance, else ``(None, per-instance list)``."""
+        if self.expr is not None:
+            return self.expr.evaluate(rank), None
+        seq = self._rank_seq(rank)
+        if seq.is_constant():
+            return seq.value, None
+        return None, list(seq)
 
     def instances(self) -> Optional[int]:
         """Number of recorded instances, or None for expr fields (which are
@@ -144,6 +158,17 @@ class ParamField:
     def _constant_samples(field: "ParamField", ranks) -> Optional[list]:
         """(rank, int) samples if the field is constant-per-rank with
         integer values on every given rank; else None."""
+        if field.seq is not None and ranks:
+            # the same sequence on every rank: decide once
+            s = field.seq
+            if not s.is_constant() or not isinstance(s.value, int):
+                return None
+            v = s.value
+            return [(r, v) for r in ranks]
+        if field.expr is not None:
+            # expressions evaluate to ints
+            evaluate = field.expr.evaluate
+            return [(r, evaluate(r)) for r in ranks]
         out = []
         for r in ranks:
             s = field._seq_for(r)
@@ -342,12 +367,6 @@ class EventNode(Node):
     def event_instances(self, rank: int) -> int:
         return self.instances if rank in self.ranks else 0
 
-    def param_value(self, field_name: str, rank: int, instance: int):
-        field: Optional[ParamField] = getattr(self, field_name)
-        if field is None:
-            return None
-        return field.value_at(rank, instance)
-
     def copy(self) -> "EventNode":
         return EventNode(self.op, self.callsite, self.comm_id, self.ranks,
                          self.instances, self.peer, self.size, self.tag,
@@ -489,8 +508,7 @@ class Trace:
 
     def iter_rank(self, rank: int) -> Iterator["ConcreteEvent"]:
         """Decompress this rank's event stream (in program order)."""
-        counters: Dict[int, int] = {}
-        yield from _expand(self, self.nodes, rank, counters)
+        yield from _RankExpansion(self, rank).events(self.nodes)
 
     def iter_timed(self, rank: int
                    ) -> Iterator[Tuple["ConcreteEvent", float]]:
@@ -499,16 +517,11 @@ class Trace:
         from the node's first-iteration histogram, the rest from its
         subsequent-iteration one.  Draws are deterministic round-robin
         replays, so each node's total recorded time is preserved."""
-        draws: Dict[tuple, Iterator[float]] = {}
+        draws: Dict[int, Iterator[float]] = {}
         for ev in self.iter_rank(rank):
-            node = ev.node
-            period = node.first_period()
-            rest = bool(node.time_rest.count) and (
-                period is None or ev.instance % period != 0)
-            it = draws.get((id(node), rest))
+            it = draws.get(id(ev.node))
             if it is None:
-                hist = node.time_rest if rest else node.time_first
-                it = draws[(id(node), rest)] = hist.replay_values()
+                it = draws[id(ev.node)] = instance_deltas(ev.node)
             yield ev, next(it)
 
     def iter_events(self) -> Iterator[EventNode]:
@@ -519,6 +532,26 @@ class Trace:
     def __repr__(self) -> str:
         return (f"Trace(world={self.world_size}, nodes={self.node_count()}, "
                 f"events={self.event_count()})")
+
+
+def instance_deltas(node: EventNode) -> Iterator[float]:
+    """The computation delta before instance 0, 1, 2, ... of ``node`` on
+    any one rank it covers (the draws :meth:`Trace.iter_timed` makes):
+    loop-entry-first instances replay the first-iteration histogram, the
+    rest the subsequent-iteration one."""
+    period = node.first_period()
+    firsts = rests = None
+    k = 0
+    while True:
+        if node.time_rest.count and (period is None or k % period != 0):
+            if rests is None:
+                rests = node.time_rest.replay_values()
+            yield next(rests)
+        else:
+            if firsts is None:
+                firsts = node.time_first.replay_values()
+            yield next(firsts)
+        k += 1
 
 
 class ConcreteEvent:
@@ -551,23 +584,48 @@ class ConcreteEvent:
                 f"peer={self.peer}, size={self.size})")
 
 
-def _expand(trace: Trace, nodes: List[Node], rank: int,
-            counters: Dict[int, int]) -> Iterator[ConcreteEvent]:
-    for node in nodes:
-        if rank not in node.ranks:
-            continue
-        if isinstance(node, EventNode):
-            erank = trace.expr_rank(node.comm_id, rank)
-            for _ in range(node.instances):
-                k = counters.get(id(node), 0)
-                counters[id(node)] = k + 1
-                yield ConcreteEvent(
-                    rank, node.op, node.comm_id,
-                    node.param_value("peer", erank, k),
-                    node.param_value("size", erank, k),
-                    node.param_value("tag", erank, k),
-                    node.param_value("root", erank, k),
-                    node.wait_offsets, node, k)
-        else:
-            for _ in range(node.count):
-                yield from _expand(trace, node.body, rank, counters)
+_NO_PARAM = (None, None)
+
+
+class _RankExpansion:
+    """One rank's decompression: the per-node instance counters, and each
+    node's parameter values on this rank, read once however many times
+    an enclosing loop revisits the node."""
+
+    def __init__(self, trace: Trace, rank: int):
+        self.trace = trace
+        self.rank = rank
+        self.counters: Dict[int, int] = {}
+        self._params: Dict[int, tuple] = {}
+
+    def events(self, nodes: List[Node]) -> Iterator[ConcreteEvent]:
+        rank = self.rank
+        for node in nodes:
+            if rank not in node.ranks:
+                continue
+            if isinstance(node, EventNode):
+                params = self._params.get(id(node))
+                if params is None:
+                    erank = self.trace.expr_rank(node.comm_id, rank)
+                    if node.instances <= 0:
+                        continue
+                    params = self._params[id(node)] = tuple(
+                        _NO_PARAM if field is None
+                        else field.rank_values(erank)
+                        for field in (node.peer, node.size, node.tag,
+                                      node.root))
+                (peer, peers), (size, sizes), (tag, tags), (root, roots) \
+                    = params
+                first = self.counters.get(id(node), 0)
+                self.counters[id(node)] = first + node.instances
+                for k in range(first, first + node.instances):
+                    yield ConcreteEvent(
+                        rank, node.op, node.comm_id,
+                        peer if peers is None else peers[k],
+                        size if sizes is None else sizes[k],
+                        tag if tags is None else tags[k],
+                        root if roots is None else roots[k],
+                        node.wait_offsets, node, k)
+            else:
+                for _ in range(node.count):
+                    yield from self.events(node.body)

@@ -12,6 +12,7 @@ a coNCePTuaL task predicate (see :meth:`RankSet.to_predicate`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
@@ -94,15 +95,8 @@ class RankSet:
     def __contains__(self, rank: object) -> bool:
         if not isinstance(rank, int):
             return False
-        # binary search
-        lo, hi = 0, len(self._ranks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ranks[mid] < rank:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self._ranks) and self._ranks[lo] == rank
+        i = bisect_left(self._ranks, rank)
+        return i < len(self._ranks) and self._ranks[i] == rank
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ranks)

@@ -26,6 +26,29 @@ class TestPreCheck:
         trace = trace_application(app, 2, model=SimpleModel())
         assert has_wildcards(trace)
 
+    def test_detects_wildcard_in_rank_map_peer(self):
+        # one Recv call site: rank 0 receives from any source twice,
+        # rank 1 from 2 then 3 -- the merged peer is a rank_map
+        def app(mpi):
+            sources = {0: [ANY_SOURCE, ANY_SOURCE], 1: [2, 3]}.get(
+                mpi.rank, [])
+            for src in sources:
+                yield from mpi.recv(source=src)
+            if mpi.rank in (2, 3):
+                yield from mpi.send(dest=0, nbytes=8)
+                yield from mpi.send(dest=1, nbytes=8)
+            yield from mpi.finalize()
+
+        trace = trace_application(app, 4, model=SimpleModel())
+        (recv,) = [n for n in trace.iter_events() if n.op == "Recv"]
+        assert recv.peer.rank_map is not None
+        assert has_wildcards(trace)
+        bench = generate_from_application(app, 4, model=SimpleModel())
+        assert bench.was_resolved
+        assert "ANY TASK" not in bench.source
+        assert sorted(e.peer for e in _events(bench.trace, 0, "Recv")) \
+            == [2, 3]
+
     def test_no_wildcards_is_noop(self):
         def app(mpi):
             if mpi.rank == 0:

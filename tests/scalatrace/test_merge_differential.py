@@ -23,6 +23,7 @@ from repro.scalatrace.serialize import dumps_trace
 from repro.util.callsite import Callsite
 from repro.util.rankset import RankSet
 
+from tests.generator.rebuild_oracle import per_rank_rebuild
 from tests.scalatrace.eager_merge import eager_merge
 
 
@@ -56,7 +57,10 @@ class TestAppPresetsByteIdentical:
                              ids=[f"{a}-np{n}" for a, n in APP_CELLS])
     def test_trace_aligned_resolved(self, app, np, fastpath):
         weight_only = _pipeline_dumps(app, np)
-        with eager_merge():
+        # the generator's re-merge reaches the eager DP through the
+        # per-rank reference rebuild (the production rebuild shares
+        # alignments and never calls the pair-merge entry point)
+        with eager_merge(), per_rank_rebuild():
             eager = _pipeline_dumps(app, np)
         for stage, got, want in zip(("trace", "aligned", "resolved"),
                                     weight_only, eager):
