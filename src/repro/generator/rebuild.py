@@ -21,13 +21,13 @@ queue made (floating-point sums depend on that order).  Values and
 deltas are read straight off the trace nodes; no member is expanded.
 
 The pair merges keep the accumulator's binomial association order, and
-each distinct pair alignment is computed once per pair of partial shapes
-(:class:`~repro.scalatrace.merge.TraceMergeAccumulator` with
-``share_alignments``).  Rank-set unions, parameter merges and histogram
-folds still run for every merge, in the same order, so the bytes are
-those of rebuilding every rank (``tests/generator/rebuild_oracle.py``
-keeps that per-rank loop as the differential tests' reference).  At most
-``log2(P)+1`` partial merges are live, plus one template per class.
+:class:`~repro.scalatrace.merge.TraceMergeAccumulator` computes each
+distinct pair alignment once per pair of partial shapes.  Rank-set
+unions, parameter merges and histogram folds still run for every merge,
+in the same order, so the bytes are those of rebuilding every rank
+(``tests/generator/rebuild_oracle.py`` keeps that per-rank loop as the
+differential tests' reference).  At most ``log2(P)+1`` partial merges
+are live, plus one template per class.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ def rebuild_trace(trace: Trace, result: TraversalResult) -> Trace:
     pending = Counter(classes)
     obs.count("generator.rank_classes", len(pending))
     reader = _Reader(trace, result)
-    acc = TraceMergeAccumulator(trace.world_size, dict(trace.comm_table),
-                                share_alignments=True)
+    acc = TraceMergeAccumulator(trace.world_size, dict(trace.comm_table))
     templates: Dict[int, _Template] = {}
     # one span around the whole loop: the pair merges interleave with the
     # templates' recompression, and the span must enclose all of them
@@ -89,14 +88,15 @@ def _rank_classes(trace: Trace, result: TraversalResult
     class id, numbered in order of first appearance.
 
     Two ranks share a class when their substituted event streams have
-    the same shape (op, call site, communicator, wait structure and
-    parameter presence, event by event), so the compression queue folds
-    them alike.  The key is read off the tree without expanding any
-    event: the shape of every node the rank visits, in pre-order with
-    loop ends marked, plus the canonical call sites Algorithm 1 gave the
-    rank's collectives where they differ from the recorded ones.
-    Parameter values, resolved wildcard sources and timing are not
-    shape; each member reads its own.
+    the same shape (each event's
+    :attr:`~repro.scalatrace.rsd.EventNode.shape`, the one rule for which
+    events merge alike), so the compression queue folds them alike.  The
+    key is read off the tree without expanding any event: the shape of
+    every node the rank visits, in pre-order with loop ends marked, plus
+    the canonical call sites Algorithm 1 gave the rank's collectives
+    where they differ from the recorded ones.  Parameter values,
+    resolved wildcard sources and timing are not shape; each member
+    reads its own.
     """
     world = trace.world_size
     shapes: Dict[tuple, int] = {}
@@ -105,13 +105,8 @@ def _rank_classes(trace: Trace, result: TraversalResult
 
     def walk(nodes: List[Node], scope: Optional[set]) -> None:
         for node in nodes:
-            if isinstance(node, EventNode):
-                shape: tuple = (node.op, node.callsite, node.comm_id,
-                                node.wait_offsets, node.instances,
-                                node.peer is None, node.size is None,
-                                node.tag is None, node.root is None)
-            else:
-                shape = ("loop", node.count)
+            shape = (node.shape if isinstance(node, EventNode)
+                     else ("loop", node.count))
             token = shapes.setdefault(shape, len(shapes))
             members = [r for r in node.ranks
                        if (r < world if scope is None else r in scope)]
@@ -147,23 +142,15 @@ def _positions(visited: List[Node]) -> Dict[int, int]:
 
 class _Reader:
     """A rank's parameter values and timing deltas, read straight off
-    the trace nodes (no per-rank expansion).  What depends only on the
-    node is cached for the whole rebuild, what depends on the rank only
-    while that rank is read."""
+    the trace nodes (no per-rank expansion)."""
 
     def __init__(self, trace: Trace, result: TraversalResult):
         self.trace = trace
         self.resolutions = result.resolutions
         #: trace nodes with a resolved wildcard instance on some rank
         self.resolved = {nid for nid, _, _ in result.resolutions}
+        #: id(node) -> (its instance_deltas, the ones drawn so far)
         self._deltas: Dict[int, Tuple[Iterator[float], List[float]]] = {}
-        #: id(field) -> rank_values of a sequence field (rank-independent)
-        self._shared: Dict[int, tuple] = {}
-        #: the rank being read: its comm_id -> communicator rank, and
-        #: id(field) -> rank_values of its other fields
-        self._rank = -1
-        self._eranks: Dict[int, int] = {}
-        self._local: Dict[int, tuple] = {}
 
     def deltas(self, node: EventNode, count: int) -> List[float]:
         """The node's first ``count`` instance deltas (the same on every
@@ -181,20 +168,8 @@ class _Reader:
         """Append ``rank``'s values of one parameter of ``node`` for
         ``count`` instances from ``first``, as ``Trace.iter_rank`` reads
         them (a resolved wildcard source replacing the recorded one)."""
-        if rank != self._rank:
-            self._rank = rank
-            self._eranks.clear()
-            self._local.clear()
-        field = getattr(node, name)
-        cache = self._shared if field.seq is not None else self._local
-        found = cache.get(id(field))
-        if found is None:
-            erank = self._eranks.get(node.comm_id)
-            if erank is None:
-                erank = self._eranks[node.comm_id] = self.trace.expr_rank(
-                    node.comm_id, rank)
-            found = cache[id(field)] = field.rank_values(erank)
-        value, values = found
+        value, values = getattr(node, name).rank_values(
+            self.trace.expr_rank(node.comm_id, rank))
         if name == "peer" and id(node) in self.resolved:
             for k in range(first, first + count):
                 seq.append(self.resolutions.get(
@@ -292,6 +267,9 @@ class _Template:
                 ev.comm_id, **kwargs)
             self.stream.append((where[id(node)], ev.instance))
         self.nodes = queue.nodes
+        # the queue added every delta once, in stream order (the timing
+        # invariant of CompressionQueue), so positions index the stream
+        assert queue.clock[0] == len(self.stream)
         #: visited node index -> how many of its instances are drawn
         self.needs: Dict[int, int] = {}
         for p, k in self.stream:

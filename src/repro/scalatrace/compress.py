@@ -320,6 +320,17 @@ class CompressionQueue:
     byte-identical to the rule-at-a-time algorithm.  External reads go
     through the :attr:`nodes` property, which first materialises any
     partially buffered iteration.
+
+    Timing invariant: each appended event's delta is added to exactly
+    one histogram, exactly once, in stream order — to the fresh node's
+    ``time_first`` in :meth:`_make_event`, or to a loop body event's
+    ``time_rest`` in :meth:`_apply_cursor_window` (rows the cursor
+    buffers land in order, in :meth:`_apply_cursor_window` or
+    :meth:`_flush_pending`, before any later event).  Beyond those adds
+    the queue only copies and merges histograms and reads their
+    ``count``.  The generator's rank-class rebuild
+    (:mod:`repro.generator.rebuild`) records one queue's adds and merges
+    and replays them on other ranks' deltas, so it relies on both.
     """
 
     def __init__(self, rank: int, max_window: int = DEFAULT_MAX_WINDOW,
@@ -420,6 +431,7 @@ class CompressionQueue:
 
     def _make_event(self, op, callsite, comm_id, peer, size, tag, root,
                     wait_offsets, delta_t) -> EventNode:
+        # the one add of this event's delta (see the timing invariant)
         time_first = TimeHistogram()
         time_first.add(max(delta_t, 0.0))
         return EventNode(

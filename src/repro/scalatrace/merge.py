@@ -13,7 +13,7 @@ are interleaved in an order preserving both inputs' program orders, each
 keeping its own rank set (this is how e.g. "rank 0 sends, ranks 1..N-1
 receive" coexists inside one merged loop body).
 
-Three throughput mechanisms sit on top of the pairwise LCS merge:
+Four throughput mechanisms sit on top of the pairwise LCS merge:
 
 * **weight-only alignment** — the DP needs each cell's match weight,
   never the merged node, so it computes weights without building
@@ -32,11 +32,15 @@ Three throughput mechanisms sit on top of the pairwise LCS merge:
   ``log2(P)+1`` partial merges live while producing the exact same merge
   association tree as the level-order pairwise reduction it replaced.
   Ranks can be fed (in rank order) as they finish and their queues
-  dropped immediately, which is what bounds the tracer's peak memory.
+  dropped immediately, which is what bounds the tracer's peak memory;
+* **shared alignments** — an alignment reads node shape only, so the
+  accumulator computes one per distinct pair of partial shapes and
+  builds every other merge of that pair along it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -45,19 +49,21 @@ from repro.util.rankset import RankSet
 
 _PARAM_FIELDS = ("peer", "size", "tag", "root")
 
-#: Process-wide toggle for the identical-sequence fast path; flipped by
-#: :func:`set_merge_fastpath` (benchmarks and the byte-identity
-#: regression tests use it to time/compare the pure-LCS baseline).
+#: Process-wide toggle for the identical-sequence fast path and shared
+#: alignments; flipped by :func:`set_merge_fastpath` (benchmarks and the
+#: byte-identity regression tests use it to time/compare the pure-LCS
+#: baseline).
 _FASTPATH = True
 
 
 def set_merge_fastpath(enabled: bool) -> bool:
-    """Enable/disable the identical-sequence merge fast path.
+    """Enable/disable the identical-sequence merge fast path and the
+    accumulator's shared alignments.
 
     Returns the previous setting so callers can restore it in a
-    ``try/finally``.  The fast path never changes merge output — this
-    exists so baselines and regression tests can exercise the LCS path
-    on inputs the fast path would otherwise shortcut."""
+    ``try/finally``.  Neither shortcut ever changes merge output — this
+    exists so baselines and regression tests can run the LCS DP on every
+    merge the shortcuts would otherwise skip."""
     global _FASTPATH
     prev = _FASTPATH
     _FASTPATH = bool(enabled)
@@ -138,19 +144,13 @@ def _identical_structure(a: Node, b: Node) -> bool:
     """Exact structural identity as the merge fast path requires it.
 
     For events this is precisely the condition under which two events
-    merge (:func:`_merge_events` never fails): same signature, same
-    instance count, same parameter presence pattern.  For loops: same
+    merge (:func:`_merge_events` never fails): the same
+    :attr:`~repro.scalatrace.rsd.EventNode.shape`.  For loops: same
     count, same body length, and pairwise identical bodies.
     Fingerprints got us here cheaply; this walk is what makes the fast
     path collision-proof."""
     if isinstance(a, EventNode):
-        return (isinstance(b, EventNode)
-                and a.sig == b.sig
-                and a.instances == b.instances
-                and (a.peer is None) == (b.peer is None)
-                and (a.size is None) == (b.size is None)
-                and (a.tag is None) == (b.tag is None)
-                and (a.root is None) == (b.root is None))
+        return isinstance(b, EventNode) and a.shape == b.shape
     if not isinstance(b, LoopNode):
         return False
     assert isinstance(a, LoopNode)
@@ -241,6 +241,9 @@ class _PairMerge:
         self._loop_weights: Dict[Tuple[int, int], Optional[int]] = {}
         #: (id(list), id(list)) -> alignment
         self._alignments: Dict[Tuple[int, int], _Alignment] = {}
+        #: the alignment counters of the plans made: every merge built
+        #: along a plan emits them (:func:`_emit`)
+        self.counts: Dict[str, int] = Counter()
 
     def _weight(self, node: Node) -> int:
         w = self._weights.get(id(node))
@@ -257,12 +260,8 @@ class _PairMerge:
         if classes is None:
             classes = []
             for node in nodes:
-                if isinstance(node, EventNode):
-                    key: tuple = (node.sig, node.instances,
-                                  node.peer is None, node.size is None,
-                                  node.tag is None, node.root is None)
-                else:
-                    key = ("loop", node.count)
+                key = (node.shape if isinstance(node, EventNode)
+                       else ("loop", node.count))
                 classes.append(self._class_ids.setdefault(
                     key, len(self._class_ids)))
             self._class_lists[id(nodes)] = classes
@@ -353,10 +352,10 @@ class _PairMerge:
         memoized body alignment, so no body DP runs twice)."""
         pairs, fast = self._align(xs, ys)
         if fast:
-            obs.count("scalatrace.merge_fastpath_hits", 1)
+            self.counts["scalatrace.merge_fastpath_hits"] += 1
         else:
-            obs.count("scalatrace.lcs_cells", len(xs) * len(ys))
-            obs.count("scalatrace.lcs_alignments", len(pairs))
+            self.counts["scalatrace.lcs_cells"] += len(xs) * len(ys)
+            self.counts["scalatrace.lcs_alignments"] += len(pairs)
         return tuple(
             (i, j, None if isinstance(xs[i], EventNode)
              else self.plan(xs[i].body, ys[j].body))
@@ -383,6 +382,13 @@ class _CommMaps(dict):
         return found
 
 
+def _emit(counts: Dict[str, int]) -> None:
+    """Count one merge's alignment: the counters describe the alignment
+    each merge is built from, whether it was computed or shared."""
+    for name, n in counts.items():
+        obs.count(name, n)
+
+
 def _build(xs: List[Node], ys: List[Node], plan: _Plan,
            comm_maps: _CommMaps) -> List[Node]:
     """The merged supersequence of ``xs`` and ``ys`` along ``plan``:
@@ -407,14 +413,13 @@ def _build(xs: List[Node], ys: List[Node], plan: _Plan,
 
 def _shape_id(nodes: List[Node], ids: Dict[tuple, int]) -> int:
     """Interned id of everything an alignment reads of ``nodes``: per
-    event its signature, instance count and parameter presence, per loop
+    event its :attr:`~repro.scalatrace.rsd.EventNode.shape`, per loop
     its count and body (ids of both kinds share ``ids``; their keys
     cannot collide)."""
     key = []
     for n in nodes:
         if isinstance(n, EventNode):
-            k: tuple = (n.sig, n.instances, n.peer is None, n.size is None,
-                        n.tag is None, n.root is None)
+            k = n.shape
         else:
             k = ("loop", n.count, _shape_id(n.body, ids))
         key.append(ids.setdefault(k, len(ids)))
@@ -432,7 +437,10 @@ def merge_node_lists(xs: List[Node], ys: List[Node],
     skipping the O(n·m) DP.  Gated further by :func:`_diagonal_safe` so
     the diagonal is exactly what the DP's traceback would produce; any
     doubt falls through to the DP."""
-    return _build(xs, ys, _PairMerge().plan(xs, ys), _CommMaps(comm_table))
+    pair = _PairMerge()
+    plan = pair.plan(xs, ys)
+    _emit(pair.counts)
+    return _build(xs, ys, plan, _CommMaps(comm_table))
 
 
 class TraceMergeAccumulator:
@@ -454,36 +462,36 @@ class TraceMergeAccumulator:
     reference reduction on every app preset), so results are
     byte-identical to the pre-streaming merge for any rank count.
 
-    Shared alignments (``share_alignments=True``): an alignment reads
-    node shape only (signatures, instance and iteration counts, parameter
-    presence; never ranks, values or timing), so each pair alignment is
-    computed once per distinct pair of partial shapes and replayed on
-    every other pair of that shape.  The generator's rebuild feeds P
-    per-rank lists that come in a few shapes, so its merges share most
-    alignments.  The association order, and every per-merge rank-set
-    union, parameter merge and histogram fold, are unchanged, so the
-    bytes are those of the unshared merge.
+    Shared alignments: an alignment reads node shape only (event
+    shapes, loop counts; never ranks, values or timing), so each pair
+    alignment is computed once per distinct pair of partial shapes and
+    replayed on every other pair of that shape.  SPMD ranks, and the
+    generator's rebuilt per-rank lists, come in a few shapes however
+    many ranks there are, so most merges replay one.  Every merge still
+    does its own rank-set unions, parameter merges and histogram folds,
+    in the same association order, so the bytes are those of aligning
+    every merge afresh — which is what the merges do while the fast path
+    is off (:func:`set_merge_fastpath`), keeping that the pure-DP
+    baseline.
     """
 
     def __init__(self, world_size: Optional[int] = None,
-                 comm_table: Optional[Dict[int, Tuple[int, ...]]] = None,
-                 share_alignments: bool = False):
+                 comm_table: Optional[Dict[int, Tuple[int, ...]]] = None):
         self.world_size = world_size
         #: comm_id -> ordered world ranks; grows as rank tables arrive.
         #: Any comm referenced by a fed node list must already be
         #: present (callers feed each rank's table alongside its nodes).
         self.comm_table: Dict[int, Tuple[int, ...]] = dict(comm_table or {})
-        #: (span, nodes, shape id or None) partial merges, largest span
-        #: first.
-        self._partials: List[Tuple[int, List[Node], Optional[int]]] = []
+        #: (span, nodes, shape id) partial merges, largest span first.
+        self._partials: List[Tuple[int, List[Node], int]] = []
         #: How many per-rank lists have been fed.
         self.fed = 0
-        #: shape key -> shape id (see :func:`_shape_id`); None when
-        #: alignments are not shared
-        self._shapes: Optional[Dict[tuple, int]] = (
-            {} if share_alignments else None)
-        #: (left shape, right shape) -> (alignment, merged shape)
-        self._plans: Dict[Tuple[int, int], Tuple[_Plan, int]] = {}
+        #: shape key -> shape id (see :func:`_shape_id`)
+        self._shapes: Dict[tuple, int] = {}
+        #: (left shape, right shape) -> (alignment, merged shape, its
+        #: alignment counters)
+        self._plans: Dict[Tuple[int, int],
+                          Tuple[_Plan, int, Dict[str, int]]] = {}
 
     def add(self, trace: Trace) -> None:
         """Feed one per-rank trace (nodes + comm table)."""
@@ -499,8 +507,7 @@ class TraceMergeAccumulator:
         tracer uses); merges equal-span partials immediately."""
         if comm_table:
             self.comm_table.update(comm_table)
-        shape = (None if self._shapes is None
-                 else _shape_id(nodes, self._shapes))
+        shape = _shape_id(nodes, self._shapes)
         span = 1
         while self._partials and self._partials[-1][0] == span:
             _, prev, prev_shape = self._partials.pop()
@@ -509,21 +516,22 @@ class TraceMergeAccumulator:
         self._partials.append((span, nodes, shape))
         self.fed += 1
 
-    def _merge(self, xs: List[Node], xshape: Optional[int], ys: List[Node],
-               yshape: Optional[int]) -> Tuple[List[Node], Optional[int]]:
+    def _merge(self, xs: List[Node], xshape: int, ys: List[Node],
+               yshape: int) -> Tuple[List[Node], int]:
         """One pair merge, and the merged list's shape id."""
         obs.count("scalatrace.pair_merges", 1)
-        if self._shapes is None:
-            return merge_node_lists(xs, ys, self.comm_table), None
-        found = self._plans.get((xshape, yshape))
-        if found is None:
-            plan = _PairMerge().plan(xs, ys)
-            merged = _build(xs, ys, plan, _CommMaps(self.comm_table))
-            found = self._plans[xshape, yshape] = (
-                plan, _shape_id(merged, self._shapes))
-            return merged, found[1]
-        plan, shape = found
-        return _build(xs, ys, plan, _CommMaps(self.comm_table)), shape
+        found = self._plans.get((xshape, yshape)) if _FASTPATH else None
+        if found is not None:
+            plan, shape, counts = found
+            _emit(counts)
+            return _build(xs, ys, plan, _CommMaps(self.comm_table)), shape
+        pair = _PairMerge()
+        plan = pair.plan(xs, ys)
+        _emit(pair.counts)
+        merged = _build(xs, ys, plan, _CommMaps(self.comm_table))
+        shape = _shape_id(merged, self._shapes)
+        self._plans[xshape, yshape] = (plan, shape, pair.counts)
+        return merged, shape
 
     def live_node_count(self) -> int:
         """Nodes currently held across all partial merges (the term the

@@ -51,7 +51,7 @@ class ParamField:
     def __init__(self, seq: Optional[ValueSeq] = None,
                  expr: Optional[ParamExpr] = None,
                  rank_map: Optional[Dict[int, ValueSeq]] = None):
-        if (seq is None) + (expr is None) + (rank_map is None) != 2:
+        if sum(x is not None for x in (seq, expr, rank_map)) != 1:
             raise TraceError(
                 "ParamField needs exactly one of seq/expr/rank_map")
         self.seq = seq
@@ -158,17 +158,6 @@ class ParamField:
     def _constant_samples(field: "ParamField", ranks) -> Optional[list]:
         """(rank, int) samples if the field is constant-per-rank with
         integer values on every given rank; else None."""
-        if field.seq is not None and ranks:
-            # the same sequence on every rank: decide once
-            s = field.seq
-            if not s.is_constant() or not isinstance(s.value, int):
-                return None
-            v = s.value
-            return [(r, v) for r in ranks]
-        if field.expr is not None:
-            # expressions evaluate to ints
-            evaluate = field.expr.evaluate
-            return [(r, evaluate(r)) for r in ranks]
         out = []
         for r in ranks:
             s = field._seq_for(r)
@@ -295,11 +284,17 @@ class EventNode(Node):
     computation delta preceding each rank's *first* instance of this
     event, ``time_rest`` the deltas of all subsequent instances.  The
     ``time`` property exposes the merged aggregate.
+
+    ``shape`` is the signature, the instance count and which parameters
+    are present (none of them ever change after construction).  Two
+    events merge across ranks exactly when their shapes are equal, and an
+    event's shape is all that the inter-rank alignment and the generator's
+    rank classes read of it.
     """
 
     __slots__ = ("op", "callsite", "comm_id", "instances", "peer", "size",
                  "tag", "root", "wait_offsets", "time_first", "time_rest",
-                 "sig")
+                 "sig", "shape")
 
     def __init__(self, op: str, callsite, comm_id: int, ranks: RankSet,
                  instances: int = 1,
@@ -325,6 +320,8 @@ class EventNode(Node):
         self.time_rest = (time_rest if time_rest is not None
                           else TimeHistogram())
         self.sig = ("event", op, callsite, comm_id, wait_offsets)
+        self.shape = (self.sig, instances, peer is None, size is None,
+                      tag is None, root is None)
         self.fp = hash(("event", op, callsite, comm_id, wait_offsets,
                         ranks)) % FP_MOD
         # Rank/instance-agnostic: two ranks recording the same call site
@@ -366,6 +363,12 @@ class EventNode(Node):
 
     def event_instances(self, rank: int) -> int:
         return self.instances if rank in self.ranks else 0
+
+    def param_value(self, field_name: str, rank: int, instance: int):
+        field: Optional[ParamField] = getattr(self, field_name)
+        if field is None:
+            return None
+        return field.value_at(rank, instance)
 
     def copy(self) -> "EventNode":
         return EventNode(self.op, self.callsite, self.comm_id, self.ranks,
@@ -508,7 +511,8 @@ class Trace:
 
     def iter_rank(self, rank: int) -> Iterator["ConcreteEvent"]:
         """Decompress this rank's event stream (in program order)."""
-        yield from _RankExpansion(self, rank).events(self.nodes)
+        counters: Dict[int, int] = {}
+        yield from _expand(self, self.nodes, rank, counters)
 
     def iter_timed(self, rank: int
                    ) -> Iterator[Tuple["ConcreteEvent", float]]:
@@ -584,48 +588,23 @@ class ConcreteEvent:
                 f"peer={self.peer}, size={self.size})")
 
 
-_NO_PARAM = (None, None)
-
-
-class _RankExpansion:
-    """One rank's decompression: the per-node instance counters, and each
-    node's parameter values on this rank, read once however many times
-    an enclosing loop revisits the node."""
-
-    def __init__(self, trace: Trace, rank: int):
-        self.trace = trace
-        self.rank = rank
-        self.counters: Dict[int, int] = {}
-        self._params: Dict[int, tuple] = {}
-
-    def events(self, nodes: List[Node]) -> Iterator[ConcreteEvent]:
-        rank = self.rank
-        for node in nodes:
-            if rank not in node.ranks:
-                continue
-            if isinstance(node, EventNode):
-                params = self._params.get(id(node))
-                if params is None:
-                    erank = self.trace.expr_rank(node.comm_id, rank)
-                    if node.instances <= 0:
-                        continue
-                    params = self._params[id(node)] = tuple(
-                        _NO_PARAM if field is None
-                        else field.rank_values(erank)
-                        for field in (node.peer, node.size, node.tag,
-                                      node.root))
-                (peer, peers), (size, sizes), (tag, tags), (root, roots) \
-                    = params
-                first = self.counters.get(id(node), 0)
-                self.counters[id(node)] = first + node.instances
-                for k in range(first, first + node.instances):
-                    yield ConcreteEvent(
-                        rank, node.op, node.comm_id,
-                        peer if peers is None else peers[k],
-                        size if sizes is None else sizes[k],
-                        tag if tags is None else tags[k],
-                        root if roots is None else roots[k],
-                        node.wait_offsets, node, k)
-            else:
-                for _ in range(node.count):
-                    yield from self.events(node.body)
+def _expand(trace: Trace, nodes: List[Node], rank: int,
+            counters: Dict[int, int]) -> Iterator[ConcreteEvent]:
+    for node in nodes:
+        if rank not in node.ranks:
+            continue
+        if isinstance(node, EventNode):
+            erank = trace.expr_rank(node.comm_id, rank)
+            for _ in range(node.instances):
+                k = counters.get(id(node), 0)
+                counters[id(node)] = k + 1
+                yield ConcreteEvent(
+                    rank, node.op, node.comm_id,
+                    node.param_value("peer", erank, k),
+                    node.param_value("size", erank, k),
+                    node.param_value("tag", erank, k),
+                    node.param_value("root", erank, k),
+                    node.wait_offsets, node, k)
+        else:
+            for _ in range(node.count):
+                yield from _expand(trace, node.body, rank, counters)

@@ -20,11 +20,18 @@ from repro.mpi.hooks import P2P_OPS, WAIT_OPS
 from repro.scalatrace.compress import CompressionQueue, compress_node_list
 from repro.scalatrace.merge import TraceMergeAccumulator
 from repro.scalatrace.rsd import EventNode, Node, Trace
+from tests.scalatrace.eager_merge import unshared_merge
+
+
+class _UnsharedAccumulator(TraceMergeAccumulator):
+    """The accumulator with every pair merge aligned afresh."""
+
+    _merge = unshared_merge
 
 
 def rebuild_trace(trace: Trace, result: TraversalResult) -> Trace:
     """The traversal's substitutions applied rank by rank."""
-    acc = TraceMergeAccumulator(trace.world_size, dict(trace.comm_table))
+    acc = _UnsharedAccumulator(trace.world_size, dict(trace.comm_table))
     for rank in range(trace.world_size):
         acc.add_nodes(_rebuild_rank(trace, result, rank))
     rebuilt = acc.result()

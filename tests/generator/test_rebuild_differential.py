@@ -1,13 +1,13 @@
 """Differential tests: the rank-class rebuild against the per-rank oracle.
 
-``rebuild_trace`` compresses one template per rank class and shares pair
-alignments between merges of equal shape; ``rebuild_oracle`` rebuilds
-every rank through its own queue and the unshared merge.  Aligned and
-resolved dumps (``force=True``) and the generated source must match byte
-for byte on every app preset at np 4/8/9/16, on sweep3d, lu and race at
-np 64, on a wildcard hidden in a ``rank_map`` peer, and on random
-synthetic traces — with the merge's identical-sequence fast path on and
-off.
+``rebuild_trace`` compresses one template per rank class and its
+accumulator shares pair alignments between merges of equal shape;
+``rebuild_oracle`` rebuilds every rank through its own queue and aligns
+every merge afresh.  Aligned and resolved dumps (``force=True``) and the
+generated source must match byte for byte on every app preset at np
+4/8/9/16, on sweep3d, lu and race at np 64, on a wildcard hidden in a
+``rank_map`` peer, and on random synthetic traces — with the merge's
+fast paths (identical-sequence splice, shared alignments) on and off.
 """
 
 from functools import lru_cache
@@ -36,6 +36,7 @@ from repro.util.valueseq import ValueSeq
 
 from tests.generator import rebuild_oracle
 from tests.generator.rebuild_oracle import per_rank_rebuild
+from tests.generator.test_wildcard import rank_map_wildcard_app
 
 
 @pytest.fixture(params=[True, False], ids=["fastpath", "lcs"])
@@ -43,18 +44,6 @@ def fastpath(request):
     prev = set_merge_fastpath(request.param)
     yield request.param
     set_merge_fastpath(prev)
-
-
-def rank_map_wildcard_app(mpi):
-    """One Recv call site: rank 0 receives from any source twice, rank 1
-    from 2 then 3, so the merged peer is ``M0=-1x2;1=2,3``."""
-    sources = {0: [ANY_SOURCE, ANY_SOURCE], 1: [2, 3]}.get(mpi.rank, [])
-    for src in sources:
-        yield from mpi.recv(source=src)
-    if mpi.rank in (2, 3):
-        yield from mpi.send(dest=0, nbytes=8)
-        yield from mpi.send(dest=1, nbytes=8)
-    yield from mpi.finalize()
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,19 @@ def _events(trace, rank, op):
     return [e for e in trace.iter_rank(rank) if e.op == op]
 
 
+def rank_map_wildcard_app(mpi):
+    """One Recv call site on 4 ranks: rank 0 receives from any source
+    twice, rank 1 from 2 then 3, so the merged peer is the rank_map
+    ``M0=-1x2;1=2,3``."""
+    sources = {0: [ANY_SOURCE, ANY_SOURCE], 1: [2, 3]}.get(mpi.rank, [])
+    for src in sources:
+        yield from mpi.recv(source=src)
+    if mpi.rank in (2, 3):
+        yield from mpi.send(dest=0, nbytes=8)
+        yield from mpi.send(dest=1, nbytes=8)
+    yield from mpi.finalize()
+
+
 class TestPreCheck:
     def test_detects_wildcards(self):
         def app(mpi):
@@ -27,18 +40,7 @@ class TestPreCheck:
         assert has_wildcards(trace)
 
     def test_detects_wildcard_in_rank_map_peer(self):
-        # one Recv call site: rank 0 receives from any source twice,
-        # rank 1 from 2 then 3 -- the merged peer is a rank_map
-        def app(mpi):
-            sources = {0: [ANY_SOURCE, ANY_SOURCE], 1: [2, 3]}.get(
-                mpi.rank, [])
-            for src in sources:
-                yield from mpi.recv(source=src)
-            if mpi.rank in (2, 3):
-                yield from mpi.send(dest=0, nbytes=8)
-                yield from mpi.send(dest=1, nbytes=8)
-            yield from mpi.finalize()
-
+        app = rank_map_wildcard_app
         trace = trace_application(app, 4, model=SimpleModel())
         (recv,) = [n for n in trace.iter_events() if n.op == "Recv"]
         assert recv.peer.rank_map is not None

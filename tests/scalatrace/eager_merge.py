@@ -8,7 +8,8 @@ computes the same weights without building anything and builds merged
 nodes only along the traceback; the differential tests hold the two to
 byte-identical output.  Only the fast-path gate helpers and the match
 weight are shared with the production module; the event and loop
-merges, the DP and the traceback are the pre-change code.
+merges, the DP and the traceback are the pre-change code, and every
+accumulator merge runs its own DP (no shared alignments).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.scalatrace import merge as production
 from repro.scalatrace.merge import (_diagonal_safe, _identical_structure,
                                     _match_weight, _seq_mfp)
@@ -132,13 +134,25 @@ def merge_node_lists(xs: List[Node], ys: List[Node],
     return out
 
 
+def unshared_merge(acc: production.TraceMergeAccumulator, xs: List[Node],
+                   xshape: int, ys: List[Node], yshape: int):
+    """``TraceMergeAccumulator._merge`` without shared alignments: every
+    pair goes through ``merge_node_lists`` (looked up on the production
+    module, so :func:`eager_merge` reaches it too)."""
+    obs.count("scalatrace.pair_merges", 1)
+    return production.merge_node_lists(xs, ys, acc.comm_table), xshape
+
+
 @contextmanager
 def eager_merge():
     """Route every pair merge in the process (tracer Finalize merge,
-    ``merge_traces``, the generator's re-merge) through the eager DP."""
-    saved = production.merge_node_lists
+    ``merge_traces``, the generator's re-merge) through the eager DP,
+    one DP per merge."""
+    acc = production.TraceMergeAccumulator
+    saved = production.merge_node_lists, acc._merge
     production.merge_node_lists = merge_node_lists
+    acc._merge = unshared_merge
     try:
         yield
     finally:
-        production.merge_node_lists = saved
+        production.merge_node_lists, acc._merge = saved

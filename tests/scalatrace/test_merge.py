@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.scalatrace import merge
 from repro.scalatrace.compress import CompressionQueue
 from repro.scalatrace.merge import (TraceMergeAccumulator, merge_node_lists,
                                     merge_traces, set_merge_fastpath)
@@ -311,6 +312,31 @@ class TestTraceMergeAccumulator:
             assert len(acc._partials) <= 7  # log2(64) + 1
         assert len(acc._partials) == 1  # 64 is a power of two
         acc.result()
+
+    @pytest.mark.parametrize("enabled, aligned", [(True, 1), (False, 7)])
+    def test_equal_shapes_share_one_alignment(self, monkeypatch, enabled,
+                                              aligned):
+        # SPMD ranks present one shape, and merging two lists of that
+        # shape gives it again, so one alignment serves all 7 merges of
+        # 8 ranks.  With the fast path off every merge aligns afresh.
+        made = []
+
+        class Counting(merge._PairMerge):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(merge, "_PairMerge", Counting)
+        prev = set_merge_fastpath(enabled)
+        try:
+            with obs.instrumented() as inst:
+                merged = dumps_trace(merge_traces(ring_traces(8)))
+        finally:
+            set_merge_fastpath(prev)
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        assert counters["scalatrace.pair_merges"] == 7
+        assert len(made) == aligned
+        assert merged == dumps_trace(reference_level_order(ring_traces(8)))
 
     def test_live_node_count_tracks_partials(self):
         acc = TraceMergeAccumulator(world_size=4)

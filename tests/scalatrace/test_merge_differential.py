@@ -1,11 +1,12 @@
 """Differential tests: the weight-only pair merge against the eager DP.
 
-The production merge aligns on weights alone and builds merged nodes
-only along the traceback; ``eager_merge`` is the pre-change DP that
-builds a merged node for every cell it tries.  Both must serialize
-byte-identically — on every app preset (the tracer's Finalize merge and
-the generator's re-merge in Algorithms 1 and 2) and on random node
-lists — with the identical-sequence fast path on and off.
+The production merge aligns on weights alone, shares each alignment
+between the accumulator's merges of equal shape and builds merged nodes
+only along the traceback; ``eager_merge`` is the pre-change DP that runs
+for every merge and builds a merged node for every cell it tries.  Both
+must serialize byte-identically — on every app preset (the tracer's
+Finalize merge and the generator's re-merge in Algorithms 1 and 2) and
+on random node lists — with the merge fast paths on and off.
 """
 
 import pytest
