@@ -184,21 +184,22 @@ class _Reader:
 
 class _History:
     """Stands in for a :class:`TimeHistogram` while a template is
-    compressed: records the adds (as stream positions) and merges that
-    build it, so :meth:`replay` rebuilds the histogram from any member's
-    deltas with the same float sums in the same order."""
+    compressed: records the adds (as stream positions, which the template
+    passes as deltas) and merges that build it, so :meth:`replay`
+    rebuilds the histogram from any member's deltas with the same float
+    sums in the same order."""
 
     __slots__ = ("count", "ops", "clock")
 
     def __init__(self, clock: list, count: int = 0, ops=()):
-        #: shared [next stream position]: the queue adds each event's
-        #: delta exactly once, in stream order
+        #: shared [adds so far]: the queue adds each event's delta
+        #: exactly once
         self.clock = clock
         self.count = count
         self.ops: list = list(ops)
 
-    def add(self, _t: float) -> None:
-        self.ops.append(self.clock[0])
+    def add(self, position: float) -> None:
+        self.ops.append(int(position))
         self.clock[0] += 1
         self.count += 1
 
@@ -228,12 +229,8 @@ class _TemplateQueue(CompressionQueue):
         super().__init__(rank, fold_collectives=False)
         self.clock = [0]
 
-    def _make_event(self, *args, **kwargs) -> EventNode:
-        node = super()._make_event(*args, **kwargs)
-        node.time_first = _History(self.clock)
-        node.time_first.add(0.0)
-        node.time_rest = _History(self.clock)
-        return node
+    def _histogram(self):
+        return _History(self.clock)
 
 
 class _Template:
@@ -264,11 +261,11 @@ class _Template:
                 kwargs.update(size=ev.size, root=ev.root)
             queue.append_event(
                 ev.op, result.callsite_map.get(key, node.callsite),
-                ev.comm_id, **kwargs)
+                ev.comm_id, delta_t=len(self.stream), **kwargs)
             self.stream.append((where[id(node)], ev.instance))
         self.nodes = queue.nodes
-        # the queue added every delta once, in stream order (the timing
-        # invariant of CompressionQueue), so positions index the stream
+        # the queue added every delta once (the timing invariant of
+        # CompressionQueue), so each position is recorded once
         assert queue.clock[0] == len(self.stream)
         #: visited node index -> how many of its instances are drawn
         self.needs: Dict[int, int] = {}

@@ -21,12 +21,12 @@ folding is always lossless.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.mpi.hooks import COLLECTIVE_OPS
 from repro.scalatrace.rsd import (FP_BASE, FP_MOD, EventNode, LoopNode, Node,
-                                  ParamField, count_nodes)
+                                  ParamField, count_nodes, loop_fp)
 from repro.util.histogram import TimeHistogram
 from repro.util.rankset import RankSet
 from repro.util.valueseq import ValueSeq
@@ -237,7 +237,7 @@ def _seq_extend(xs: ValueSeq, ys: ValueSeq, ca: int, cb: int) -> None:
 
 def _seq_push(seq: ValueSeq, value, ca: int) -> None:
     """In-place equivalent of ``_seq_extend`` with a single fresh value
-    (``cb == 1``) — the replay-cursor absorb step."""
+    (``cb == 1``) — the replay cursor's merge of a row."""
     runs = seq.runs
     if len(runs) == 1 and seq.length != ca:
         runs[0] = (runs[0][0], ca)
@@ -290,6 +290,83 @@ def _merge_sequence_inplace(xs: List[Node], ys: List[Node],
             _merge_sequence_inplace(x.body, y.body, separate_entries=True)
 
 
+def _merge_items(xs: List[Node], items: list) -> None:
+    """Absorb one replayed iteration into the body ``xs`` it copies, in
+    place: ``_merge_sequence_inplace(xs, ys)`` where each cursor row in
+    ``items`` stands for the one-sample event node the rule-at-a-time
+    path would have built, and each loop is a copy built by the cursor."""
+    for x, y in zip(xs, items):
+        if type(y) is tuple:
+            ca = x.sample_count()   # per-rank: single-rank queue
+            f = x.peer
+            if f is not None:
+                _seq_push(f.seq, y[0], ca)
+            f = x.size
+            if f is not None:
+                _seq_push(f.seq, y[1], ca)
+            f = x.tag
+            if f is not None:
+                _seq_push(f.seq, y[2], ca)
+            f = x.root
+            if f is not None:
+                _seq_push(f.seq, y[3], ca)
+            # == time_rest.merge(the fresh node's one-sample time_first)
+            x.time_rest.add(max(y[4], 0.0))
+        else:
+            # copies of a nested loop are distinct entries of that loop
+            _merge_sequence_inplace(x.body, y.body, separate_entries=True)
+
+
+class _Frame:
+    """One loop instance the replay cursor is inside.
+
+    ``spec`` is the loop of the tail loop's tree being replayed (the tail
+    loop itself in the root frame) and ``specs`` its body's event match
+    keys (None at inner loops).  ``items`` are the current iteration's
+    finished body positions: an event is a raw row ``(peer, size, tag,
+    root, delta_t)``, or — while ``build``, on an inner loop's first
+    iteration, which becomes that loop's body — the node the
+    rule-at-a-time path builds; an inner loop is its finished copy.
+    ``first`` is an inner loop's completed first iteration, and ``acc``
+    the loop folded from it once the second completes."""
+
+    __slots__ = ("spec", "specs", "width", "items", "build", "first", "acc")
+
+    def __init__(self, spec: LoopNode, specs: list, build: bool):
+        self.spec = spec
+        self.specs = specs
+        self.width = len(spec.body)
+        self.items: list = []
+        self.build = build
+        self.first: Optional[List[Node]] = None
+        self.acc: Optional[LoopNode] = None
+
+    def live_nodes(self) -> int:
+        """Nodes the rule-at-a-time path would hold for this frame."""
+        if self.acc is not None:
+            total = count_nodes([self.acc])
+        else:
+            total = count_nodes(self.first or [])
+        for item in self.items:
+            total += 1 if type(item) is tuple else count_nodes([item])
+        return total
+
+
+def _hits(bad: set, x: int) -> bool:
+    """Does the prefix hash ``x`` solve any of a plan's equations?"""
+    for a, b in bad:
+        if (a * x - b) % FP_MOD == 0:
+            return True
+    return False
+
+
+def _event_key(e: EventNode) -> tuple:
+    """What the cursor compares an incoming event against: the node's
+    signature and which parameters are present."""
+    return (e.op, e.callsite, e.comm_id, e.wait_offsets, e.peer is None,
+            e.size is None, e.tag is None, e.root is None)
+
+
 class CompressionQueue:
     """The per-rank trace queue with fixpoint tail compression.
 
@@ -308,29 +385,33 @@ class CompressionQueue:
     output is byte-identical to the unfingerprinted algorithm.
 
     On top of that sits the *replay cursor*, the streaming steady-state
-    fast path.  Once the tail is a queue-built loop whose flat event body
-    the incoming stream keeps replaying, each iteration's events are
-    matched field-by-field against the body and buffered as raw values;
-    when a full copy of the body has arrived, it is absorbed by mutating
-    the loop directly — no :class:`EventNode`, histogram, or parameter
-    object is ever constructed for the absorbed iteration.  The cursor
-    engages only after a fingerprint precheck proves that *no* rewrite
-    rule could fire on any intermediate queue state it skips (any hash
+    fast path.  Once the tail is a queue-built loop, inner loops
+    included, the incoming stream is matched event by event against the
+    expansion of its body.  The cursor builds what the rule-at-a-time
+    path would build, but without scanning the rules: an event becomes a
+    raw row, except on an inner loop's first iteration, whose nodes
+    become that loop's body; an inner loop's later iterations and each
+    whole iteration of the tail loop are merged in place into their
+    copies by the same merges the absorb and fold rules make, so inner
+    timing lands in the inner copy's histograms before it is merged
+    outward.  What the cursor holds is at most what the rule-at-a-time
+    path would hold.  It engages only after a fingerprint precheck
+    proves that, on every queue state it skips, the first rule that
+    could fire is the one it applies (:meth:`_cursor_plan`; any hash
     coincidence declines the cursor), so the compressed output is
     byte-identical to the rule-at-a-time algorithm.  External reads go
     through the :attr:`nodes` property, which first materialises any
-    partially buffered iteration.
+    partly replayed iteration.
 
     Timing invariant: each appended event's delta is added to exactly
-    one histogram, exactly once, in stream order — to the fresh node's
-    ``time_first`` in :meth:`_make_event`, or to a loop body event's
-    ``time_rest`` in :meth:`_apply_cursor_window` (rows the cursor
-    buffers land in order, in :meth:`_apply_cursor_window` or
-    :meth:`_flush_pending`, before any later event).  Beyond those adds
-    the queue only copies and merges histograms and reads their
-    ``count``.  The generator's rank-class rebuild
-    (:mod:`repro.generator.rebuild`) records one queue's adds and merges
-    and replays them on other ranks' deltas, so it relies on both.
+    one histogram, exactly once — to the fresh node's ``time_first`` in
+    :meth:`_make_event`, or to a body event's ``time_rest`` when the
+    cursor merges a row.  Beyond those adds the queue only copies and
+    merges histograms, creates them through :meth:`_histogram` and reads
+    their ``count``.  The generator's rank-class rebuild
+    (:mod:`repro.generator.rebuild`) passes stream positions as deltas,
+    records one queue's adds and merges and replays them on other ranks'
+    deltas, so it relies on both.
     """
 
     def __init__(self, rank: int, max_window: int = DEFAULT_MAX_WINDOW,
@@ -347,31 +428,34 @@ class CompressionQueue:
         #: which licenses the in-place fold/absorb/coalesce fast paths;
         #: nodes arriving through :meth:`append_node` are never mutated.
         self._owned: set = set()
-        # replay-cursor state: the tail loop being replayed, the per-body
-        # match specs, window width, position, and the buffered raw rows
-        self._cloop = None
-        self._cbody: list = []
-        self._cw = 0
-        self._cpos = 0
-        self._pending: list = []
-        self._no_engage = None   # memo of the last state that failed engage
+        #: the replay cursor's frames, outermost first (empty: disengaged)
+        self._frames: List[_Frame] = []
+        #: the tail loop the cursor may engage on at the next event
+        self._armed: Optional[LoopNode] = None
+        #: the last cursor plan: (tail loop, (len(nodes), prefix before
+        #: it), plan or None) — the plan does not depend on the loop's
+        #: count, so it is made once per tail loop and position
+        self._plan = None
+        #: events the replay cursor took (``scalatrace.cursor_events``)
+        self.cursor_events = 0
         _fp_pow(max_window + 1)   # pre-extend for direct indexing
 
     @property
     def nodes(self) -> List[Node]:
         """The compressed node list.  Materialises any loop iteration the
-        replay cursor is still buffering, so external readers always see
+        replay cursor is still replaying, so external readers always see
         the exact state the rule-at-a-time algorithm would have."""
-        if self._cloop is not None:
-            self._flush_pending()
+        if self._frames:
+            self._disengage()
         return self._nodes
 
     def live_node_count(self) -> int:
-        """Nodes this queue currently holds: compressed output plus any
-        rows the replay cursor is still buffering.  Unlike :attr:`nodes`
-        this never flushes the cursor, so the streaming tracer can
-        sample its memory high-water mark without perturbing state."""
-        return count_nodes(self._nodes) + len(self._pending)
+        """Nodes this queue currently holds: compressed output plus what
+        the replay cursor is still replaying.  Unlike :attr:`nodes` this
+        never disengages the cursor, so the streaming tracer can sample
+        its memory high-water mark without perturbing state."""
+        return count_nodes(self._nodes) + sum(
+            f.live_nodes() for f in self._frames)
 
     # -- fingerprint table ---------------------------------------------------
     def _push_fp(self, node: Node) -> None:
@@ -409,30 +493,48 @@ class CompressionQueue:
     def append_event(self, op: str, callsite, comm_id: int,
                      peer=None, size=None, tag=None, root=None,
                      wait_offsets=None, delta_t: float = 0.0) -> None:
-        if self._cloop is not None:
-            spec = self._cbody[self._cpos]
-            if (op == spec[0] and callsite == spec[1] and comm_id == spec[2]
-                    and wait_offsets == spec[3]
+        frames = self._frames
+        if not frames and self._armed is not None:
+            frames = self._engage((op, callsite, comm_id, wait_offsets,
+                                   peer is None, size is None, tag is None,
+                                   root is None))
+        if frames:
+            f = frames[-1]
+            spec = f.specs[len(f.items)]
+            if (op == spec[0]
+                    and (callsite is spec[1] or callsite == spec[1])
+                    and comm_id == spec[2] and wait_offsets == spec[3]
                     and (peer is None) == spec[4]
                     and (size is None) == spec[5]
                     and (tag is None) == spec[6]
                     and (root is None) == spec[7]):
-                self._pending.append((peer, size, tag, root, delta_t))
-                self._cpos += 1
-                if self._cpos == self._cw:
-                    self._apply_cursor_window()
+                self.cursor_events += 1
+                items = f.items
+                if f.build:
+                    items.append(self._make_event(
+                        op, callsite, comm_id, peer, size, tag, root,
+                        wait_offsets, delta_t))
+                else:
+                    items.append((peer, size, tag, root, delta_t))
+                k = len(items)
+                if k == f.width or f.specs[k] is None:
+                    self._cursor_advance()
                 return
-            self._flush_pending()   # replay broke: materialise, disengage
+            self._disengage()   # replay broke: materialise, disengage
         node = self._make_event(op, callsite, comm_id, peer, size, tag,
                                 root, wait_offsets, delta_t)
         self._owned.add(id(node))   # built here: eligible for in-place fold
         self.append_node(node)
         self._try_engage()
 
+    def _histogram(self) -> TimeHistogram:
+        """A fresh, empty histogram for a node this queue builds."""
+        return TimeHistogram()
+
     def _make_event(self, op, callsite, comm_id, peer, size, tag, root,
                     wait_offsets, delta_t) -> EventNode:
         # the one add of this event's delta (see the timing invariant)
-        time_first = TimeHistogram()
+        time_first = self._histogram()
         time_first.add(max(delta_t, 0.0))
         return EventNode(
             op, callsite, comm_id, self.ranks, instances=1,
@@ -440,11 +542,13 @@ class CompressionQueue:
             size=ParamField.of(size) if size is not None else None,
             tag=ParamField.of(tag) if tag is not None else None,
             root=ParamField.of(root) if root is not None else None,
-            wait_offsets=wait_offsets, time_first=time_first)
+            wait_offsets=wait_offsets, time_first=time_first,
+            time_rest=self._histogram())
 
     def append_node(self, node: Node) -> None:
-        if self._cloop is not None:
-            self._flush_pending()
+        self._armed = None
+        if self._frames:
+            self._disengage()
         self._nodes.append(node)
         self._push_fp(node)
         self.compress_tail()
@@ -464,145 +568,306 @@ class CompressionQueue:
 
     # -- replay cursor -------------------------------------------------------
     def _try_engage(self) -> None:
-        """Arm the replay cursor when the queue tail is a queue-built loop
-        with a flat, seq-parameter event body that the stream may keep
-        replaying — and the fingerprint precheck proves no rewrite rule
-        could fire on any intermediate state the cursor would skip."""
+        """Arm the replay cursor when the queue tail is a queue-built
+        loop; it engages if the next event starts the loop's body."""
         q = self._nodes
-        if not q:
-            return
-        loop = q[-1]
-        if not isinstance(loop, LoopNode) or id(loop) not in self._owned:
-            return
-        body = loop.body
-        if len(body) > self.max_window:
-            return   # absorb could never fire on this window
-        state = (id(loop), loop.fp, len(q), self._prefix[-1])
-        if state == self._no_engage:
-            return
-        ranks = self.ranks
-        specs = []
-        for e in body:
-            if not isinstance(e, EventNode) or e.ranks != ranks \
-                    or e.sample_count() == 0:
-                self._no_engage = state
-                return
-            for f in (e.peer, e.size, e.tag, e.root):
-                if f is not None and (f.seq is None or f.seq.length == 0):
-                    self._no_engage = state
-                    return
-            specs.append((e.op, e.callsite, e.comm_id, e.wait_offsets,
-                          e.peer is None, e.size is None, e.tag is None,
-                          e.root is None))
-        if not self._foldable(body) or not self._cursor_precheck(loop):
-            self._no_engage = state
-            return
-        self._cloop = loop
-        self._cbody = specs
-        self._cw = len(body)
-        self._cpos = 0
+        if q and isinstance(q[-1], LoopNode) and id(q[-1]) in self._owned:
+            self._armed = q[-1]
 
-    def _cursor_precheck(self, loop: LoopNode) -> bool:
-        """True when no rewrite rule can fire on any queue state
-        ``nodes + body[:k]`` for ``0 < k < len(body)`` — the states the
-        cursor skips while buffering a replayed iteration.
+    def _engage(self, key: tuple) -> List[_Frame]:
+        """Engage on the armed loop when the incoming event (match
+        ``key``) starts its body and the loop's plan
+        (:meth:`_cursor_plan`) holds at its current count."""
+        loop = self._armed
+        self._armed = None
+        first = loop.body[0]
+        while isinstance(first, LoopNode):
+            first = first.body[0]
+        if _event_key(first) != key:
+            return self._frames
+        q = self._nodes
+        where = (len(q), self._prefix[-2])
+        memo = self._plan
+        if memo is None or memo[0] is not loop or memo[1] != where:
+            memo = self._plan = (loop, where, self._cursor_plan(loop))
+        plan = memo[2]
+        if plan is not None and not _hits(plan[0], self._prefix[-1]):
+            self._frames = [_Frame(loop, plan[1][id(loop)], build=False)]
+            self._cursor_advance()
+        return self._frames
 
-        Conservative in the safe direction: rules fire only on window-
-        fingerprint equality, so checking every candidate window hash
-        (coalesce never applies — the hypothetical tail is an event)
-        and declining on *any* coincidence bounds rule firing from
-        above.  A decline merely falls back to the rule-at-a-time path.
+    def _cursor_plan(self, loop: LoopNode):
+        """``(bad, keys)`` for replaying ``loop`` at the queue tail, or
+        None when the cursor must not replay it.
+
+        ``keys`` maps id(loop in the tree) to its body's event match keys.
+        ``bad`` holds pairs ``(a, b)``: where ``a * x == b`` (mod
+        ``FP_MOD``) for the prefix hash ``x`` through the loop, some rule
+        might fire early on a queue state the cursor skips.
+
+        The skipped states are walked on fingerprints alone: an
+        event appends its node's fingerprint; an inner loop's second
+        iteration must fold with its first, and each later one be
+        absorbed into the folded copy; the last event must let the tail
+        loop absorb the iteration.  At each state every rule's gate is
+        scanned in the order ``compress_tail`` tries them, and the first
+        that may pass must be the expected one (or none, when nothing is
+        expected).  A gate's window hash is linear in the prefix hash
+        through the loop, the only input that moves with the loop's
+        count: a gate that cannot pass at all is skipped, one that
+        passes at any count declines the plan, and one that passes at
+        one value of ``x`` adds its equation to ``bad``.  Conservative
+        in the safe direction: a gate only bounds a rule from above, so
+        a decline merely leaves the events to the rule-at-a-time path.
         """
-        q = self._nodes
-        body = loop.body
-        n0 = len(q)
-        w = len(body)
+        ranks = self.ranks
         mw = self.max_window
-        pows = _FP_POWS
-        hp = list(self._prefix)
-        for j in range(w - 1):
-            hp.append((hp[-1] * FP_BASE + body[j].fp) % FP_MOD)
-        for k in range(1, w):
-            n = n0 + k
-            top = hp[n]
-            # absorb: a loop strictly before the tail loop could claim a
-            # window ending in the buffered events (widths <= k end on
-            # events/our loop and cannot fire: shown in _try_absorb)
-            for wp in range(k + 1, min(mw, n - 1) + 1):
-                pi = n - wp - 1
-                if pi < 0:
-                    break
-                if pi >= n0 - 1:
-                    continue
-                prev = q[pi]
-                if isinstance(prev, LoopNode) and len(prev.body) == wp \
-                        and prev.body_fp == (top - hp[n - wp] * pows[wp]) \
-                        % FP_MOD:
-                    return False
-            # fold: any repeated adjacent window in the hypothetical tail
-            for wp in range(1, min(mw, n // 2) + 1):
-                pw = pows[wp]
-                mid = hp[n - wp]
-                if (mid - hp[n - 2 * wp] * pw) % FP_MOD == \
-                        (top - mid * pw) % FP_MOD:
-                    return False
-        return True
+        keys = {}
 
-    def _apply_cursor_window(self) -> None:
-        """Absorb one fully buffered body replay into the cursor loop —
-        the in-place equivalent of appending each buffered event and
-        letting ``_try_absorb`` fire on the last one."""
-        loop = self._cloop
-        body = loop.body
-        for e, row in zip(body, self._pending):
-            ca = e.sample_count()   # per-rank: single-rank queue
-            f = e.peer
-            if f is not None:
-                _seq_push(f.seq, row[0], ca)
-            f = e.size
-            if f is not None:
-                _seq_push(f.seq, row[1], ca)
-            f = e.tag
-            if f is not None:
-                _seq_push(f.seq, row[2], ca)
-            f = e.root
-            if f is not None:
-                _seq_push(f.seq, row[3], ca)
-            dt = row[4]
-            e.time_rest.add(dt if dt > 0.0 else 0.0)
-        self._pending.clear()
-        self._cpos = 0
+        def eligible(lp: LoopNode, inner: bool) -> bool:
+            body = lp.body
+            if lp.ranks != ranks or not body or len(body) > mw \
+                    or (inner and lp.count < 2):
+                return False
+            row = []
+            for e in body:
+                if isinstance(e, LoopNode):
+                    if not eligible(e, True):
+                        return False
+                    row.append(None)
+                    continue
+                if e.ranks != ranks or e.sample_count() == 0:
+                    return False
+                for fld in (e.peer, e.size, e.tag, e.root):
+                    if fld is not None and (fld.seq is None
+                                            or fld.seq.length == 0):
+                        return False
+                row.append(_event_key(e))
+            keys[id(lp)] = row
+            return True
+
+        if not eligible(loop, False) or not self._foldable(loop.body):
+            return None
+
+        q = self._nodes
+        n0 = len(q)              # the loop is nodes[n0 - 1]
+        pref = self._prefix
+        M = FP_MOD
+        lo = max(0, n0 - 1 - mw)   # no rule reaches further back
+
+        def shape(node):
+            if isinstance(node, LoopNode):
+                return (len(node.body), node.body_fp, node.body[-1].fp)
+            return None
+
+        # The model queue from position ``lo`` on: loop positions with
+        # their shapes ``(width, body_fp, last body fp)``, positions by
+        # fingerprint (both ascending; the loop's own fingerprint moves
+        # with its count and is left out), and for the skipped tail after
+        # the loop its fingerprints, shapes and rolling hash.
+        loops = [(i, shape(q[i])) for i in range(lo, n0)
+                 if isinstance(q[i], LoopNode)]
+        loop_shape = loops[-1][1]   # the tail loop is the last loop
+        where: Dict[int, List[int]] = {}
+        fps: list = []
+        shapes: list = []
+        tail_h = [0]
+        bad = set()
+
+        def push(fp, shp):
+            pos = n0 + len(fps)
+            fps.append(fp)
+            shapes.append(shp)
+            if shp is not None:
+                loops.append((pos, shp))
+            at = where.get(fp)
+            if at is None:
+                at = where[fp] = [i for i in range(lo, n0 - 1)
+                                  if q[i].fp == fp]
+            at.append(pos)
+            tail_h.append((tail_h[-1] * FP_BASE + fp) % M)
+
+        def replace(width, lp, count):
+            for _ in range(width):
+                where[fps.pop()].pop()
+                if shapes.pop() is not None:
+                    loops.pop()
+                tail_h.pop()
+            push(loop_fp(count, ranks, len(lp.body), lp.body_fp), shape(lp))
+
+        def window(a, b):
+            # hash of positions [a, b) as (c, d): c * x + d, x the prefix
+            # hash through the loop (c == 0 when the window misses it)
+            p = _fp_pow(b - a)
+            if b < n0:
+                return 0, (pref[b] - pref[a] * p) % M
+            yb = tail_h[b - n0]
+            if a >= n0:
+                return 0, (yb - tail_h[a - n0] * p) % M
+            return _fp_pow(b - n0), (yb - pref[a] * p) % M
+
+        def verdict(lhs, rhs):
+            """None: never equal; True: equal at any x; else ``(a, b)``:
+            equal where a * x == b."""
+            da = (lhs[0] - rhs[0]) % M
+            db = (rhs[1] - lhs[1]) % M
+            if da == 0:
+                return True if db == 0 else None
+            return da, db
+
+        def settle(kind=None, width=0) -> bool:
+            """Scan the gates of the current state; True when the first
+            gate that may pass is rule ``kind`` at ``width`` (None: no
+            gate may pass)."""
+            t = len(fps)
+            n = n0 + t
+            last = fps[-1]
+            b = shapes[-1]
+            if b is not None:
+                a = shapes[-2] if t > 1 else loop_shape
+                if a is not None and a[1] == b[1]:
+                    return False   # coalesce might fire
+            # absorb, by width: a loop whose body would end at the tail
+            for p, shp in reversed(loops):
+                w = n - 1 - p
+                if w > mw:
+                    break
+                if w == 0 or shp[0] != w or shp[2] != last:
+                    continue
+                v = verdict(window(n - w, n), (0, shp[1]))
+                if kind == "absorb" and w == width:
+                    return v is True
+                if v is True:
+                    return False
+                if v is not None:
+                    bad.add(v)
+            if kind == "absorb":
+                return False
+            # fold, by width: the node w back must match the tail node
+            limit = min(mw, n // 2, width or mw)
+            for j in reversed(where[last]):
+                w = n - 1 - j
+                if w > limit:
+                    break
+                if w == 0:
+                    continue
+                v = verdict(window(n - 2 * w, n - w), window(n - w, n))
+                if kind == "fold" and w == width:
+                    return v is True
+                if v is True:
+                    return False
+                if v is not None:
+                    bad.add(v)
+            if n - n0 <= limit:
+                # the node w back is the loop: its fingerprint must be
+                # the tail node's
+                bad.add((1, (last + pref[n0 - 1] * FP_BASE) % M))
+            return kind is None
+
+        def replay(nodes) -> bool:
+            for i, node in enumerate(nodes):
+                if i and not settle():
+                    return False
+                if isinstance(node, EventNode):
+                    push(node.fp, None)
+                    continue
+                w = len(node.body)
+                if not (replay(node.body) and settle()
+                        and replay(node.body) and settle("fold", w)):
+                    return False
+                replace(2 * w, node, 2)
+                for count in range(3, node.count + 1):
+                    if not (settle() and replay(node.body)
+                            and settle("absorb", w)):
+                        return False
+                    replace(w + 1, node, count)
+            return True
+
+        if not (replay(loop.body) and settle("absorb", len(loop.body))):
+            return None
+        return bad, keys
+
+    def _cursor_advance(self) -> None:
+        """Settle the frames after an event filled a body position:
+        finish every completed iteration (an inner loop's second is
+        folded with its first and later ones absorbed into the fold, as
+        the rules would), then step into any inner loop that comes next."""
+        frames = self._frames
+        while True:
+            f = frames[-1]
+            k = len(f.items)
+            if k < f.width:
+                node = f.spec.body[k]
+                if isinstance(node, EventNode):
+                    return
+                frames.append(_Frame(node, self._plan[2][1][id(node)],
+                                     build=True))
+                continue
+            if len(frames) == 1:
+                self._cursor_absorb()
+                return
+            w = f.width
+            if f.build:
+                f.first = f.items
+                f.build = False
+            elif f.acc is None:
+                _merge_items(f.first, f.items)
+                f.acc = LoopNode(2, f.first, self.ranks)
+                obs.count("scalatrace.nodes_folded", 2 * w - 1)
+            else:
+                _merge_items(f.acc.body, f.items)
+                f.acc.bump_count(1)
+                obs.count("scalatrace.nodes_folded", w)
+            f.items = []
+            if f.acc is not None and f.acc.count == f.spec.count:
+                frames.pop()
+                frames[-1].items.append(f.acc)
+
+    def _cursor_absorb(self) -> None:
+        """Absorb one fully replayed iteration into the tail loop — what
+        ``_try_absorb`` does on the iteration's last event — then let the
+        rules run on the new count and re-arm."""
+        root = self._frames[0]
+        loop = root.spec
+        _merge_items(loop.body, root.items)
+        root.items = []
         loop.bump_count(1)
         pref = self._prefix
         pref[-1] = (pref[-2] * FP_BASE + loop.fp) % FP_MOD
-        obs.count("scalatrace.nodes_folded", self._cw)
-        nq = len(self._nodes)
+        obs.count("scalatrace.nodes_folded", root.width)
+        q = self._nodes
+        nq = len(q)
         self.compress_tail()
-        if len(self._nodes) == nq and self._nodes[-1] is loop:
-            # shape unchanged; only the loop's fingerprint moved — the
-            # precheck must be re-proved against the new count
-            if not self._cursor_precheck(loop):
-                self._cloop = None
+        if len(q) == nq and q[-1] is loop \
+                and not _hits(self._plan[2][0], pref[-1]):
+            self._cursor_advance()   # step into a leading inner loop
         else:
-            self._cloop = None
+            self._frames = []
             self._try_engage()
 
-    def _flush_pending(self) -> None:
-        """Disengage the cursor, materialising any buffered rows as real
-        nodes through the normal append path (the precheck guarantees the
-        rules stay quiescent while they land)."""
-        self._cloop = None
-        rows = self._pending
-        if not rows:
-            return
-        specs = self._cbody
-        self._pending = []
-        self._cpos = 0
-        for spec, row in zip(specs, rows):
-            node = self._make_event(spec[0], spec[1], spec[2], row[0],
-                                    row[1], row[2], row[3], spec[3], row[4])
+    def _disengage(self) -> None:
+        """Disengage the cursor, materialising what it holds as the nodes
+        the rule-at-a-time path would hold (the plan guarantees the rules
+        are quiescent on that state)."""
+        frames = self._frames
+        self._frames = []
+        nodes: List[Node] = []
+        for f in frames:
+            if f.acc is not None:
+                nodes.append(f.acc)
+            elif f.first is not None:
+                nodes.extend(f.first)
+            for k, item in enumerate(f.items):
+                if type(item) is tuple:
+                    key = f.specs[k]
+                    item = self._make_event(key[0], key[1], key[2], item[0],
+                                            item[1], item[2], item[3],
+                                            key[3], item[4])
+                nodes.append(item)
+        for node in nodes:
+            self._nodes.append(node)
+            self._push_fp(node)
             self._owned.add(id(node))
-            self.append_node(node)
 
     # -- rules --------------------------------------------------------------
     #
@@ -645,12 +910,15 @@ class CompressionQueue:
         n = len(q)
         pref = self._prefix
         pows = _FP_POWS
+        last = q[-1].fp
         for w in range(1, min(self.max_window, n - 1) + 1):
             prev = q[-w - 1]
             if not isinstance(prev, LoopNode) or len(prev.body) != w:
                 continue
-            # fingerprint gate: one integer compare per candidate width
-            if prev.body_fp != (pref[n] - pref[n - w] * pows[w]) % FP_MOD:
+            # fingerprint gates: the body's last node must match the tail
+            # node, then its body hash the tail window's
+            if prev.body[-1].fp != last or prev.body_fp != \
+                    (pref[n] - pref[n - w] * pows[w]) % FP_MOD:
                 continue
             tail = q[-w:]
             plan = _segments_plan(prev.body, tail)
@@ -678,8 +946,12 @@ class CompressionQueue:
         pref = self._prefix
         pows = _FP_POWS
         top = pref[n]
+        last = q[-1].fp if q else 0
         for w in range(1, min(self.max_window, n // 2) + 1):
-            # fingerprint gate: one integer compare per candidate width
+            # fingerprint gates: the windows' last nodes must match, then
+            # the windows' hashes
+            if q[n - 1 - w].fp != last:
+                continue
             mid = pref[n - w]
             pw = pows[w]
             if (mid - pref[n - 2 * w] * pw) % FP_MOD != \

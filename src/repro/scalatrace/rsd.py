@@ -51,7 +51,7 @@ class ParamField:
     def __init__(self, seq: Optional[ValueSeq] = None,
                  expr: Optional[ParamExpr] = None,
                  rank_map: Optional[Dict[int, ValueSeq]] = None):
-        if sum(x is not None for x in (seq, expr, rank_map)) != 1:
+        if (seq is None) + (expr is None) + (rank_map is None) != 2:
             raise TraceError(
                 "ParamField needs exactly one of seq/expr/rank_map")
         self.seq = seq
@@ -381,6 +381,12 @@ class EventNode(Node):
                 f"x{self.instances})")
 
 
+def loop_fp(count: int, ranks: RankSet, width: int, body_fp: int) -> int:
+    """Fingerprint of a loop of ``count`` iterations over a ``width``-node
+    body whose rolling fingerprint is ``body_fp``."""
+    return hash(("loop", count, ranks, width, body_fp)) % FP_MOD
+
+
 class LoopNode(Node):
     """A Power-RSD: ``count`` repetitions of ``body``.
 
@@ -404,8 +410,7 @@ class LoopNode(Node):
             h = (h * FP_BASE + node.fp) % FP_MOD
             hm = (hm * FP_BASE + node.mfp) % FP_MOD
         self.body_fp = h
-        self.fp = hash(("loop", count, ranks, len(self.body),
-                        h)) % FP_MOD
+        self.fp = loop_fp(count, ranks, len(self.body), h)
         # Count excluded on purpose: ``bump_count`` (the hot streaming
         # absorb path) must stay a single-hash refresh of ``fp``; the
         # merge fast path compares counts exactly in its identity walk.
@@ -422,8 +427,8 @@ class LoopNode(Node):
         node tree for every absorbed iteration.
         """
         self.count += delta
-        self.fp = hash(("loop", self.count, self.ranks, len(self.body),
-                        self.body_fp)) % FP_MOD
+        self.fp = loop_fp(self.count, self.ranks, len(self.body),
+                          self.body_fp)
 
     def signature(self) -> tuple:
         return ("loop", self.count, tuple(n.signature() for n in self.body))

@@ -84,6 +84,9 @@ class ScalaTraceHook(MPIHook):
         self._finished = False
         #: Raw MPI events ingested (→ ``scalatrace.events_in``).
         self.events_in = 0
+        #: Of those, the events the queues' replay cursors took without
+        #: building a node per event (→ ``scalatrace.cursor_events``).
+        self.cursor_events = 0
         #: High-water mark of live nodes across queues, parked lists and
         #: merge partials (→ ``scalatrace.nodes_live_peak``).  Sampled
         #: at rank-flush points, where the set peaks.
@@ -126,6 +129,8 @@ class ScalaTraceHook(MPIHook):
         queue = self._queues.pop(rank, None)
         self._last_end.pop(rank, None)
         self._parked[rank] = queue.nodes if queue is not None else []
+        if queue is not None:
+            self.cursor_events += queue.cursor_events
         self._sample_live()
         while self._next_rank in self._parked:
             self._acc.add_nodes(self._parked.pop(self._next_rank))
@@ -161,6 +166,7 @@ class ScalaTraceHook(MPIHook):
                 f"world size {world_size}")
         self._finished = True
         obs.count("scalatrace.events_in", self.events_in)
+        obs.count("scalatrace.cursor_events", self.cursor_events)
         obs.count("scalatrace.nodes_live_peak", self.nodes_live_peak)
         self._acc.world_size = world_size
         with obs.span("scalatrace.merge", traces=world_size):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Tuple
+from typing import Dict, Tuple
 
 #: Stack frames whose file lives under any of these package directories are
 #: framework frames, not application frames.
@@ -68,24 +68,63 @@ def _is_framework_frame(filename: str) -> bool:
     return any(d in norm for d in _FRAMEWORK_DIRS)
 
 
+#: Frame classes: the engine's scheduler frame ends the walk (everything
+#: below it is harness, not application structure); framework frames are
+#: skipped; any other frame is an application frame, kept as
+#: ``(basename, function)`` so signatures are stable across checkouts.
+_STOP, _SKIP = "stop", "skip"
+
+#: id(code) -> (code, class).  Each code object is classified once; the
+#: entry holds the code object, so its id cannot be reused while cached.
+_CODE_CLASS: Dict[int, tuple] = {}
+
+#: (id(code), line, ...) chain of a capture's application frames -> the
+#: one interned :class:`Callsite` for it.
+_INTERNED: Dict[tuple, Callsite] = {}
+
+
+def _classify(code) -> object:
+    norm = code.co_filename.replace(os.sep, "/")
+    if "repro/sim" in norm:
+        kind = _STOP
+    elif _is_framework_frame(norm):
+        kind = _SKIP
+    else:
+        kind = (os.path.basename(code.co_filename), code.co_name)
+    _CODE_CLASS[id(code)] = (code, kind)
+    return kind
+
+
 def capture_callsite(max_depth: int = 8, skip: int = 1) -> Callsite:
     """Capture the application portion of the current call stack.
 
     ``skip`` framework-internal callers at the top are always dropped;
     remaining framework frames are filtered by path.  Filenames are reduced
     to basenames so signatures are stable across checkouts.
+
+    A repeat capture from the same call chain returns the same
+    :class:`Callsite` object: the walk reads each frame's code class from
+    a cache and looks the chain up in an intern table.
     """
     frame = sys._getframe(skip)
-    frames = []
-    while frame is not None and len(frames) < max_depth:
+    classes = _CODE_CLASS
+    chain = []
+    depth = 0
+    while frame is not None and depth < max_depth:
         code = frame.f_code
-        norm = code.co_filename.replace(os.sep, "/")
-        if "repro/sim" in norm:
-            # the engine's scheduler frame: everything below it is harness,
-            # not application structure
+        entry = classes.get(id(code))
+        kind = entry[1] if entry is not None else _classify(code)
+        if kind is _STOP:
             break
-        if not _is_framework_frame(code.co_filename):
-            frames.append((os.path.basename(code.co_filename),
-                           frame.f_lineno, code.co_name))
+        if kind is not _SKIP:
+            chain.append(id(code))
+            chain.append(frame.f_lineno)
+            depth += 1
         frame = frame.f_back
-    return Callsite(tuple(frames))
+    key = tuple(chain)
+    site = _INTERNED.get(key)
+    if site is None:
+        site = _INTERNED[key] = Callsite(tuple(
+            (classes[key[i]][1][0], key[i + 1], classes[key[i]][1][1])
+            for i in range(0, len(key), 2)))
+    return site

@@ -139,11 +139,11 @@ class TestReplayCursor:
     def test_cursor_reengages_after_flush(self):
         q = CompressionQueue(rank=0)
         stream(q, phase_events(10))
-        assert q._cloop is not None
+        assert q._frames
         _ = q.nodes                          # external read flushes
-        assert q._cloop is None
+        assert not q._frames
         stream(q, phase_events(10))          # steady state resumes
-        assert q._cloop is not None
+        assert q._frames
         assert len(q.nodes) == 1
         assert q.nodes[0].count == 20
 
@@ -152,7 +152,7 @@ class TestReplayCursor:
         stream(q, phase_events(10))
         foreign = EventNode("Barrier", cs(9), 0, RankSet.single(0))
         q.append_node(foreign)
-        assert q._cloop is None
+        assert not q._frames
         assert q.nodes[-1].op == "Barrier"
 
     @pytest.mark.parametrize("seed", range(12))

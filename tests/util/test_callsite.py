@@ -1,6 +1,33 @@
 """Unit tests for repro.util.callsite."""
 
-from repro.util.callsite import Callsite, capture_callsite
+import os
+import sys
+
+import pytest
+
+from repro.apps import PAPER_SUITE, make_app
+from repro.mpi import api
+from repro.mpi.world import run_spmd
+from repro.util import callsite
+from repro.util.callsite import Callsite, _is_framework_frame, capture_callsite
+
+
+def reference_capture(max_depth: int = 8, skip: int = 1) -> Callsite:
+    """The frame walk ``capture_callsite`` replaced, kept as an oracle:
+    every frame is classified by path on every capture, nothing is
+    cached and every capture builds a new Callsite."""
+    frame = sys._getframe(skip)
+    frames = []
+    while frame is not None and len(frames) < max_depth:
+        code = frame.f_code
+        norm = code.co_filename.replace(os.sep, "/")
+        if "repro/sim" in norm:
+            break
+        if not _is_framework_frame(code.co_filename):
+            frames.append((os.path.basename(code.co_filename),
+                           frame.f_lineno, code.co_name))
+        frame = frame.f_back
+    return Callsite(tuple(frames))
 
 
 def _call_from_here():
@@ -65,3 +92,27 @@ class TestSerialization:
     def test_repr_mentions_location(self):
         cs = Callsite.synthetic("myprog", 7)
         assert "myprog" in repr(cs)
+
+
+class TestAgainstReferenceWalk:
+    @pytest.mark.parametrize("app", PAPER_SUITE)
+    def test_every_app_call_site(self, app, monkeypatch):
+        seen = []
+
+        def checked(max_depth=8, skip=1):
+            site = callsite.capture_callsite(max_depth, skip + 1)
+            again = callsite.capture_callsite(max_depth, skip + 1)
+            seen.append((site, again, reference_capture(max_depth, skip + 1)))
+            return site
+
+        monkeypatch.setattr(api, "capture_callsite", checked)
+        run_spmd(make_app(app, 4), nranks=4)
+        assert seen
+        for site, again, oracle in seen:
+            assert site.frames == oracle.frames
+            assert again is site
+            assert Callsite.parse(site.serialize()) == site
+
+    def test_repeat_capture_is_interned(self):
+        a, b = [capture_callsite(skip=1) for _ in range(2)]
+        assert a is b
