@@ -43,7 +43,7 @@ call site.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.conceptual.ast_nodes import (AwaitStmt, ComputeStmt, ForEach,
                                         ForRep, IfStmt, LogStmt,
@@ -528,6 +528,14 @@ class _Specialiser:
 
 
 # ------------------------------------------------------------- program
+#: ``(text, AST)`` of the last source :meth:`ConceptualProgram.from_source`
+#: parsed, replaced as one tuple so a concurrent caller never pairs a text
+#: with another text's AST (two callers racing cost at most one more
+#: parse).  Nothing mutates an AST after parsing, so the programs built
+#: from one text can share it.
+_last_parse: Optional[Tuple[str, Program]] = None
+
+
 class ConceptualProgram:
     """A checked, executable coNCePTuaL program."""
 
@@ -543,7 +551,17 @@ class ConceptualProgram:
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_source(cls, text: str, name: str = "benchmark"):
-        return cls(parse(text), name)
+        """Parse and compile ``text``.  The last text parsed here keeps
+        its AST, so a what-if sweep that compiles one cached source per
+        point parses it once; the program itself is built every call."""
+        global _last_parse
+        last = _last_parse
+        if last is not None and last[0] == text:
+            ast = last[1]
+        else:
+            ast = parse(text)
+            _last_parse = (text, ast)
+        return cls(ast, name)
 
     @property
     def source(self) -> str:

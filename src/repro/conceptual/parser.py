@@ -42,6 +42,7 @@ from repro.conceptual.ast_nodes import (AGGREGATES, AllTasks, AwaitStmt,
                                         SyncStmt, TaskSelector, UNITS, Var)
 from repro.conceptual.lexer import Token, tokenize
 from repro.errors import ConceptualSyntaxError
+from repro import obs
 
 
 class Parser:
@@ -438,4 +439,5 @@ class Parser:
 
 def parse(text: str) -> Program:
     """Parse coNCePTuaL source text into a :class:`Program` AST."""
+    obs.count("conceptual.parses")
     return Parser(text).parse_program()

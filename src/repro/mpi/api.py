@@ -12,10 +12,14 @@ per rank and delegating to its methods with ``yield from``::
             yield from mpi.compute(5e-6)
         yield from mpi.finalize()
 
-Every method interposes like a PMPI wrapper: it timestamps the operation in
-virtual time and emits an :class:`~repro.mpi.hooks.MPIEvent` to all hooks
-(tracer, profiler, ...).  Peers and roots are expressed in communicator
-ranks, as in real MPI.
+Every method interposes like a PMPI wrapper: when at least one hook
+(tracer, profiler, ...) is attached to the world, it captures the call
+site, timestamps the operation in virtual time and emits an
+:class:`~repro.mpi.hooks.MPIEvent` to every hook.  A world with no hook
+is an uninstrumented run: the calls go straight to the simulator and
+build no event, as an application not linked against a PMPI tool would.
+The usage checks hold either way.  Peers and roots are expressed in
+communicator ranks, as in real MPI.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ class MPIProcess:
         self._req_comm = {}
         self._split_seq = {}
         self._finalized = False
+        #: hooks are fixed when the World is built, so whether anything
+        #: listens is decided once; without a listener no event is built
+        self._traced = bool(world.hooks)
         #: explicit callsite override; the coNCePTuaL compiler sets this so
         #: generated programs have AST-path signatures instead of stack ones
         self.callsite_override: Optional[Callsite] = None
@@ -89,22 +96,26 @@ class MPIProcess:
              comm: Optional[Communicator] = None):
         """Blocking standard-mode send (MPI_Send)."""
         comm = self._comm(comm)
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         req = yield PostSend(comm.to_world(dest), nbytes, tag, comm.id)
         yield WaitAll([req])
-        self._emit("Send", comm, t0, cs, peer=dest, tag=tag, nbytes=nbytes)
+        if self._traced:
+            self._emit("Send", comm, t0, cs, peer=dest, tag=tag,
+                       nbytes=nbytes)
 
     def isend(self, dest: int, nbytes: int, tag: int = 0,
               comm: Optional[Communicator] = None):
         """Nonblocking send (MPI_Isend); complete with wait/waitall."""
         comm = self._comm(comm)
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         req = yield PostSend(comm.to_world(dest), nbytes, tag, comm.id)
         self._outstanding.append(req)
         self._req_comm[id(req)] = comm
-        self._emit("Isend", comm, t0, cs, peer=dest, tag=tag, nbytes=nbytes)
+        if self._traced:
+            self._emit("Isend", comm, t0, cs, peer=dest, tag=tag,
+                       nbytes=nbytes)
         return req
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -112,26 +123,29 @@ class MPIProcess:
         """Blocking receive (MPI_Recv); returns the Status with the matched
         (communicator-rank) source — how applications observe wildcards."""
         comm = self._comm(comm)
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         wsrc = source if source == ANY_SOURCE else comm.to_world(source)
         req = yield PostRecv(wsrc, tag, comm.id)
         (st,) = yield WaitAll([req])
-        self._emit("Recv", comm, t0, cs, peer=source, tag=tag,
-                   nbytes=st.nbytes, matched_source=st.source)
+        if self._traced:
+            self._emit("Recv", comm, t0, cs, peer=source, tag=tag,
+                       nbytes=st.nbytes, matched_source=st.source)
         return self._convert_status(st, comm)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               comm: Optional[Communicator] = None):
         """Nonblocking receive (MPI_Irecv); complete with wait/waitall."""
         comm = self._comm(comm)
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         wsrc = source if source == ANY_SOURCE else comm.to_world(source)
         req = yield PostRecv(wsrc, tag, comm.id)
         self._outstanding.append(req)
         self._req_comm[id(req)] = comm
-        self._emit("Irecv", comm, t0, cs, peer=source, tag=tag, nbytes=0)
+        if self._traced:
+            self._emit("Irecv", comm, t0, cs, peer=source, tag=tag,
+                       nbytes=0)
         return req
 
     # -- completion -------------------------------------------------------------
@@ -143,6 +157,8 @@ class MPIProcess:
             except ValueError:
                 raise MPIUsageError(
                     "waiting on a request that is not outstanding") from None
+        if len(set(offsets)) != len(offsets):
+            raise MPIUsageError("waiting on the same request twice")
         return tuple(sorted(offsets))
 
     def _retire(self, requests: Sequence[Request]) -> None:
@@ -151,30 +167,33 @@ class MPIProcess:
 
     def wait(self, request: Request):
         """MPI_Wait: complete one outstanding nonblocking operation."""
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         offsets = self._offsets_of([request])
         (st,) = yield WaitAll([request])
         self._retire([request])
         comm = self._req_comm.pop(id(request))
-        self._emit("Wait", comm, t0, cs, wait_offsets=offsets,
-                   nbytes=st.nbytes if request.kind == "recv" else 0,
-                   matched_source=st.source if request.kind == "recv" else None)
+        if self._traced:
+            recv = request.kind == "recv"
+            self._emit("Wait", comm, t0, cs, wait_offsets=offsets,
+                       nbytes=st.nbytes if recv else 0,
+                       matched_source=st.source if recv else None)
         return self._convert_status(st, comm) if request.kind == "recv" else None
 
     def waitall(self, requests: Sequence[Request]):
         """MPI_Waitall: complete a set of outstanding operations."""
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         requests = list(requests)
         offsets = self._offsets_of(requests)
         statuses = yield WaitAll(requests)
         self._retire(requests)
         comms = [self._req_comm.pop(id(r)) for r in requests]
-        recv_bytes = sum(st.nbytes for r, st in zip(requests, statuses)
-                         if r.kind == "recv")
-        self._emit("Waitall", self.comm_world, t0, cs, wait_offsets=offsets,
-                   nbytes=recv_bytes)
+        if self._traced:
+            recv_bytes = sum(st.nbytes for r, st in zip(requests, statuses)
+                             if r.kind == "recv")
+            self._emit("Waitall", self.comm_world, t0, cs,
+                       wait_offsets=offsets, nbytes=recv_bytes)
         return [self._convert_status(st, c) if r.kind == "recv" else None
                 for r, st, c in zip(requests, statuses, comms)]
 
@@ -187,8 +206,8 @@ class MPIProcess:
         The traced event's ``wait_offsets`` names only the *completed*
         request, so a replay retires the same operation the original run
         did (the simulator is deterministic, so the same one completes)."""
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         requests = list(requests)
         self._offsets_of(requests)  # validate up front
         idx, st = yield WaitAny(requests)
@@ -196,9 +215,11 @@ class MPIProcess:
         offsets = self._offsets_of([req])
         self._retire([req])
         comm = self._req_comm.pop(id(req))
-        self._emit("Waitany", comm, t0, cs, wait_offsets=offsets,
-                   nbytes=st.nbytes if req.kind == "recv" else 0,
-                   matched_source=st.source if req.kind == "recv" else None)
+        if self._traced:
+            recv = req.kind == "recv"
+            self._emit("Waitany", comm, t0, cs, wait_offsets=offsets,
+                       nbytes=st.nbytes if recv else 0,
+                       matched_source=st.source if recv else None)
         return idx, (self._convert_status(st, comm)
                      if req.kind == "recv" else None)
 
@@ -209,8 +230,8 @@ class MPIProcess:
 
         As with :meth:`waitany`, the traced ``wait_offsets`` lists the
         completed requests only."""
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         requests = list(requests)
         self._offsets_of(requests)  # validate up front
         idx, st = yield WaitAny(requests)
@@ -226,10 +247,11 @@ class MPIProcess:
         offsets = self._offsets_of(reqs)
         self._retire(reqs)
         comms = [self._req_comm.pop(id(r)) for r in reqs]
-        recv_bytes = sum(s.nbytes for (_, s), r in zip(done, reqs)
-                         if r.kind == "recv")
-        self._emit("Waitsome", self.comm_world, t0, cs,
-                   wait_offsets=offsets, nbytes=recv_bytes)
+        if self._traced:
+            recv_bytes = sum(s.nbytes for (_, s), r in zip(done, reqs)
+                             if r.kind == "recv")
+            self._emit("Waitsome", self.comm_world, t0, cs,
+                       wait_offsets=offsets, nbytes=recv_bytes)
         statuses = [self._convert_status(s, c) if r.kind == "recv" else None
                     for (_, s), r, c in zip(done, reqs, comms)]
         return [i for i, _ in done], statuses
@@ -237,6 +259,8 @@ class MPIProcess:
     def test(self, request: Request):
         """MPI_Test: nonblocking completion probe.  Does not emit a trace
         event (like ScalaTrace, we only record completed communication)."""
+        if request not in self._outstanding:
+            raise MPIUsageError("testing a request that is not outstanding")
         flag, st = yield Test(request)
         if flag:
             comm = self._req_comm.pop(id(request))
@@ -248,11 +272,12 @@ class MPIProcess:
     # -- collectives --------------------------------------------------------------
     def _collective(self, op: str, key: str, comm: Communicator,
                     cost_bytes: int, **event_kw):
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         yield Collective(comm.world_ranks, key, nbytes=cost_bytes,
                          comm_id=comm.id)
-        self._emit(op, comm, t0, cs, **event_kw)
+        if self._traced:
+            self._emit(op, comm, t0, cs, **event_kw)
 
     def barrier(self, comm: Optional[Communicator] = None):
         comm = self._comm(comm)
@@ -366,12 +391,13 @@ class MPIProcess:
         self._split_seq[("split", comm.id)] = seq + 1
         slot = self.world.split_data.setdefault((comm.id, seq), {})
         slot[self.rank] = (color, key)
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         yield Collective(comm.world_ranks, "allgather", nbytes=8,
                          comm_id=comm.id)
-        color_code = -1 if color is None else color
-        self._emit("Comm_split", comm, t0, cs, nbytes=(color_code, key))
+        if self._traced:
+            color_code = -1 if color is None else color
+            self._emit("Comm_split", comm, t0, cs, nbytes=(color_code, key))
         if color is None:
             return None
         members = sorted((k, w) for w, (c, k) in slot.items() if c == color)
@@ -384,10 +410,11 @@ class MPIProcess:
         comm = self._comm(comm)
         seq = self._split_seq.get(("dup", comm.id), 0)
         self._split_seq[("dup", comm.id)] = seq + 1
-        cs = self._callsite()
-        t0 = self.now()
+        if self._traced:
+            cs, t0 = self._callsite(), self.now()
         yield Collective(comm.world_ranks, "barrier", comm_id=comm.id)
-        self._emit("Comm_dup", comm, t0, cs, nbytes=0)
+        if self._traced:
+            self._emit("Comm_dup", comm, t0, cs, nbytes=0)
         return self.world.registry.intern(("dup", comm.id, seq),
                                           comm.world_ranks)
 

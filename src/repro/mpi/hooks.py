@@ -4,7 +4,8 @@ Every MPI-level call made by an application emits one :class:`MPIEvent` to
 each registered :class:`MPIHook` — the simulated analogue of linking an
 application against a PMPI wrapper library.  ScalaTrace's tracer and the
 mpiP-style profiler are both implemented as hooks, exactly mirroring the
-paper's tooling (§5.1–5.2).
+paper's tooling (§5.1–5.2).  A run with no hook is an uninstrumented
+run: it builds no event at all.
 
 Events are delivered per rank in that rank's program order, with virtual
 timestamps taken before and after the operation, so a hook can recover

@@ -172,19 +172,22 @@ class ValueSeq:
         s = cls()
         if not text or text == "-":
             return s
-        # split on commas outside parentheses
-        parts, depth, cur = [], 0, []
-        for ch in text:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur))
+        if "(" not in text and ")" not in text:
+            parts = text.split(",")
+        else:
+            # vector values: split on commas outside parentheses
+            parts, depth, cur = [], 0, []
+            for ch in text:
+                if ch == "(":
+                    depth += 1
+                elif ch == ")":
+                    depth -= 1
+                if ch == "," and depth == 0:
+                    parts.append("".join(cur))
+                    cur = []
+                else:
+                    cur.append(ch)
+            parts.append("".join(cur))
         for part in parts:
             part = part.strip()
             if part.startswith("("):

@@ -149,6 +149,45 @@ class TestNonblocking:
         assert polled["late"] == (True, 0)
 
 
+class TestMalformedWaits:
+    """A malformed completion call ends in MPIUsageError, whether or not a
+    hook listens, and leaves the rank's requests usable."""
+
+    @staticmethod
+    def run(program, hooked):
+        run_spmd(program, 2, model=SimpleModel(),
+                 hooks=[RecordingHook()] if hooked else None)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    @pytest.mark.parametrize("call", ["waitall", "waitany", "waitsome"])
+    def test_same_request_twice_rejected(self, call, hooked):
+        def program(mpi):
+            if mpi.rank == 0:
+                req = yield from mpi.isend(dest=1, nbytes=1)
+                with pytest.raises(MPIUsageError):
+                    yield from getattr(mpi, call)([req, req])
+                yield from mpi.wait(req)  # still outstanding
+            else:
+                yield from mpi.recv(source=0)
+            yield from mpi.finalize()
+
+        self.run(program, hooked)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_test_on_retired_request_rejected(self, hooked):
+        def program(mpi):
+            if mpi.rank == 0:
+                req = yield from mpi.isend(dest=1, nbytes=1)
+                yield from mpi.wait(req)
+                with pytest.raises(MPIUsageError):
+                    yield from mpi.test(req)  # already retired
+            else:
+                yield from mpi.recv(source=0)
+            yield from mpi.finalize()
+
+        self.run(program, hooked)
+
+
 class TestLifecycle:
     def test_missing_finalize_raises(self):
         def program(mpi):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps import PAPER_SUITE, make_app
 from repro.mpi import api
+from repro.mpi.hooks import MPIHook
 from repro.mpi.world import run_spmd
 from repro.util import callsite
 from repro.util.callsite import Callsite, _is_framework_frame, capture_callsite
@@ -106,7 +107,8 @@ class TestAgainstReferenceWalk:
             return site
 
         monkeypatch.setattr(api, "capture_callsite", checked)
-        run_spmd(make_app(app, 4), nranks=4)
+        # call sites are captured only while a hook listens
+        run_spmd(make_app(app, 4), nranks=4, hooks=[MPIHook()])
         assert seen
         for site, again, oracle in seen:
             assert site.frames == oracle.frames
