@@ -8,8 +8,9 @@ communicator.  Generated code would then be unreadable — and its
 participants impossible to express statically.
 
 This pass detects the situation with a cheap O(r) scan (r = number of
-RSDs, typically ≪ number of events), and only then runs the full
-O(p·e) blocking traversal: every rank's cursor stops at each collective
+RSDs, typically ≪ number of events), and only then runs the
+blocking traversal over every rank's collectives (O(p·c), c collectives
+per rank): every rank's cursor stops at each collective
 until all members of the communicator arrive, the per-rank call sites are
 unified to a single canonical one, and the trace is rebuilt — leaving one
 RSD per logical collective, spanning the complete participant set.  The

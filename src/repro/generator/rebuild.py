@@ -151,6 +151,10 @@ class _Reader:
         self.resolved = {nid for nid, _, _ in result.resolutions}
         #: id(node) -> (its instance_deltas, the ones drawn so far)
         self._deltas: Dict[int, Tuple[Iterator[float], List[float]]] = {}
+        #: the rank being read, and (id(node), field) -> its rank_values;
+        #: dropped when the next rank is read
+        self._rank: Optional[int] = None
+        self._values: Dict[Tuple[int, str], tuple] = {}
 
     def deltas(self, node: EventNode, count: int) -> List[float]:
         """The node's first ``count`` instance deltas (the same on every
@@ -168,8 +172,14 @@ class _Reader:
         """Append ``rank``'s values of one parameter of ``node`` for
         ``count`` instances from ``first``, as ``Trace.iter_rank`` reads
         them (a resolved wildcard source replacing the recorded one)."""
-        value, values = getattr(node, name).rank_values(
-            self.trace.expr_rank(node.comm_id, rank))
+        if rank != self._rank:
+            self._rank, self._values = rank, {}
+        found = self._values.get((id(node), name))
+        if found is None:
+            found = self._values[(id(node), name)] = getattr(
+                node, name).rank_values(
+                    self.trace.expr_rank(node.comm_id, rank))
+        value, values = found
         if name == "peer" and id(node) in self.resolved:
             for k in range(first, first + count):
                 seq.append(self.resolutions.get(

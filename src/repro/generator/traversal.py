@@ -10,6 +10,9 @@ that can make progress:
   a rank waits at a collective until every other member of the communicator
   has arrived at its own corresponding collective call, at which point all
   the per-rank call sites are identified as *one* logical operation.
+  Nothing else can block or be blocked on, so its cursors walk only the
+  collective events (:func:`~repro.scalatrace.rsd.select_events`),
+  numbered as in the full stream.
 * **Algorithm 2** (§4.4, wildcard resolution) additionally interprets
   point-to-point matching: sends and receives are paired in traversal
   order under MPI's FIFO rules, blocking receives/sends/waits suspend the
@@ -30,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.errors import TraceDeadlockError, TraceError
 from repro.mpi.hooks import COLLECTIVE_OPS, WAIT_OPS
-from repro.scalatrace.rsd import ConcreteEvent, Trace
+from repro.scalatrace.rsd import ConcreteEvent, Trace, select_events
 from repro.util.expr import ANY_SOURCE
 
 ANY_TAG = -1
@@ -91,17 +94,20 @@ class TraversalResult:
 class TraceScheduler:
     """Traverse a global trace on behalf of all ranks.
 
-    ``block_p2p=False`` gives Algorithm 1 semantics (collectives only);
-    ``block_p2p=True`` adds Algorithm 2's point-to-point interpretation
-    and wildcard resolution.
+    ``block_p2p=False`` gives Algorithm 1 semantics: each rank's cursor
+    walks its collective events only.  ``block_p2p=True`` walks every
+    event and adds Algorithm 2's point-to-point interpretation and
+    wildcard resolution.
     """
 
     def __init__(self, trace: Trace, block_p2p: bool):
         self.trace = trace
         self.block_p2p = block_p2p
         self.nranks = trace.world_size
+        nodes = (None if block_p2p
+                 else select_events(trace.nodes, COLLECTIVE_OPS))
         self._events: List[List[ConcreteEvent]] = [
-            list(trace.iter_rank(r)) for r in range(self.nranks)]
+            list(trace.iter_rank(r, nodes)) for r in range(self.nranks)]
         self._pos = [0] * self.nranks
         self._gseq = 0
         # matching state (Algorithm 2)
@@ -134,6 +140,8 @@ class TraceScheduler:
                         self._raise_deadlock()
             finally:
                 obs.count("generator.scheduler_iterations", iterations)
+                obs.count("generator.traversal_events",
+                          sum(map(len, self._events)))
 
     # -- per-rank stepping ------------------------------------------------------
     def _advance_rank(self, rank: int) -> bool:
@@ -151,9 +159,6 @@ class TraceScheduler:
         op = ev.op
         if op in COLLECTIVE_OPS:
             return self._process_collective(rank, ev)
-        if not self.block_p2p:
-            # Algorithm 1 ignores point-to-point structure entirely
-            return True
         if op == "Isend":
             self._post_send(rank, ev, blocking=False)
             return True

@@ -158,9 +158,12 @@ class ParamField:
     def _constant_samples(field: "ParamField", ranks) -> Optional[list]:
         """(rank, int) samples if the field is constant-per-rank with
         integer values on every given rank; else None."""
+        if field.expr is not None:
+            return field.expr.samples(ranks)
+        seq = field.seq
         out = []
         for r in ranks:
-            s = field._seq_for(r)
+            s = field.rank_map[r] if seq is None else seq
             if not s.is_constant():
                 return None
             v = s.value
@@ -178,6 +181,9 @@ class ParamField:
         if self.seq is not None and other.seq is not None \
                 and self.seq == other.seq:
             return ParamField(seq=self.seq)
+        if self.expr is not None and other.expr is not None:
+            return ParamField(expr=self.expr.merge(
+                my_ranks, other.expr, other_ranks, comm_size))
         a = self._constant_samples(self, my_ranks)
         b = self._constant_samples(other, other_ranks)
         if a is not None and b is not None:
@@ -364,12 +370,6 @@ class EventNode(Node):
     def event_instances(self, rank: int) -> int:
         return self.instances if rank in self.ranks else 0
 
-    def param_value(self, field_name: str, rank: int, instance: int):
-        field: Optional[ParamField] = getattr(self, field_name)
-        if field is None:
-            return None
-        return field.value_at(rank, instance)
-
     def copy(self) -> "EventNode":
         return EventNode(self.op, self.callsite, self.comm_id, self.ranks,
                          self.instances, self.peer, self.size, self.tag,
@@ -470,6 +470,8 @@ class Trace:
         #: comm_id -> ordered world ranks
         self.comm_table: Dict[int, Tuple[int, ...]] = comm_table or {
             0: tuple(range(world_size))}
+        #: comm_id -> (its comm_table entry, world rank -> comm rank)
+        self._comm_index: Dict[int, Tuple[tuple, Dict[int, int]]] = {}
 
     def comm_ranks(self, comm_id: int) -> Tuple[int, ...]:
         try:
@@ -508,16 +510,26 @@ class Trace:
         are inferred in *communicator* rank space (peers are comm-relative),
         so world ranks must be translated first."""
         ranks = self.comm_ranks(comm_id)
+        found = self._comm_index.get(comm_id)
+        if found is None or found[0] is not ranks:
+            # reversed, so a rank listed twice keeps its first index
+            found = self._comm_index[comm_id] = (ranks, {
+                r: i for i, r in reversed(list(enumerate(ranks)))})
         try:
-            return ranks.index(world_rank)
-        except ValueError:
+            return found[1][world_rank]
+        except KeyError:
             raise TraceError(
                 f"rank {world_rank} not in communicator {comm_id}") from None
 
-    def iter_rank(self, rank: int) -> Iterator["ConcreteEvent"]:
-        """Decompress this rank's event stream (in program order)."""
-        counters: Dict[int, int] = {}
-        yield from _expand(self, self.nodes, rank, counters)
+    def iter_rank(self, rank: int, nodes: Optional[List[Node]] = None
+                  ) -> Iterator["ConcreteEvent"]:
+        """Decompress this rank's event stream (in program order).
+
+        ``nodes`` is a :func:`select_events` selection of this trace's
+        nodes to expand instead of all of them; its events carry the
+        instance numbers they have in the full stream."""
+        yield from _expand(self, self.nodes if nodes is None else nodes,
+                           rank, {})
 
     def iter_timed(self, rank: int
                    ) -> Iterator[Tuple["ConcreteEvent", float]]:
@@ -593,23 +605,57 @@ class ConcreteEvent:
                 f"peer={self.peer}, size={self.size})")
 
 
+def select_events(nodes: List[Node], ops) -> List[Node]:
+    """``nodes`` keeping only the events whose op is in ``ops``: a loop
+    holding none is dropped, one holding some keeps its count and ranks
+    over the events it holds.  Instances are counted per event node, so
+    expanding the selection (``Trace.iter_rank(rank, selection)``)
+    numbers each kept event as expanding the whole trace does."""
+    out: List[Node] = []
+    for node in nodes:
+        if isinstance(node, EventNode):
+            if node.op in ops:
+                out.append(node)
+            continue
+        body = select_events(node.body, ops)
+        if body:
+            out.append(LoopNode(node.count, body, node.ranks))
+    return out
+
+
+def _at(values: Optional[tuple], instance: int):
+    """One instance's value from a :meth:`ParamField.rank_values` pair
+    (None for an absent field)."""
+    if values is None:
+        return None
+    value, per_instance = values
+    return value if per_instance is None else per_instance[instance]
+
+
 def _expand(trace: Trace, nodes: List[Node], rank: int,
-            counters: Dict[int, int]) -> Iterator[ConcreteEvent]:
+            seen: Dict[int, list]) -> Iterator[ConcreteEvent]:
+    """``rank``'s events under ``nodes``; ``seen`` maps id(event node)
+    to [its instances expanded so far, then its peer, size, tag and
+    root values on this rank], read once per node."""
     for node in nodes:
         if rank not in node.ranks:
             continue
         if isinstance(node, EventNode):
-            erank = trace.expr_rank(node.comm_id, rank)
-            for _ in range(node.instances):
-                k = counters.get(id(node), 0)
-                counters[id(node)] = k + 1
+            state = seen.get(id(node))
+            if state is None:
+                erank = trace.expr_rank(node.comm_id, rank)
+                state = seen[id(node)] = [0] + [
+                    None if field is None else field.rank_values(erank)
+                    for field in (node.peer, node.size, node.tag,
+                                  node.root)]
+            first = state[0]
+            state[0] = first + node.instances
+            _, peer, size, tag, root = state
+            for k in range(first, first + node.instances):
                 yield ConcreteEvent(
-                    rank, node.op, node.comm_id,
-                    node.param_value("peer", erank, k),
-                    node.param_value("size", erank, k),
-                    node.param_value("tag", erank, k),
-                    node.param_value("root", erank, k),
+                    rank, node.op, node.comm_id, _at(peer, k),
+                    _at(size, k), _at(tag, k), _at(root, k),
                     node.wait_offsets, node, k)
         else:
             for _ in range(node.count):
-                yield from _expand(trace, node.body, rank, counters)
+                yield from _expand(trace, node.body, rank, seen)

@@ -50,6 +50,10 @@ from repro.service.jobs import JOB_KINDS, Execution, Job, JobStore
 MAX_BODY_BYTES = 4 * 1024 * 1024
 #: request line + headers ceiling
 MAX_HEADER_BYTES = 64 * 1024
+#: ranks one sweep point or fuzz cell may simulate: a plan is a few
+#: hundred bytes however large its points, so the body ceiling cannot
+#: bound the work (np 1024 is the largest the generator is measured at)
+MAX_NRANKS = 4096
 
 #: obs layers whose per-execution counters ride into job status
 _EXECUTION_LAYERS = ("sweep", "fuzz", "pipeline")
@@ -69,8 +73,9 @@ def parse_submission(text: str,
 
     ``scenario`` is an alias: the body is one scenario × app cell, and
     its plan (:func:`~repro.scenarios.scenario_plan`) is a ``sweep``
-    job.  Malformed submissions raise :class:`ServiceError` — the
-    server maps it to 400, so a bad plan never reaches the queue.
+    job.  Malformed submissions, and points or cells of more than
+    :data:`MAX_NRANKS` ranks, raise :class:`ServiceError` — the server
+    maps it to 400, so a bad plan never reaches the queue.
     """
     from repro.fuzz import FuzzCampaign
     from repro.scenarios import scenario_plan
@@ -91,6 +96,15 @@ def parse_submission(text: str,
                                f"{tuple(loaders)}")
         plan = loaders[kind](data)
         plan.check()
+        where = ([(f"cell {c.index} ({c.label()})", c.overrides)
+                  for c in plan.cells()] if kind == "fuzz" else
+                 [(f"point {p.index} ({p.label()})", p.overrides)
+                  for p in plan.points()])
+        for name, overrides in where:
+            if (overrides.get("nranks") or 0) > MAX_NRANKS:
+                raise ServiceError(
+                    f"{name}: nranks {overrides['nranks']} is over the "
+                    f"service's cap of {MAX_NRANKS}")
     except ReproError as exc:
         raise ServiceError(f"invalid {kind} submission: {exc}") from None
     return ("sweep" if kind == "scenario" else kind), plan

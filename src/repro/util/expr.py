@@ -20,7 +20,8 @@ union of their samples, so compression is opportunistic but never lossy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+import itertools
+from typing import Collection, Dict, Iterable, Optional, Tuple
 
 #: Sentinel used in traces for MPI_ANY_SOURCE before Algorithm 2 resolves it.
 ANY_SOURCE = -1
@@ -92,10 +93,21 @@ class ParamExpr:
     def samples(self, ranks: Iterable[int]) -> Iterable[Tuple[int, int]]:
         return [(r, self.evaluate(r)) for r in ranks]
 
-    def merge(self, my_ranks: Iterable[int], other: "ParamExpr",
-              other_ranks: Iterable[int],
+    def merge(self, my_ranks: Collection[int], other: "ParamExpr",
+              other_ranks: Collection[int],
               comm_size: Optional[int] = None) -> "ParamExpr":
-        """Expression covering both domains; re-inferred for compactness."""
+        """Expression covering both domains: what :meth:`infer` makes of
+        the samples of both.  Two equal constants over one rank or
+        more, and two equal plain offsets over two ranks or more (whose
+        values then differ while their offsets agree), are that result
+        already, so no rank is evaluated for them.  The rank arguments
+        are read more than once."""
+        if self == other and (
+                (self.kind == "const"
+                 and _distinct(my_ranks, other_ranks, 1))
+                or (self.kind == "rel" and self.mod is None
+                    and _distinct(my_ranks, other_ranks, 2))):
+            return self
         pairs = list(self.samples(my_ranks)) + list(other.samples(other_ranks))
         return ParamExpr.infer(pairs, comm_size)
 
@@ -171,3 +183,14 @@ class ParamExpr:
 
     def __repr__(self) -> str:
         return f"ParamExpr({self.serialize()})"
+
+
+def _distinct(a: Iterable[int], b: Iterable[int], n: int) -> bool:
+    """True if ``a`` and ``b`` hold ``n`` distinct ranks or more between
+    them (read no further than that)."""
+    seen = set()
+    for r in itertools.chain(a, b):
+        seen.add(r)
+        if len(seen) >= n:
+            return True
+    return False

@@ -57,6 +57,15 @@ class RankSet:
 
     # -- constructors ----------------------------------------------------
     @classmethod
+    def _of_sorted(cls, ranks: Tuple[int, ...]) -> "RankSet":
+        """The set of ``ranks``, already sorted, distinct, non-negative."""
+        out = cls.__new__(cls)
+        out._ranks = ranks
+        out._runs = _normalize_runs(ranks)
+        out._hash = hash(ranks)
+        return out
+
+    @classmethod
     def single(cls, rank: int) -> "RankSet":
         return cls((rank,))
 
@@ -116,7 +125,12 @@ class RankSet:
         return self._hash
 
     def union(self, other: "RankSet") -> "RankSet":
-        return RankSet(self._ranks + other._ranks)
+        mine, theirs = self._ranks, other._ranks
+        if mine and theirs and mine[-1] < theirs[0]:
+            # already sorted and disjoint: the order the binomial merges
+            # (the tracer's Finalize merge and the rebuild) union in
+            return RankSet._of_sorted(mine + theirs)
+        return RankSet(mine + theirs)
 
     __or__ = union
 

@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import given
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from repro.util.expr import ParamExpr
@@ -32,6 +32,19 @@ class TestRankSetProperties:
     def test_difference_intersection_partition(self, a, b):
         ra, rb = RankSet(a), RankSet(b)
         assert (ra - rb) | (ra & rb) == ra
+
+    @seed(2011)
+    @given(ranks_lists, ranks_lists, st.booleans())
+    def test_union_equals_construction(self, a, b, above):
+        # ``above``: b lies wholly above a, the binomial merges' order
+        if above and a:
+            b = [max(a) + 1 + r for r in b]
+        for left, right in ((a, b), (b, a)):
+            got, want = RankSet(left) | RankSet(right), RankSet(a + b)
+            assert got._ranks == want._ranks
+            assert got.runs == want.runs
+            assert hash(got) == hash(want)
+            assert got.serialize() == want.serialize()
 
     @given(ranks_lists)
     def test_iteration_sorted_unique(self, ranks):
@@ -123,7 +136,58 @@ class TestHistogramProperties:
         assert abs(h2.total - h.total) <= 1e-9
 
 
+@st.composite
+def _expr_on(draw, ranks, comm_size):
+    """A const, plain rel, rel mod N or table expression over ``ranks``."""
+    kind = draw(st.sampled_from(("const", "rel", "mod", "table")))
+    if kind == "const":
+        return ParamExpr.const(draw(st.integers(0, comm_size)))
+    if kind == "rel":
+        return ParamExpr.rel(draw(st.integers(-2, 2)))
+    if kind == "mod":
+        return ParamExpr.rel(draw(st.integers(0, comm_size - 1)),
+                             mod=comm_size)
+    return ParamExpr.from_table(
+        {r: draw(st.integers(0, comm_size - 1)) for r in ranks})
+
+
+@st.composite
+def _merge_cases(draw):
+    """(a, a's ranks, b, b's ranks, comm_size): disjoint, overlapping or
+    single-rank unions, b often equal to a (the merge's shortcuts)."""
+    comm_size = draw(st.integers(1, 12))
+    union = draw(st.sampled_from(("disjoint", "overlapping", "single")))
+    if union == "single":
+        mine = theirs = [draw(st.integers(0, comm_size - 1))]
+    else:
+        ranks = st.lists(st.integers(0, comm_size - 1), min_size=1,
+                         max_size=comm_size, unique=True)
+        mine, theirs = draw(ranks), draw(ranks)
+        if union == "disjoint":
+            theirs = [r for r in theirs if r not in mine] or \
+                [max(mine) + 1]
+    a = draw(_expr_on(mine, comm_size))
+    b = a if draw(st.booleans()) else draw(_expr_on(theirs, comm_size))
+    if b.kind == "table":
+        b = ParamExpr.from_table({r: b.table.get(r, 0) for r in theirs})
+    return a, mine, b, theirs, draw(st.sampled_from((None, comm_size)))
+
+
 class TestParamExprProperties:
+    @seed(2011)
+    @given(_merge_cases())
+    # the merge cases of tests/util/test_expr.py
+    @example((ParamExpr.rel(1), [0, 1], ParamExpr.rel(1), [2, 3], None))
+    @example((ParamExpr.const(0), [0, 1], ParamExpr.const(9), [2], None))
+    @example((ParamExpr.rel(1), [0, 1, 2], ParamExpr.const(0), [3], 4))
+    def test_merge_is_inference_over_both(self, case):
+        a, mine, b, theirs, comm_size = case
+        got = a.merge(mine, b, theirs, comm_size)
+        want = ParamExpr.infer(
+            list(a.samples(mine)) + list(b.samples(theirs)), comm_size)
+        assert got == want
+        assert got.serialize() == want.serialize()
+
     @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
                     min_size=1, max_size=32, unique_by=lambda p: p[0]),
            st.one_of(st.none(), st.integers(min_value=2, max_value=64)))

@@ -7,12 +7,13 @@ uses — the full production path, in-process.
 """
 
 import json
+import os
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import ServiceThread, SweepService, client
-from repro.service.server import parse_submission
+from repro.service.server import MAX_NRANKS, parse_submission
 from repro.sweep import SweepPlan, run_sweep
 
 PLAN = {"name": "e2e", "mode": "generate",
@@ -151,6 +152,26 @@ class TestErrorPaths:
         with pytest.raises(ServiceError,
                            match=r"point 0 .*bad fault plan.*HTTP 400"):
             client.submit(service.url, json.dumps(body))
+
+    def test_sweep_point_over_rank_cap_is_400(self, service):
+        body = dict(PLAN, axes=[{"field": "nranks",
+                                 "values": [4, MAX_NRANKS + 1]}])
+        with pytest.raises(ServiceError, match=(
+                rf"point 1 \(nranks={MAX_NRANKS + 1}\).*cap of "
+                rf"{MAX_NRANKS}.*HTTP 400")):
+            client.submit(service.url, json.dumps(body))
+        store = service.service.store
+        assert not store.jobs and not store.pending
+        assert not os.path.exists(store.journal_path) or \
+            os.path.getsize(store.journal_path) == 0
+
+    def test_fuzz_cell_over_rank_cap_is_400(self, service):
+        body = CAMPAIGN_YAML.replace("nranks: 4", f"nranks: {MAX_NRANKS * 2}")
+        with pytest.raises(ServiceError, match=(
+                rf"cell 0 \(ring/np={MAX_NRANKS * 2}/.*cap of "
+                rf"{MAX_NRANKS}.*HTTP 400")):
+            client.submit(service.url, body, kind="fuzz")
+        assert not service.service.store.jobs
 
     def test_bad_kind_is_400(self, service):
         with pytest.raises(ServiceError, match="unknown job kind"):
@@ -301,6 +322,11 @@ class TestParseSubmission:
             kind_hint="fuzz")
         assert kind == "fuzz"
         assert campaign.name == "c"
+
+    def test_rank_cap_is_inclusive(self):
+        body = dict(PLAN, base={"app": "jacobi", "nranks": MAX_NRANKS})
+        _, plan = parse_submission(json.dumps(body))
+        assert plan.points()[0].overrides["nranks"] == MAX_NRANKS
 
     def test_default_kind_is_sweep(self):
         kind, _ = parse_submission(json.dumps(PLAN))
