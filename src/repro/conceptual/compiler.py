@@ -34,9 +34,15 @@ selectors and expressions read no loop variable is evaluated up front
 into what each rank does.  That shared tree is then specialised for each
 rank, dropping every statement that provably does nothing there: it
 issues no MPI operation on the rank, touches no counter or log, and
-cannot raise.  Everything else keeps lazy evaluation, so a run raises at
-the same point it would if every rank walked the whole tree.  Arithmetic
-faults (division by zero, overflow) raise
+cannot raise.  A ``FOR EACH`` over constant bounds whose body on a rank
+is a table of IFs (the emitter's ``IF repN = k`` form: each condition
+reads only the loop variable and cannot raise, and no non-empty branch
+runs in more than one iteration) becomes a tuple of per-iteration
+bodies there, every IF resolved at compile time, so the program never
+grows; any other loop keeps its per-iteration evaluation.  Everything
+else keeps lazy evaluation, so a run raises at the same point it would
+if every rank walked the whole tree.  Arithmetic faults (division by
+zero, overflow) raise
 :class:`~repro.errors.ConceptualSemanticError` naming the statement's
 call site.
 """
@@ -50,7 +56,8 @@ from repro.conceptual.ast_nodes import (AwaitStmt, ComputeStmt, ForEach,
                                         MulticastStmt, Program, RecvStmt,
                                         ReduceStmt, ResetStmt, SendStmt,
                                         Stmt, SyncStmt)
-from repro.conceptual.evaluate import Scope, Selector, bind, compile_expr
+from repro.conceptual.evaluate import (Compiled, Scope, Selector, bind,
+                                       compile_expr)
 from repro.conceptual.parser import parse
 from repro.conceptual.printer import print_program
 from repro.conceptual.runtime import LogDatabase, TaskCounters
@@ -89,6 +96,15 @@ def _run_each(st, env, data):
     var, lo, hi, body = data
     inner = dict(env)
     for i in range(lo(env), hi(env) + 1):
+        inner[var] = i
+        for run, d in body:
+            yield from run(st, inner, d)
+
+
+def _run_unrolled(st, env, data):
+    var, lo, bodies = data
+    inner = dict(env)
+    for i, body in enumerate(bodies, lo):
         inner[var] = i
         for run, d in body:
             yield from run(st, inner, d)
@@ -462,12 +478,16 @@ class _Specialiser:
     """One compile pass over a program for ``n`` ranks.  Every statement
     is compiled once; what it leaves each rank is built right away, so
     only the per-rank skeletons outlive the pass.  ``kept`` counts their
-    statements, summed over ranks."""
+    statements, summed over ranks; ``unrolled`` the FOR EACH entries
+    given per-iteration bodies."""
 
     def __init__(self, sites, n: int):
         self.sites = iter(sites)
         self.n = n
         self.kept = 0
+        self.unrolled = 0
+        #: compiled condition of each kept IF entry, by its ``cond.fn``
+        self.conds: Dict[object, Compiled] = {}
 
     def block(self, stmts, scope: Scope) -> Dict[int, list]:
         """Each rank's entries for ``stmts`` (ranks without any left
@@ -504,10 +524,18 @@ class _Specialiser:
             hi = compile_expr(stmt.hi, scope, int, site)
             body = self.block(stmt.body, scope.bind(stmt.var))
             exprs, bodies = (lo, hi), (body,)
+            iters = (range(lo.value, hi.value + 1)
+                     if lo.const and hi.const else None)
 
             def entry(me):
-                return (_run_each, (stmt.var, lo.fn, hi.fn,
-                                    tuple(body.get(me, ()))))
+                mine = tuple(body.get(me, ()))
+                if iters is not None:
+                    unrolled = self.unroll(stmt.var, iters, mine)
+                    if unrolled is not None:
+                        self.unrolled += 1
+                        return (_run_unrolled, (stmt.var, lo.value,
+                                                unrolled))
+                return (_run_each, (stmt.var, lo.fn, hi.fn, mine))
         else:
             cond = compile_expr(stmt.cond, scope, None, site)
             then = self.block(stmt.then, scope)
@@ -515,6 +543,7 @@ class _Specialiser:
             if cond.const:
                 return then if cond.value else otherwise
             exprs, bodies = (cond,), (then, otherwise)
+            self.conds[cond.fn] = cond
 
             def entry(me):
                 return (_run_if, (cond.fn, tuple(then.get(me, ())),
@@ -525,6 +554,32 @@ class _Specialiser:
             ranks = range(self.n)
         self.kept += len(ranks)
         return {me: [entry(me)] for me in ranks}
+
+    def unroll(self, var: str, iters: range, entries: tuple):
+        """``entries`` (one rank's body of ``FOR EACH var`` over
+        ``iters``) as a tuple of per-iteration bodies, or None.  Only a
+        table of IFs qualifies: each condition reads nothing but ``var``
+        and cannot raise, so it is resolved here, and no non-empty branch
+        runs in more than one iteration, so the form is never larger
+        than the IFs it replaces."""
+        ifs = []
+        for run, data in entries:
+            cond = self.conds.get(data[0]) if run is _run_if else None
+            if cond is None or not cond.safe or not cond.free <= {var}:
+                return None
+            ifs.append(data)
+        bodies: List[list] = [[] for _ in iters]
+        for test, then, otherwise in ifs:
+            taken = [0, 0]
+            for body, i in zip(bodies, iters):
+                k = 0 if test({var: i}) else 1
+                branch = (then, otherwise)[k]
+                if branch:
+                    taken[k] += 1
+                    body.extend(branch)
+            if max(taken) > 1:
+                return None
+        return tuple(tuple(body) for body in bodies)
 
 
 # ------------------------------------------------------------- program
@@ -598,6 +653,7 @@ class ConceptualProgram:
                 bodies = tuple(tuple(kept.get(me, ()))
                                for me in range(nranks))
                 obs.count("conceptual.rank_statements", spec.kept)
+                obs.count("conceptual.unrolled_loops", spec.unrolled)
             self._bodies[nranks] = bodies
         return bodies
 

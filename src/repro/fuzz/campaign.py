@@ -267,6 +267,10 @@ class FuzzCampaign(Spec):
                     out.append(FuzzPoint(len(out), cell, policy, seed))
         return out
 
+    def point_count(self) -> int:
+        """``len(self.points())``, without expanding the schedules."""
+        return len(self.cells()) * (1 + len(self.policies) * self.seeds)
+
     def to_sweep_plan(self):
         """The campaign as an explicit-points sweep plan, ready for the
         :func:`~repro.sweep.engine.run_sweep` worker pool."""

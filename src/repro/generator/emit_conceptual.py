@@ -26,11 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
                                         ComputeStmt, Expr, ForEach, ForRep,
-                                        IfStmt, LogStmt, Num, Program,
+                                        IfStmt, IsIn, LogStmt, Num, Program,
                                         RecvStmt, ResetStmt, SendStmt,
                                         SingleTask, Stmt, SuchThat,
                                         TaskSelector, Var)
-from repro.conceptual.parser import Parser
 from repro.errors import GenerationError
 from repro import obs
 from repro.generator.absolutize import absolutize_rank_field
@@ -46,6 +45,38 @@ TASK_VAR = "t"
 #: computation deltas shorter than this (seconds) are dropped as noise —
 #: they are interposition overhead, not application compute phases
 MIN_COMPUTE_MEAN = 5e-8
+
+
+def rank_predicate(ranks: RankSet, var: str,
+                   world: int) -> Optional[Expr]:
+    """A coNCePTuaL predicate over ``var`` that holds for exactly the
+    tasks in ``ranks`` out of ``world``, or None when that is every task
+    (the caller says ALL TASKS).  The most readable form that fits:
+    ``t = 3``, ``t <= 3``, ``t >= 2 /\\ t <= 9``, ``t MOD 4 = 0`` with
+    the bounds it needs, else ``t IS IN {1, 5, 11}``."""
+    if len(ranks) == world:
+        return None
+    task = Var(var)
+    if len(ranks) == 1:
+        return BinOp("=", task, Num(ranks.min()))
+    runs = ranks.runs
+    if len(runs) != 1:
+        return IsIn(task, tuple(Num(r) for r in ranks))
+    start, stop, stride = runs[0]
+    clauses: List[Expr] = []
+    if stride != 1:
+        clauses.append(BinOp("=", BinOp("MOD", task, Num(stride)),
+                             Num(start % stride)))
+    if start > 0:
+        clauses.append(BinOp(">=", task, Num(start)))
+    if stop < world - 1:
+        clauses.append(BinOp("<=", task, Num(stop)))
+    if not clauses:
+        return None
+    pred = clauses[0]
+    for clause in clauses[1:]:
+        pred = BinOp("/\\", pred, clause)
+    return pred
 
 
 class _LoopCtx:
@@ -258,10 +289,9 @@ class ConceptualEmitter:
             return AllTasks(TASK_VAR) if need_var else AllTasks()
         if len(ranks) == 1 and not need_var:
             return SingleTask(Num(ranks.min()))
-        pred_text = ranks.to_predicate(TASK_VAR, self.world)
-        if not pred_text:
+        pred = rank_predicate(ranks, TASK_VAR, self.world)
+        if pred is None:
             return AllTasks(TASK_VAR) if need_var else AllTasks()
-        pred = Parser(pred_text).parse_expr()
         return SuchThat(TASK_VAR, pred)
 
     # -- expression rendering ------------------------------------------------------

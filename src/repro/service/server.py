@@ -54,6 +54,11 @@ MAX_HEADER_BYTES = 64 * 1024
 #: hundred bytes however large its points, so the body ceiling cannot
 #: bound the work (np 1024 is the largest the generator is measured at)
 MAX_NRANKS = 4096
+#: points one sweep or fuzz campaign may expand to, counted from its
+#: axes or cells before any point is built (``seeds: 1000000000`` is a
+#: few bytes too); the nightly fuzz campaign, the largest shipped spec,
+#: is 1,806 points
+MAX_POINTS = 10_000
 
 #: obs layers whose per-execution counters ride into job status
 _EXECUTION_LAYERS = ("sweep", "fuzz", "pipeline")
@@ -73,9 +78,10 @@ def parse_submission(text: str,
 
     ``scenario`` is an alias: the body is one scenario × app cell, and
     its plan (:func:`~repro.scenarios.scenario_plan`) is a ``sweep``
-    job.  Malformed submissions, and points or cells of more than
-    :data:`MAX_NRANKS` ranks, raise :class:`ServiceError` — the server
-    maps it to 400, so a bad plan never reaches the queue.
+    job.  Malformed submissions, plans of more than :data:`MAX_POINTS`
+    points (counted before any is built), and points or cells of more
+    than :data:`MAX_NRANKS` ranks raise :class:`ServiceError` — the
+    server maps it to 400, so a bad plan never reaches the queue.
     """
     from repro.fuzz import FuzzCampaign
     from repro.scenarios import scenario_plan
@@ -95,6 +101,11 @@ def parse_submission(text: str,
             raise ServiceError(f"unknown job kind {kind!r}; choose from "
                                f"{tuple(loaders)}")
         plan = loaders[kind](data)
+        count = plan.point_count()
+        if count > MAX_POINTS:
+            raise ServiceError(
+                f"{count} points is over the service's cap of "
+                f"{MAX_POINTS}")
         plan.check()
         where = ([(f"cell {c.index} ({c.label()})", c.overrides)
                   for c in plan.cells()] if kind == "fuzz" else

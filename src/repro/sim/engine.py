@@ -163,6 +163,8 @@ class Engine:
         # leaky-bucket overload accounting: (last update time, level bytes)
         self._overload: Dict[int, Tuple[float, float]] = {}
         self.overload_events = 0
+        #: sends that took _apply_send, not the executor's inline path
+        self.generic_sends = 0
         self._coll: Dict[Tuple[int, int], _CollInstance] = {}
         self._done_count = 0
         # per-engine sequence counters: two engines in one process assign
@@ -229,6 +231,7 @@ class Engine:
             ("engine.messages_sent", self.messages_sent),
             ("engine.bytes_sent", self.bytes_sent),
             ("engine.overload_events", self.overload_events),
+            ("engine.generic_sends", self.generic_sends),
         ]
         if self._routed and self._link_msgs:
             span = self.total_time
@@ -356,9 +359,13 @@ class Engine:
 
     # -- sends ----------------------------------------------------------------
     def _apply_send(self, rs: _RankState, op: PostSend) -> Request:
+        """Any send.  The executor inlines sends without faults on a flat
+        fabric; this is the path that adds fault fates and routed links
+        to the congestion helpers below."""
         if op.dst >= self.nranks:
             raise MPIUsageError(
                 f"rank {rs.rank} sends to nonexistent rank {op.dst}")
+        self.generic_sends += 1
         model = self.model
         req = Request("send", rs.rank)
         req.peer = op.dst
@@ -374,41 +381,14 @@ class Engine:
         throttled = False
         arrival = None
         if eager and model.overload_drain_rate is not None:
-            # leaky bucket: the destination's protocol stack drains at a
-            # fixed rate; sustained offered load above it builds standing
-            # backlog, and senders to an overloaded stack back off
-            last_t, level = self._overload[op.dst]
-            level = max(0.0, level - (inject - last_t)
-                        * model.overload_drain_rate)
-            if level > model.overload_capacity:
-                rs.clock += model.overload_penalty
-                inject = rs.clock
-                self.overload_events += 1
-                level = max(0.0, level - model.overload_penalty
-                            * model.overload_drain_rate)
-            level += op.nbytes
-            self._overload[op.dst] = (inject, level)
+            inject = self._overload_backoff(rs, op.dst, op.nbytes, inject)
         route_links: Tuple[str, ...] = ()
         if eager and self._routed:
             route_links, inject, arrival = self._routed_arrival(
                 rs, op, inject)
         elif eager and model.wire_queueing:
-            # the destination's ejection link is serial: this message's
-            # data starts landing when the link frees up
-            reach = inject + model.transit_time(0)
-            backlog = self._wire_free[op.dst] - reach
-            threshold = model.backlog_stall_threshold
-            if threshold is not None and backlog > threshold:
-                # flow control: the sender stalls until the destination's
-                # queue drains back to the window (graduated backpressure);
-                # the cost lands on the sender's clock directly
-                rs.clock += (backlog - threshold
-                             + model.stall_penalty(op.nbytes))
-                inject = rs.clock
-                reach = inject + model.transit_time(0)
-            start = max(reach, self._wire_free[op.dst])
-            arrival = start + model.eject_time(op.nbytes)
-            self._wire_free[op.dst] = arrival
+            inject, arrival = self._wire_arrival(rs, op.dst, op.nbytes,
+                                                 inject)
         fault_delay = 0.0
         if fate is not None and not lost:
             fault_delay = fate.delay
@@ -500,6 +480,55 @@ class Engine:
         self._drain(op.dst, relaxed=False)
         return req
 
+    # -- congestion: each formula once, for the executor's inline sends
+    #    and for _apply_send (eager messages only)
+    def _overload_backoff(self, rs: _RankState, dst: int, nbytes: int,
+                          inject: float) -> float:
+        """Leaky bucket: the destination's protocol stack drains at a
+        fixed rate; sustained offered load above it builds standing
+        backlog, and senders to an overloaded stack back off.  Returns
+        the inject time, later by the penalty if the sender backed off."""
+        model = self.model
+        rate = model.overload_drain_rate
+        last_t, level = self._overload[dst]
+        level = max(0.0, level - (inject - last_t) * rate)
+        if level > model.overload_capacity:
+            rs.clock += model.overload_penalty
+            inject = rs.clock
+            self.overload_events += 1
+            level = max(0.0, level - model.overload_penalty * rate)
+        level += nbytes
+        self._overload[dst] = (inject, level)
+        return inject
+
+    def _flow_stall(self, rs: _RankState, excess: float,
+                    nbytes: int) -> float:
+        """Flow control: the sender stalls until the destination's queue
+        drains back to the window (graduated backpressure), ``excess``
+        seconds of backlog over it; the cost lands on the sender's clock
+        directly.  Returns the new inject time."""
+        rs.clock += excess + self.model.stall_penalty(nbytes)
+        return rs.clock
+
+    def _wire_arrival(self, rs: _RankState, dst: int, nbytes: int,
+                      inject: float) -> Tuple[float, float]:
+        """The destination's ejection link is serial: this message's data
+        starts landing when the link frees up.  Returns ``(inject,
+        arrival)``; ``inject`` is later if flow control stalled the
+        sender."""
+        model = self.model
+        wire_free = self._wire_free
+        reach = inject + model.transit_time(0)
+        backlog = wire_free[dst] - reach
+        threshold = model.backlog_stall_threshold
+        if threshold is not None and backlog > threshold:
+            inject = self._flow_stall(rs, backlog - threshold, nbytes)
+            reach = inject + model.transit_time(0)
+        start = max(reach, wire_free[dst])
+        arrival = start + model.eject_time(nbytes)
+        wire_free[dst] = arrival
+        return inject, arrival
+
     def _routed_arrival(self, rs: _RankState, op: PostSend,
                         inject: float) -> Tuple[Tuple[str, ...], float,
                                                 float]:
@@ -531,11 +560,8 @@ class Engine:
             reach = inject + len(links) * hop
             backlog = free.get(links[-1], 0.0) - reach
             if backlog > threshold:
-                # flow control: stall the sender until the destination's
-                # ejection queue drains back to the window
-                rs.clock += (backlog - threshold
-                             + model.stall_penalty(op.nbytes))
-                inject = rs.clock
+                inject = self._flow_stall(rs, backlog - threshold,
+                                          op.nbytes)
         t = inject
         msgs = self._link_msgs
         busy = self._link_busy

@@ -9,10 +9,13 @@ blocking — in one frame:
 * class-identity dispatch on the concrete op classes with every hot
   container and model query bound to a local;
 * the fast-path send/receive handlers inline the protocol arithmetic
-  for the common regime (no fault injection, flat fabric, no wire
-  queueing, no overload accounting) and cache each message's fixed
-  arrival estimate for the matching layer; any other regime falls back
-  to the engine's generic handlers mid-loop;
+  whenever no fault fate or routed link is involved, and cache each
+  message's fixed arrival estimate for the matching layer.  Under the
+  congestion model the inline send calls the engine's own helpers for
+  the receiver-stack leaky bucket, the serial ejection wire and the
+  backlog stall (each formula exists once, shared with
+  ``Engine._apply_send``); fault injection and routed fabrics go
+  through the engine's generic send (``engine.generic_sends``);
 * collective completion evaluates ``max`` over the whole
   ``_CollInstance`` arrival cohort at once (numpy-reduced for large
   groups — float ``max`` is associative, so the reduction order cannot
@@ -28,8 +31,8 @@ blocking — in one frame:
 Byte-identity discipline: every float operation happens in the same
 order as a one-op-at-a-time loop would run it, counters (``steps``
 etc.) are bumped at the same program points, and anything the fast
-path cannot mirror exactly (fault fates, routed fabrics, wire queueing,
-overload) is delegated to the engine's generic handlers.  The golden
+path cannot mirror exactly (fault fates, routed fabrics) is delegated
+to the engine's generic handlers.  The golden
 suites under ``tests/sim/golden/`` and the Hypothesis equivalence tests
 (against the test-only ``tests/sim/reference_loop.py``) pin this
 bit-for-bit.
@@ -172,10 +175,13 @@ def run_batch(eng) -> None:
     min_latency = eng._min_latency
     colls = eng._coll
 
-    # fast sends only in the regime whose arithmetic the inline path
-    # mirrors exactly; everything else goes through Engine._apply_send
-    fast_send = (no_faults and not eng._routed and not model.wire_queueing
-                 and model.overload_drain_rate is None)
+    # fast sends whenever no fault fate or routed link is involved; the
+    # congestion arithmetic is the engine's own helpers, so only faults
+    # and routed fabrics go through Engine._apply_send
+    fast_send = no_faults and not eng._routed
+    overload = (eng._overload_backoff
+                if model.overload_drain_rate is not None else None)
+    wire = eng._wire_arrival if model.wire_queueing else None
     fabric = getattr(model, "fabric", None)
     flat = (type(fabric) is FlatFabric
             and type(model).transit_time is NetworkModel.transit_time)
@@ -419,6 +425,11 @@ def run_batch(eng) -> None:
                     inject = post_time + send_overhead(nbytes)
                     rs.clock = inject
                     if nbytes <= eager_threshold:
+                        if overload is not None:
+                            inject = overload(rs, dst, nbytes, inject)
+                        arrival = None
+                        if wire is not None:
+                            inject, arrival = wire(rs, dst, nbytes, inject)
                         throttled = False
                         charged = False
                         if not has_recv(dst, rs.rank, op.tag, op.comm_id):
@@ -433,8 +444,10 @@ def run_batch(eng) -> None:
                         msg = _Message(msg_seq, rs.rank, dst, op.tag,
                                        op.comm_id, nbytes, post_time,
                                        inject, "eager", throttled,
-                                       charged, req)
-                        if flat:
+                                       charged, req, arrival)
+                        if arrival is not None:
+                            t = arrival
+                        elif flat:
                             t = inject + (fab_lat + nbytes / fab_bw)
                         else:
                             t = inject + transit(nbytes, rs.rank, dst)

@@ -32,6 +32,7 @@ a commented example.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
@@ -177,6 +178,11 @@ class SweepPlan(Spec):
             out.append(SweepPoint(len(out), dict(params),
                                   {**self.base, **params}))
         return out
+
+    def point_count(self) -> int:
+        """``len(self.points())``, without expanding them."""
+        return (math.prod(len(a.values) for a in self.axes)
+                if self.axes else 0) + len(self.extra_points)
 
     def check(self) -> int:
         """Build every point's :class:`PipelineConfig`, surfacing any

@@ -6,14 +6,17 @@ set must be stored and rendered compactly: ``0:1023`` rather than 1024
 integers, ``0:30:2`` for the even ranks below 32, and so on.
 
 :class:`RankSet` is an immutable, canonical union of strided ranges.  It is
-hashable, supports the usual set algebra, and knows how to render itself as
-a coNCePTuaL task predicate (see :meth:`RankSet.to_predicate`).
+hashable and supports the usual set algebra.  Its runs are factored on
+first use (:attr:`RankSet.runs`, :meth:`RankSet.serialize`), so the
+unions of a trace merge pay only for the concatenation.  The coNCePTuaL
+emitter renders a set as a task predicate
+(:func:`repro.generator.emit_conceptual.rank_predicate`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def _normalize_runs(ranks: Sequence[int]) -> Tuple[Tuple[int, int, int], ...]:
@@ -52,7 +55,7 @@ class RankSet:
             if r < 0:
                 raise ValueError("ranks must be non-negative")
         self._ranks: Tuple[int, ...] = tuple(rs)
-        self._runs = _normalize_runs(self._ranks)
+        self._runs: Optional[Tuple[Tuple[int, int, int], ...]] = None
         self._hash = hash(self._ranks)
 
     # -- constructors ----------------------------------------------------
@@ -61,7 +64,7 @@ class RankSet:
         """The set of ``ranks``, already sorted, distinct, non-negative."""
         out = cls.__new__(cls)
         out._ranks = ranks
-        out._runs = _normalize_runs(ranks)
+        out._runs = None
         out._hash = hash(ranks)
         return out
 
@@ -157,7 +160,10 @@ class RankSet:
     @property
     def runs(self) -> Tuple[Tuple[int, int, int], ...]:
         """Canonical (start, stop_inclusive, stride) runs."""
-        return self._runs
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = _normalize_runs(self._ranks)
+        return runs
 
     def min(self) -> int:
         if not self._ranks:
@@ -172,7 +178,7 @@ class RankSet:
     # -- rendering ---------------------------------------------------------
     def serialize(self) -> str:
         parts = []
-        for start, stop, stride in self._runs:
+        for start, stop, stride in self.runs:
             if start == stop:
                 parts.append(str(start))
             elif stride == 1:
@@ -183,36 +189,3 @@ class RankSet:
 
     def __repr__(self) -> str:
         return f"RankSet({self.serialize()})"
-
-    def to_predicate(self, var: str, world_size: int) -> str:
-        """Render as a coNCePTuaL task predicate over variable ``var``.
-
-        Chooses the most readable of several forms:
-        ``ALL TASKS`` handled by the caller (full world); otherwise e.g.
-        ``t = 3``, ``t >= 2 /\\ t <= 9``, ``t MOD 4 = 0``, or an explicit
-        membership list ``t IS IN {1, 5, 11}``.
-        """
-        if len(self._ranks) == world_size:
-            return ""  # caller should say ALL TASKS
-        if len(self._ranks) == 1:
-            return f"{var} = {self._ranks[0]}"
-        if len(self._runs) == 1:
-            start, stop, stride = self._runs[0]
-            if stride == 1:
-                if start == 0 and stop == world_size - 1:
-                    return ""
-                if start == 0:
-                    return f"{var} <= {stop}"
-                if stop == world_size - 1:
-                    return f"{var} >= {start}"
-                return f"{var} >= {start} /\\ {var} <= {stop}"
-            # strided run
-            clauses = [f"{var} MOD {stride} = {start % stride}"]
-            if start > 0 or stop < world_size - 1:
-                if start > 0:
-                    clauses.append(f"{var} >= {start}")
-                if stop < world_size - 1:
-                    clauses.append(f"{var} <= {stop}")
-            return " /\\ ".join(clauses)
-        members = ", ".join(str(r) for r in self._ranks)
-        return f"{var} IS IN {{{members}}}"

@@ -17,14 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import APPS, make_app
+from repro import obs
+from repro.apps import APPS, PAPER_SUITE, make_app
 from repro.apps.base import AppError
 from repro.conceptual import ConceptualProgram
-from repro.conceptual.ast_nodes import (AllTasks, BinOp, ComputeStmt,
-                                        ForEach, ForRep, IfStmt, IsIn,
-                                        MulticastStmt, Num, Program,
+from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
+                                        ComputeStmt, ForEach, ForRep, IfStmt,
+                                        IsIn, MulticastStmt, Num, Program,
                                         RecvStmt, ReduceStmt, SendStmt,
                                         SingleTask, SuchThat, SyncStmt, Var)
+from repro.conceptual.compiler import (_run_each, _run_if, _run_rep,
+                                       _run_unrolled)
 from repro.errors import ConceptualSemanticError
 from repro.generator import generate_from_application
 from repro.mpi import MPIHook
@@ -116,6 +119,208 @@ def test_app_preset_matches_reference(app, nranks):
                                             name=f"{app}{nranks}")
     got = assert_same_as_reference(program, nranks, make_model("bluegene"))
     assert "raised" not in got
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("app", PAPER_SUITE)
+def test_paper_app_matches_reference_at_np64(app):
+    test_app_preset_matches_reference(app, 64)
+
+
+@pytest.mark.parametrize("app", ["bt", "lu", "sp"])
+def test_paper_apps_run_per_iteration_bodies(app):
+    """The emitter's ``IF repN = k`` tables reach the per-iteration form,
+    so the preset cells above hold it to the tree-walker."""
+    with obs.instrumented() as inst:
+        ConceptualProgram.from_source(_generated(app, 16)).specialise(16)
+    counters = {r["name"]: r["value"] for r in inst.counter_records()}
+    assert counters["conceptual.unrolled_loops"] > 0
+
+
+# ------------------------------------------ per-iteration FOR EACH bodies
+def _loop_forms(program, nranks):
+    """``{loop variable: forms}`` over every rank's specialised body:
+    ``"each"`` for a loop run by ``_run_each``, ``"unrolled"`` for one
+    given per-iteration bodies."""
+    forms = {}
+
+    def walk(entries):
+        for run, data in entries:
+            if run is _run_rep:
+                walk(data[1])
+            elif run is _run_each:
+                forms.setdefault(data[0], set()).add("each")
+                walk(data[3])
+            elif run is _run_unrolled:
+                forms.setdefault(data[0], set()).add("unrolled")
+                for body in data[2]:
+                    walk(body)
+            elif run is _run_if:
+                walk(data[1])
+                walk(data[2])
+    for body in program.specialise(nranks):
+        walk(body)
+    return forms
+
+
+_EDGE_CASES = {
+    # each branch lands in one iteration: folded
+    "otherwise": ("""
+FOR EACH v IN {0, ..., 1} {
+  IF v = 0 THEN {
+    TASK 0 COMPUTES FOR 5 MICROSECONDS
+  } OTHERWISE {
+    TASK 0 COMPUTES FOR 7 MICROSECONDS
+  }
+}""", {"v": {"unrolled"}}),
+    # the OTHERWISE branch would run twice: kept
+    "otherwise-twice": ("""
+FOR EACH v IN {0, ..., 2} {
+  IF v = 0 THEN {
+    TASK 0 COMPUTES FOR 5 MICROSECONDS
+  } OTHERWISE {
+    TASK 0 COMPUTES FOR 7 MICROSECONDS
+  }
+}""", {"v": {"each"}}),
+    # a condition that reads the outer task loop's ``t``: kept
+    "reads-t": ("""
+FOR EACH t IN {0, ..., 1} {
+  FOR EACH v IN {0, ..., 2} {
+    IF v = t THEN {
+      TASK 1 COMPUTES FOR 3 MICROSECONDS
+    }
+  }
+}""", {"t": {"each"}, "v": {"each"}}),
+    # 4 / (v - 1) divides by zero in iteration 1: kept, and raises there
+    "raises": ("""
+FOR EACH v IN {0, ..., 2} {
+  IF 4 / (v - 1) = 2 THEN {
+    TASK 0 COMPUTES FOR 3 MICROSECONDS
+  } THEN
+  IF v = 0 THEN {
+    ALL TASKS SYNCHRONIZE
+  }
+}""", {"v": {"each"}}),
+    # the inner table folds; the outer body is a loop, not an IF table
+    "nested": ("""
+FOR EACH p IN {0, ..., 1} {
+  FOR EACH q IN {0, ..., 2} {
+    IF q = 1 THEN {
+      TASK p SENDS A 8 BYTE MESSAGE TO TASK p + 1
+    }
+  }
+}""", {"p": {"each"}, "q": {"unrolled"}}),
+    # an outer table whose branch holds an inner table: both fold
+    "nested-tables": ("""
+FOR EACH p IN {0, ..., 1} {
+  IF p = 1 THEN {
+    FOR EACH q IN {0, ..., 2} {
+      IF q = 2 THEN {
+        TASK q COMPUTES FOR p MICROSECONDS
+      }
+    }
+  }
+}""", {"p": {"unrolled"}, "q": {"unrolled"}}),
+    # a range that starts above 0, read by the folded branches
+    "offset": ("""
+FOR EACH v IN {2, ..., 4} {
+  IF v = 3 THEN {
+    TASK v - 2 COMPUTES FOR v MICROSECONDS
+  } THEN
+  IF v = 4 THEN {
+    ALL TASKS COMPUTE FOR v * 2 MICROSECONDS
+  }
+}""", {"v": {"unrolled"}}),
+    # no iteration at all: folded to no bodies
+    "empty-range": ("""
+FOR EACH v IN {3, ..., 1} {
+  IF v = 2 THEN {
+    ALL TASKS COMPUTE FOR 4 MICROSECONDS
+  }
+}""", {"v": {"unrolled"}}),
+    # one unconditional statement beside the table: kept
+    "unconditional": ("""
+FOR EACH v IN {0, ..., 3} {
+  IF v = 0 THEN {
+    TASK 0 COMPUTES FOR 5 MICROSECONDS
+  } THEN
+  TASK 0 COMPUTES FOR 1 MICROSECONDS
+}""", {"v": {"each"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_per_iteration_edge_case(case):
+    source, forms = _EDGE_CASES[case]
+    program = ConceptualProgram.from_source(source, name=case)
+    assert _loop_forms(program, 4) == forms
+    got = assert_same_as_reference(program, 4, make_model("simple"))
+    assert ("raised" in got) == (case == "raises")
+
+
+@st.composite
+def if_tables(draw):
+    """``FOR EACH v IN {lo, ..., hi} { IF cond THEN {...} ... }`` inside a
+    task loop over ``t``: mostly ``v = k`` tests (the emitter's shape),
+    some with an OTHERWISE branch, some that read ``t``, hold in several
+    iterations, or divide by zero, and now and then an unconditional
+    statement."""
+    lo = draw(st.integers(0, 2))
+    hi = lo + draw(st.integers(-1, 3))
+    ks = st.integers(lo - 1, hi + 1)
+
+    def leaf():
+        kind = draw(st.sampled_from(["compute", "compute-v", "send",
+                                     "sync"]))
+        who = Num(draw(st.integers(0, 3)))
+        if kind == "compute":
+            return ComputeStmt(SingleTask(who), Num(draw(
+                st.integers(1, 9))))
+        if kind == "compute-v":
+            return ComputeStmt(AllTasks(), BinOp("+", Var("v"), Num(1)))
+        if kind == "send":
+            return SendStmt(SingleTask(who), Num(8),
+                            BinOp("MOD", BinOp("+", who, Var("v")),
+                                  Var("num_tasks")), is_async=True)
+        return SyncStmt(AllTasks())
+
+    def cond():
+        kind = draw(st.sampled_from(["eq", "eq", "eq", "ge", "t",
+                                     "raises"]))
+        v, k = Var("v"), Num(draw(ks))
+        if kind == "eq":
+            return BinOp("=", v, k)
+        if kind == "ge":
+            return BinOp(">=", v, k)
+        if kind == "t":
+            return BinOp("=", v, Var("t"))
+        return BinOp("=", BinOp("/", Num(4), BinOp("-", v, k)), Num(2))
+
+    body = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            body.append(leaf())
+            continue
+        otherwise = [leaf()] if draw(st.booleans()) else []
+        body.append(IfStmt(cond(), [leaf()], otherwise))
+    loop = ForEach("v", Num(lo), Num(hi), body)
+    return Program([ForEach("t", Num(0), Num(1), [loop]),
+                    AwaitStmt(AllTasks())])
+
+
+@given(if_tables(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=120, deadline=None)
+def test_if_tables_match_reference(program, nranks):
+    compiled = ConceptualProgram(program, name="table")
+    assert_same_as_reference(compiled, nranks, make_model("simple"),
+                             max_steps=5000)
+    tests_v_only = all(isinstance(s, IfStmt) and not s.otherwise
+                       and s.cond.op == "=" and s.cond.right != Var("t")
+                       and s.cond.left == Var("v")
+                       for s in program.stmts[0].body[0].body)
+    if tests_v_only:
+        # a pure ``v = k`` table always folds
+        assert "each" not in _loop_forms(compiled, nranks).get("v", set())
 
 
 # --------------------------------------------------------------- property

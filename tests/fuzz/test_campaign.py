@@ -1,5 +1,7 @@
 """FuzzCampaign spec: validation, expansion, and serialization."""
 
+import os
+
 import pytest
 
 from repro.errors import FuzzCampaignError
@@ -78,6 +80,13 @@ class TestValidation:
 
 
 class TestExpansion:
+    def test_point_count_matches_expansion(self):
+        nightly = os.path.join(os.path.dirname(__file__), "..", "..",
+                               "benchmarks", "fuzz_nightly.yaml")
+        for c in (_campaign(), _campaign(seeds=3, topologies=(None, "torus3d")),
+                  FuzzCampaign.loads(TEMPLATE), FuzzCampaign.load(nightly)):
+            assert c.point_count() == len(c.points())
+
     def test_points_canonical_first_then_policy_seed_order(self):
         c = _campaign(policies=("random", "adversarial-delay"),
                       seeds=2, seed0=5)

@@ -5,6 +5,7 @@ import itertools
 from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
+from repro.generator.emit_conceptual import rank_predicate
 from repro.util.expr import ParamExpr
 from repro.util.histogram import TimeHistogram
 from repro.util.rankset import RankSet
@@ -56,17 +57,33 @@ class TestRankSetProperties:
     def test_predicate_selects_exactly_members(self, ranks):
         world = 64
         rs = RankSet(ranks)
-        pred = rs.to_predicate("t", world)
-        if not pred:
+        pred = rank_predicate(rs, "t", world)
+        if pred is None:
             assert len(rs) == world
             return
         # evaluate the predicate through the coNCePTuaL expression engine
         from repro.conceptual import eval_expr
-        from repro.conceptual.parser import Parser
-        ast = Parser(pred).parse_expr()
         selected = {t for t in range(world)
-                    if eval_expr(ast, {"t": t, "num_tasks": world})}
+                    if eval_expr(pred, {"t": t, "num_tasks": world})}
         assert selected == set(rs)
+
+    @seed(2023)
+    @given(ranks_lists, ranks_lists, st.booleans(), st.booleans())
+    def test_union_of_lazy_sets_equals_construction(self, a, b, above,
+                                                    touch):
+        """Runs are factored on first use: a union of sets whose runs
+        were (``touch``) or were never factored equals the set built from
+        both lists in ranks, runs, hash and serialized form."""
+        if above and a:
+            b = [max(a) + 1 + r for r in b]
+        left, right = RankSet(a), RankSet(b)
+        if touch:
+            left.runs, right.serialize()
+        got, want = left.union(right), RankSet(list(left) + list(right))
+        assert got._ranks == want._ranks
+        assert got.runs == want.runs
+        assert hash(got) == hash(want)
+        assert got.serialize() == want.serialize()
 
 
 class TestValueSeqProperties:

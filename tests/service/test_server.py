@@ -8,12 +8,13 @@ uses — the full production path, in-process.
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.service import ServiceThread, SweepService, client
-from repro.service.server import MAX_NRANKS, parse_submission
+from repro.service.server import MAX_NRANKS, MAX_POINTS, parse_submission
 from repro.sweep import SweepPlan, run_sweep
 
 PLAN = {"name": "e2e", "mode": "generate",
@@ -171,6 +172,31 @@ class TestErrorPaths:
                 rf"cell 0 \(ring/np={MAX_NRANKS * 2}/.*cap of "
                 rf"{MAX_NRANKS}.*HTTP 400")):
             client.submit(service.url, body, kind="fuzz")
+        assert not service.service.store.jobs
+
+    def test_fuzz_campaign_over_point_cap_is_400_fast(self, service):
+        """A billion seeds are counted, not expanded: the job is refused
+        at once and never journaled or queued."""
+        body = CAMPAIGN_YAML.replace("seeds: 2", "seeds: 1000000000")
+        t0 = time.monotonic()
+        with pytest.raises(ServiceError, match=(
+                rf"1000000001 points is over the service's cap of "
+                rf"{MAX_POINTS}.*HTTP 400")):
+            client.submit(service.url, body, kind="fuzz")
+        assert time.monotonic() - t0 < 5.0
+        store = service.service.store
+        assert not store.jobs and not store.pending
+        assert not os.path.exists(store.journal_path) or \
+            os.path.getsize(store.journal_path) == 0
+
+    def test_sweep_over_point_cap_is_400(self, service):
+        axes = [{"field": field, "values": list(range(1, 101))}
+                for field in ("nranks", "max_steps")]
+        axes.append({"field": "compute_scale", "values": [1.0, 0.5]})
+        with pytest.raises(ServiceError, match=(
+                rf"20000 points is over the service's cap of "
+                rf"{MAX_POINTS}")):
+            client.submit(service.url, json.dumps(dict(PLAN, axes=axes)))
         assert not service.service.store.jobs
 
     def test_bad_kind_is_400(self, service):

@@ -10,8 +10,13 @@ counter totals — exercising exactly the machinery the golden grid cannot
 enumerate: wildcard candidate heaps vs the full scan, rendezvous
 fallbacks, mixed directed/wildcard communicators, throttle charging,
 WaitAny horizon deferrals, collective cohort completion, and per-op
-crash checks under drops, duplicates and stragglers.  A profiled run
-must equal an unprofiled one except for its ``engine.profile.*`` timings.
+crash checks under drops, duplicates and stragglers, and the congestion
+model's overload backoff, wire queue and backlog stall (``arc`` and a
+``tight`` variant that throttles and stalls on small messages).  A
+profiled run must equal an unprofiled one except for its
+``engine.profile.*`` timings.  ``engine.generic_sends`` counts the path,
+not the simulation: the reference loop takes ``Engine._apply_send`` for
+every send, the production loop only under faults or a routed fabric.
 
 Programs are deadlock-free by construction (fault injection aside):
 each phase posts all nonblocking receives, then all sends, then waits
@@ -29,6 +34,7 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim.engine import Engine
+from repro.sim.matching import MatchIndex
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll, WaitAny)
@@ -42,6 +48,12 @@ _SIZES = [1, 64, 4096, 1 << 15, 1 << 20]
 #: budget lose messages outright)
 _FAULT_MIXES = [{}, {"drop_rate": 0.2, "max_retries": 0},
                 {"duplicate_rate": 0.3}, {"stragglers": [[0, 3.0]]}]
+
+#: the ethernet preset with buffers and windows small enough that the
+#: sampled programs throttle (unexpected buffer), stall (wire backlog)
+#: and back off (receiver-stack overload) on a few KiB
+_TIGHT = {"unexpected_capacity": 8192, "overload_capacity": 4096,
+          "overload_drain_rate": 1e6, "backlog_stall_threshold": 1e-5}
 
 
 @st.composite
@@ -62,7 +74,8 @@ def fault_plans(draw, nranks):
 @st.composite
 def plans(draw):
     nranks = draw(st.integers(2, 4))
-    preset = draw(st.sampled_from(["simple", "bluegene", "ethernet"]))
+    preset = draw(st.sampled_from(["simple", "bluegene", "ethernet", "arc",
+                                   "tight"]))
     routed = draw(st.booleans())
     nphases = draw(st.integers(1, 3))
     phases = []
@@ -95,7 +108,11 @@ def plans(draw):
                 [None, "barrier", "allreduce", "bcast"])),
         })
     return {"nranks": nranks, "preset": preset, "routed": routed,
-            "phases": phases, "faults": draw(fault_plans(nranks)),
+            # half the plans are fault-free: only a fault-free run on a
+            # flat fabric takes the executor's inline send path
+            "phases": phases,
+            "faults": draw(fault_plans(nranks)) if draw(st.booleans())
+            else None,
             "profile": draw(st.booleans())}
 
 
@@ -134,7 +151,10 @@ def _rank_program(plan, rank):
 
 
 def _model_for(plan):
-    base = make_model(plan["preset"])
+    if plan["preset"] == "tight":
+        base = make_model("ethernet", **_TIGHT)
+    else:
+        base = make_model(plan["preset"])
     if plan["routed"]:
         return make_topology_model(
             base, "torus3d", plan["nranks"],
@@ -167,12 +187,24 @@ def _run(plan, profile=False):
     }
 
 
-@settings(max_examples=60, deadline=None)
+def _pop_generic_sends(result, inline):
+    """Drop the path counter after checking it: every send is generic
+    unless ``inline`` (the production loop without faults or routing),
+    where none is."""
+    counters = result["counters"]
+    generic = counters.pop("engine.generic_sends")
+    assert generic == (0 if inline else counters["engine.messages_sent"])
+
+
+@settings(max_examples=80, deadline=None)
 @given(plans())
 def test_production_and_reference_loops_are_bit_identical(plan):
     with reference_loop():
         reference = _run(plan)
     production = _run(plan, profile=plan["profile"])
+    _pop_generic_sends(reference, inline=False)
+    _pop_generic_sends(production, inline=plan["faults"] is None
+                       and not plan["routed"])
     if plan["profile"]:
         counters = production["counters"]
         phases = {name for name in counters
@@ -181,5 +213,68 @@ def test_production_and_reference_loops_are_bit_identical(plan):
                           ("schedule", "match", "execute", "fabric")}
         production["counters"] = {name: value for name, value
                                   in counters.items() if name not in phases}
-        assert production == _run(plan)
+        unprofiled = _run(plan)
+        unprofiled["counters"].pop("engine.generic_sends")
+        assert production == unprofiled
     assert production == reference
+
+
+def _burst(nranks):
+    """Rank 0 sends six 4 KiB messages to rank 1 back to back; rank 1
+    posts its receives only after a long compute, so they all land
+    unexpected."""
+    def sender():
+        reqs = []
+        for tag in range(6):
+            req = yield PostSend(1, 4096, tag=tag)
+            reqs.append(req)
+        yield WaitAll(reqs)
+
+    def receiver():
+        yield Compute(1e-2)
+        reqs = []
+        for tag in range(6):
+            req = yield PostRecv(0, tag)
+            reqs.append(req)
+        yield WaitAll(reqs)
+    return [sender(), receiver()]
+
+
+def test_tight_congestion_fires_every_mechanism_in_both_loops(monkeypatch):
+    """The burst throttles (unexpected buffer full), stalls (ejection
+    backlog over the window) and backs off (stack overloaded) on the
+    inline path and on the reference loop alike, with equal results."""
+    throttled, stalls = [], []
+    add_message = MatchIndex.add_message
+    flow_stall = Engine._flow_stall
+
+    def spy_add(self, msg):
+        throttled.append(msg.throttled)
+        return add_message(self, msg)
+
+    def spy_stall(self, rs, excess, nbytes):
+        stalls.append(rs.rank)
+        return flow_stall(self, rs, excess, nbytes)
+    monkeypatch.setattr(MatchIndex, "add_message", spy_add)
+    monkeypatch.setattr(Engine, "_flow_stall", spy_stall)
+
+    def run():
+        throttled.clear()
+        stalls.clear()
+        eng = Engine(2, make_model("ethernet", **_TIGHT))
+        with obs.instrumented() as inst:
+            eng.run(_burst(2))
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        return ([eng.now(r).hex() for r in range(2)], counters,
+                list(throttled), list(stalls))
+
+    with reference_loop():
+        ref_clocks, ref_counters, ref_throttled, ref_stalls = run()
+    clocks, counters, got_throttled, got_stalls = run()
+    assert counters.pop("engine.generic_sends") == 0
+    assert ref_counters.pop("engine.generic_sends") == 6
+    assert (clocks, counters, got_throttled, got_stalls) == \
+        (ref_clocks, ref_counters, ref_throttled, ref_stalls)
+    assert counters["engine.overload_events"] > 0
+    assert any(got_throttled) and not all(got_throttled)
+    assert got_stalls and set(got_stalls) == {0}

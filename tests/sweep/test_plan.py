@@ -75,6 +75,15 @@ class TestValidation:
 
 
 class TestExpansion:
+    def test_point_count_matches_expansion(self):
+        for plan in (tiny_plan(axes=[{"field": "nranks", "values": [4, 8]},
+                                     {"field": "compute_scale",
+                                      "values": [1.0, 0.5, 0.0]}]),
+                     tiny_plan(extra_points=({"nranks": 8},)),
+                     tiny_plan(axes=[], extra_points=({"nranks": 4},)),
+                     SweepPlan.loads(TEMPLATE)):
+            assert plan.point_count() == len(plan.points())
+
     def test_product_order_last_axis_fastest(self):
         plan = tiny_plan(axes=[{"field": "nranks", "values": [4, 8]},
                                {"field": "compute_scale",

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.conceptual.printer import render_expr
+from repro.generator.emit_conceptual import rank_predicate
 from repro.util.rankset import RankSet
 
 
@@ -104,26 +106,49 @@ class TestCompactForm:
 
 
 class TestPredicateRendering:
+    """The emitter's predicate AST, checked in its printed form."""
+
+    @staticmethod
+    def pred(ranks, world=8):
+        expr = rank_predicate(ranks, "t", world)
+        return None if expr is None else render_expr(expr)
+
     def test_full_world_is_empty_predicate(self):
-        assert RankSet.world(8).to_predicate("t", 8) == ""
+        assert self.pred(RankSet.world(8)) is None
 
     def test_singleton(self):
-        assert RankSet.single(3).to_predicate("t", 8) == "t = 3"
+        assert self.pred(RankSet.single(3)) == "t = 3"
 
     def test_prefix(self):
-        assert RankSet.interval(0, 3).to_predicate("t", 8) == "t <= 3"
+        assert self.pred(RankSet.interval(0, 3)) == "t <= 3"
 
     def test_suffix(self):
-        assert RankSet.interval(4, 7).to_predicate("t", 8) == "t >= 4"
+        assert self.pred(RankSet.interval(4, 7)) == "t >= 4"
 
     def test_inner_interval(self):
-        assert RankSet.interval(2, 5).to_predicate("t", 8) == "t >= 2 /\\ t <= 5"
+        assert self.pred(RankSet.interval(2, 5)) == "t >= 2 /\\ t <= 5"
 
     def test_stride_full_span(self):
         # Every third task: 0, 3, 6 in a 8-task world -> includes bound.
-        pred = RankSet.interval(0, 6, 3).to_predicate("t", 8)
-        assert "t MOD 3 = 0" in pred
+        assert self.pred(RankSet.interval(0, 6, 3)) == \
+            "t MOD 3 = 0 /\\ t <= 6"
+
+    def test_stride_inner(self):
+        assert self.pred(RankSet.interval(1, 5, 2)) == \
+            "t MOD 2 = 1 /\\ t >= 1 /\\ t <= 5"
 
     def test_irregular_membership(self):
-        pred = RankSet([0, 1, 5]).to_predicate("t", 8)
-        assert pred == "t IS IN {0, 1, 5}"
+        assert self.pred(RankSet([0, 1, 5])) == "t IS IN {0, 1, 5}"
+
+
+class TestLazyRuns:
+    def test_runs_factored_on_first_use(self):
+        rs = RankSet([0, 2, 4, 6, 9])
+        assert rs._runs is None
+        assert rs.runs == ((0, 6, 2), (9, 9, 1))
+        assert rs._runs is rs.runs
+
+    def test_union_leaves_runs_unfactored(self):
+        rs = RankSet.interval(0, 3) | RankSet.interval(4, 9)
+        assert rs._runs is None
+        assert rs.serialize() == "0:9"
