@@ -35,13 +35,15 @@ into what each rank does.  That shared tree is then specialised for each
 rank, dropping every statement that provably does nothing there: it
 issues no MPI operation on the rank, touches no counter or log, and
 cannot raise.  A ``FOR EACH`` over constant bounds whose body on a rank
-is a table of IFs (the emitter's ``IF repN = k`` form: each condition
-reads only the loop variable and cannot raise, and no non-empty branch
-runs in more than one iteration) becomes a tuple of per-iteration
-bodies there, every IF resolved at compile time, so the program never
-grows; any other loop keeps its per-iteration evaluation.  Everything
-else keeps lazy evaluation, so a run raises at the same point it would
-if every rank walked the whole tree.  Arithmetic faults (division by
+holds the emitter's ``IF repN = k`` tables becomes a tuple of
+per-iteration bodies there: every IF whose condition cannot raise and
+reads only the variables of enclosing constant ``FOR EACH`` loops is
+resolved at compile time, and such loops nested inside are unrolled
+with it.  The form is taken only where it resolves some IF and stays
+within ``UNROLL_GROWTH`` times the size of the loop it replaces; any
+other loop keeps its per-iteration evaluation.  Everything else keeps
+lazy evaluation, so a run raises at the same point it would if every
+rank walked the whole tree.  Arithmetic faults (division by
 zero, overflow) raise
 :class:`~repro.errors.ConceptualSemanticError` naming the statement's
 call site.
@@ -49,6 +51,7 @@ call site.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.conceptual.ast_nodes import (AwaitStmt, ComputeStmt, ForEach,
@@ -479,13 +482,20 @@ class _Specialiser:
     is compiled once; what it leaves each rank is built right away, so
     only the per-rank skeletons outlive the pass.  ``kept`` counts their
     statements, summed over ranks; ``unrolled`` the FOR EACH entries
-    given per-iteration bodies."""
+    given per-iteration bodies (loops unrolled inside them not counted
+    again)."""
 
     def __init__(self, sites, n: int):
         self.sites = iter(sites)
         self.n = n
         self.kept = 0
         self.unrolled = 0
+        #: IFs resolved by :meth:`resolve` so far, and the size the form
+        #: being built may still grow by (:meth:`_charge`)
+        self.resolved = 0
+        self.budget = 0
+        #: iterations of each constant FOR EACH, by ``(lo.fn, hi.fn)``
+        self.ranges: Dict[object, range] = {}
         #: compiled condition of each kept IF entry, by its ``cond.fn``
         self.conds: Dict[object, Compiled] = {}
 
@@ -526,6 +536,8 @@ class _Specialiser:
             exprs, bodies = (lo, hi), (body,)
             iters = (range(lo.value, hi.value + 1)
                      if lo.const and hi.const else None)
+            if iters is not None:
+                self.ranges[lo.fn, hi.fn] = iters
 
             def entry(me):
                 mine = tuple(body.get(me, ()))
@@ -557,29 +569,134 @@ class _Specialiser:
 
     def unroll(self, var: str, iters: range, entries: tuple):
         """``entries`` (one rank's body of ``FOR EACH var`` over
-        ``iters``) as a tuple of per-iteration bodies, or None.  Only a
-        table of IFs qualifies: each condition reads nothing but ``var``
-        and cannot raise, so it is resolved here, and no non-empty branch
-        runs in more than one iteration, so the form is never larger
-        than the IFs it replaces."""
-        ifs = []
-        for run, data in entries:
-            cond = self.conds.get(data[0]) if run is _run_if else None
-            if cond is None or not cond.safe or not cond.free <= {var}:
-                return None
-            ifs.append(data)
-        bodies: List[list] = [[] for _ in iters]
-        for test, then, otherwise in ifs:
-            taken = [0, 0]
-            for body, i in zip(bodies, iters):
-                k = 0 if test({var: i}) else 1
-                branch = (then, otherwise)[k]
-                if branch:
-                    taken[k] += 1
-                    body.extend(branch)
-            if max(taken) > 1:
-                return None
-        return tuple(tuple(body) for body in bodies)
+        ``iters``) as a tuple of per-iteration bodies, or None.
+
+        In each iteration's body, every IF whose condition cannot raise
+        and reads only known loop variables (``var``, and those of the
+        enclosing loops being unrolled with it) is replaced by the branch
+        it takes there, and every constant FOR EACH inside is unrolled
+        the same way; any other entry is kept as it is and runs lazily.
+        The form is taken only when it resolves some IF and its size
+        (:func:`_size`) is at most ``UNROLL_GROWTH`` times the loop's."""
+        count = iters.stop - iters.start
+        if count <= 0:
+            return ()
+        limit = UNROLL_GROWTH * (1 + _size(entries))
+        # an entry that nothing here resolves is copied into every
+        # iteration: when those copies alone break the limit, give up
+        # before building anything
+        kept = _size(tuple(e for e in entries if not self._resolves(e, var)))
+        if count * (1 + kept) >= limit:
+            return None
+        resolved = self.resolved
+        # the form's own entry, then each iteration and what it holds
+        self.budget = limit - 1
+        try:
+            form = self._per_iteration(var, iters, repeat(entries), {})
+        except _TooLarge:
+            form = None
+        if form is None or self.resolved == resolved:
+            self.resolved = resolved
+            return None
+        return form[1][2]
+
+    def _decides(self, fn, known) -> bool:
+        """Is ``fn`` a kept IF's condition that cannot raise and reads
+        only the variables in ``known``?"""
+        cond = self.conds.get(fn)
+        return cond is not None and cond.safe and cond.free <= known
+
+    def _resolves(self, entry, var: str) -> bool:
+        """May :meth:`resolve` change ``entry`` once ``var`` is known?"""
+        run, data = entry
+        if run is _run_if:
+            return self._decides(data[0], {var})
+        return run is _run_unrolled or (
+            run is _run_each and (data[1], data[2]) in self.ranges)
+
+    def _charge(self, units: int) -> None:
+        """Count ``units`` of :func:`_size` against the form being built;
+        past :meth:`unroll`'s limit, building stops."""
+        self.budget -= units
+        if self.budget < 0:
+            raise _TooLarge
+
+    def resolve(self, entries, env: Dict[str, int]) -> list:
+        """``entries`` with the loop variables in ``env`` known: IFs
+        decided and constant FOR EACH loops unrolled where they can be
+        (see :meth:`unroll`)."""
+        out = []
+        for entry in entries:
+            run, data = entry
+            if run is _run_if:
+                if self._decides(data[0], env.keys()):
+                    self.resolved += 1
+                    branch = data[1] if data[0](env) else data[2]
+                    if branch:
+                        out.extend(self.resolve(branch, env))
+                    continue
+            elif run is _run_each and (data[1], data[2]) in self.ranges:
+                self._charge(1)
+                var = data[0]
+                # what does not read ``var`` is resolved once; only the
+                # copies of it count towards the limit
+                outer = {k: v for k, v in env.items() if k != var}
+                budget = self.budget
+                body = tuple(self.resolve(data[3], outer))
+                self.budget = budget
+                out.append(self._per_iteration(
+                    var, self.ranges[data[1], data[2]], repeat(body), outer))
+                continue
+            elif run is _run_unrolled:
+                self._charge(1)
+                var, lo, bodies = data
+                out.append(self._per_iteration(
+                    var, range(lo, lo + len(bodies)), bodies,
+                    {k: v for k, v in env.items() if k != var}))
+                continue
+            self._charge(_size((entry,)) if run in _COMPOUND else 1)
+            out.append(entry)
+        return out
+
+    def _per_iteration(self, var: str, iters: range, bodies, env):
+        inner = dict(env)
+        unrolled = []
+        for i, body in zip(iters, bodies):
+            self._charge(1)
+            inner[var] = i
+            unrolled.append(tuple(self.resolve(body, inner)))
+        return _run_unrolled, (var, iters.start, tuple(unrolled))
+
+
+class _TooLarge(Exception):
+    """A per-iteration form outgrew the limit while it was built."""
+
+
+#: How much larger than the loop it replaces a FOR EACH's per-iteration
+#: form may be, in :func:`_size` units.
+UNROLL_GROWTH = 2
+
+
+#: the runners of entries that hold bodies
+_COMPOUND = frozenset({_run_if, _run_each, _run_rep, _run_unrolled})
+
+
+def _size(entries) -> int:
+    """Statements in ``entries``, nested bodies included; a per-iteration
+    form also counts one per iteration."""
+    total = 0
+    for run, data in entries:
+        total += 1
+        if run is _run_if:
+            total += _size(data[1]) + _size(data[2])
+        elif run is _run_each:
+            total += _size(data[3])
+        elif run is _run_rep:
+            total += _size(data[1])
+        elif run is _run_unrolled:
+            for body in data[2]:
+                total += 1 + _size(body)
+    return total
 
 
 # ------------------------------------------------------------- program

@@ -96,7 +96,8 @@ def tokenize(text: str) -> List[Token]:
                 c = text[j]
                 if c.isdigit():
                     j += 1
-                elif c == "." and not seen_dot and not text.startswith("...", j):
+                elif c == "." and not seen_dot and not seen_exp \
+                        and not text.startswith("...", j):
                     seen_dot = True
                     j += 1
                 elif c in "eE" and not seen_exp and j + 1 < n and (

@@ -42,6 +42,11 @@ class MPIUsageError(SimulationError):
     """An application used the MPI layer incorrectly (bad peer, bad comm...)."""
 
 
+class BadOperationError(MPIUsageError, ValueError):
+    """A simulator operation got an argument out of its range: a negative
+    size or duration, a negative peer, an empty group."""
+
+
 class FaultPlanError(ReproError):
     """A fault plan is malformed: bad field, bad rate, unparsable file."""
 

@@ -21,7 +21,7 @@ folding is always lossless.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.mpi.hooks import COLLECTIVE_OPS
@@ -321,8 +321,9 @@ class _Frame:
     """One loop instance the replay cursor is inside.
 
     ``spec`` is the loop of the tail loop's tree being replayed (the tail
-    loop itself in the root frame) and ``specs`` its body's event match
-    keys (None at inner loops).  ``items`` are the current iteration's
+    loop itself in the root frame); ``specs`` are its body's event match
+    keys (None at inner loops) and ``subs`` the inner loops' key trees by
+    body position, from the plan's tree (:meth:`CompressionQueue._cursor_plan`).  ``items`` are the current iteration's
     finished body positions: an event is a raw row ``(peer, size, tag,
     root, delta_t)``, or — while ``build``, on an inner loop's first
     iteration, which becomes that loop's body — the node the
@@ -330,11 +331,12 @@ class _Frame:
     ``first`` is an inner loop's completed first iteration, and ``acc``
     the loop folded from it once the second completes."""
 
-    __slots__ = ("spec", "specs", "width", "items", "build", "first", "acc")
+    __slots__ = ("spec", "specs", "subs", "width", "items", "build", "first",
+                 "acc")
 
-    def __init__(self, spec: LoopNode, specs: list, build: bool):
+    def __init__(self, spec: LoopNode, tree: tuple, build: bool):
         self.spec = spec
-        self.specs = specs
+        self.specs, self.subs = tree
         self.width = len(spec.body)
         self.items: list = []
         self.build = build
@@ -367,8 +369,112 @@ def _event_key(e: EventNode) -> tuple:
             e.size is None, e.tag is None, e.root is None)
 
 
+#: A plan verdict not yet in a :class:`DecisionTable`.
+_UNSEEN = object()
+
+#: Rules as recorded in a :class:`DecisionTable` outcome.
+_COALESCE, _ABSORB, _FOLD = 0, 1, 2
+
+
+class DecisionTable:
+    """Compression decisions shared by the per-rank queues of one traced
+    run, keyed on exact rank-free queue state.
+
+    The rules' outcome on a queue is a function of the call-site
+    structure of its nodes alone: inside a per-rank queue every rank set
+    is the queue's one rank, every node was built by the queue (so every
+    firing merges in place), and parameter values and timing never
+    decide a fold.  Ranks of one class reach the same structures, so
+    the first queue to reach a state decides it by the rules and every
+    later one applies the recorded outcome.
+
+    States are interned, which makes them exact: an event's *shape* is
+    its match key (:func:`_event_key`), a loop's is its count and the
+    state of its body, and the state of a node sequence is interned from
+    the state of the sequence without its last node and that node's
+    shape (state 0 is the empty sequence).  Equal ids are equal
+    sequences of shapes; no hash decides anything.
+
+    ``outcomes`` maps a queue state to the ``(rule, width, state after)``
+    firings ``compress_tail`` ran from it to fixpoint (empty: quiet).
+    ``plans`` maps the state of a queue whose tail is a loop to the
+    replay cursor's verdict there: the loop's match-key tree
+    (:meth:`CompressionQueue._cursor_plan`) when the cursor may replay
+    it, else None.  A plan's ``bad`` equations are in the hash space of
+    the queue that made them, but their answer at a state is the same
+    for every queue in that state, so the answer is what is shared.
+
+    Only :class:`~repro.scalatrace.tracer.ScalaTraceHook` makes tables,
+    one per run, for queues of one window width that take events through
+    :meth:`CompressionQueue.append_event` alone.
+    """
+
+    def __init__(self):
+        #: event match key or (count, body state) -> shape, and back
+        self._shapes: Dict[tuple, int] = {}
+        self._keys: List[tuple] = []
+        #: (state, shape) -> state, and each state's last shape
+        self._states: Dict[Tuple[int, int], int] = {}
+        self._last: List[int] = [-1]
+        self.outcomes: Dict[int, tuple] = {}
+        self.plans: Dict[int, object] = {}
+        #: outcomes applied from the table / decided by the rules
+        self.shared_decisions = 0
+        self.decisions_made = 0
+        #: cursor verdicts taken from the table / made by a queue
+        self.shared_plans = 0
+        self.plans_made = 0
+
+    def step(self, state: int, shape: int) -> int:
+        """The state of a sequence in ``state`` extended by ``shape``."""
+        key = (state, shape)
+        nxt = self._states.get(key)
+        if nxt is None:
+            nxt = self._states[key] = len(self._last)
+            self._last.append(shape)
+        return nxt
+
+    def _intern(self, key: tuple) -> int:
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = len(self._keys)
+            self._keys.append(key)
+        return shape
+
+    def shape(self, node: Node) -> int:
+        if isinstance(node, EventNode):
+            return self._intern(_event_key(node))
+        body = 0
+        for n in node.body:
+            body = self.step(body, self.shape(n))
+        return self._intern((node.count, body))
+
+    def loop(self, count: int, body: List[int]) -> int:
+        """The shape of ``count`` iterations of the nodes in ``body``,
+        each given by the state it is the last node of."""
+        state = 0
+        for at in body:
+            state = self.step(state, self._last[at])
+        return self._intern((count, state))
+
+    def recount(self, state: int, count: int) -> int:
+        """The shape of the loop last in ``state`` at ``count``."""
+        return self._intern((count, self._keys[self._last[state]][1]))
+
+
 class CompressionQueue:
     """The per-rank trace queue with fixpoint tail compression.
+
+    Per queue: the nodes, the fingerprint prefix table, the replay
+    cursor's frames and its last plan.  Per hook, when a
+    :class:`DecisionTable` is passed: the rules' outcomes and the
+    cursor's verdicts, keyed on exact rank-free queue states, which the
+    queue follows in ``_states`` next to ``_prefix``.  A queue in a state
+    the table knows applies the recorded firings (in place, without the
+    gate scans) or takes the recorded verdict; a new state is decided by
+    the rules below and recorded.  Without a table (the generator's
+    rebuild, :func:`compress_node_list`, harnesses) every state is
+    decided by the rules.
 
     ``fold_collectives=False`` keeps windows containing collective events
     out of loop folds; Algorithm 1's rebuild uses this so that logical
@@ -415,7 +521,8 @@ class CompressionQueue:
     """
 
     def __init__(self, rank: int, max_window: int = DEFAULT_MAX_WINDOW,
-                 fold_collectives: bool = True):
+                 fold_collectives: bool = True,
+                 table: Optional[DecisionTable] = None):
         self.rank = rank
         self.ranks = RankSet.single(rank)
         self._nodes: List[Node] = []
@@ -438,6 +545,11 @@ class CompressionQueue:
         self._plan = None
         #: events the replay cursor took (``scalatrace.cursor_events``)
         self.cursor_events = 0
+        #: the hook-wide decision table, and ``_states[i]``, the table's
+        #: state of ``nodes[:i]`` (both None without a table)
+        self._table = table
+        self._states: Optional[List[int]] = [0] if table is not None \
+            else None
         _fp_pow(max_window + 1)   # pre-extend for direct indexing
 
     @property
@@ -461,6 +573,15 @@ class CompressionQueue:
     def _push_fp(self, node: Node) -> None:
         self._prefix.append(
             (self._prefix[-1] * FP_BASE + node.fp) % FP_MOD)
+
+    def _push(self, node: Node) -> None:
+        """Append ``node`` to the queue and its tables."""
+        self._nodes.append(node)
+        self._push_fp(node)
+        table = self._table
+        if table is not None:
+            self._states.append(table.step(self._states[-1],
+                                           table.shape(node)))
 
     def _window_fp(self, a: int, b: int) -> int:
         """Hash of ``nodes[a:b]``, O(1) from the prefix table."""
@@ -549,8 +670,7 @@ class CompressionQueue:
         self._armed = None
         if self._frames:
             self._disengage()
-        self._nodes.append(node)
-        self._push_fp(node)
+        self._push(node)
         self.compress_tail()
 
     def _foldable(self, nodes: List[Node]) -> bool:
@@ -559,12 +679,58 @@ class CompressionQueue:
         return not any(_contains_collective(n) for n in nodes)
 
     def compress_tail(self) -> None:
-        """Apply coalesce/absorb/fold until no rule fires."""
+        """Apply coalesce/absorb/fold until no rule fires.
+
+        With a decision table, a state some queue of the run already
+        decided takes the recorded firings, each merged in place without
+        the rules' gate scans; any other state is decided by the rules,
+        and it and every state the firings pass through are recorded."""
         q = self._nodes
-        changed = True
-        while changed:
-            changed = (self._try_coalesce(q) or self._try_absorb(q)
-                       or self._try_fold(q))
+        table = self._table
+        if table is None:
+            while self._fire(q) is not None:
+                pass
+            return
+        states = self._states
+        done = table.outcomes.get(states[-1])
+        if done is not None:
+            table.shared_decisions += 1
+            for rule, width, after in done:
+                if rule == _COALESCE:
+                    self._coalesce_inplace()
+                elif rule == _ABSORB:
+                    self._absorb_inplace(width)
+                else:
+                    self._fold_inplace(width)
+                del states[len(q):]
+                states.append(after)
+            return
+        table.decisions_made += 1
+        seen = [states[-1]]
+        fired = []
+        while True:
+            got = self._fire(q)
+            if got is None:
+                break
+            rule, width = got
+            m = len(q)
+            if rule == _FOLD:
+                shape = table.loop(2, states[m:m + width])
+            else:
+                shape = table.recount(states[m], q[-1].count)
+            after = table.step(states[m - 1], shape)
+            del states[m:]
+            states.append(after)
+            fired.append((rule, width, after))
+            seen.append(after)
+        for i, state in enumerate(seen):
+            table.outcomes.setdefault(state, tuple(fired[i:]))
+
+    def _fire(self, q: List[Node]) -> Optional[tuple]:
+        """Apply the first rule that fires on the tail and return
+        ``(rule, width)``, or None when none fires."""
+        return (self._try_coalesce(q) or self._try_absorb(q)
+                or self._try_fold(q))
 
     # -- replay cursor -------------------------------------------------------
     def _try_engage(self) -> None:
@@ -585,23 +751,44 @@ class CompressionQueue:
             first = first.body[0]
         if _event_key(first) != key:
             return self._frames
-        q = self._nodes
-        where = (len(q), self._prefix[-2])
+        tree = self._verdict(loop)
+        if tree is not None:
+            self._frames = [_Frame(loop, tree, build=False)]
+            self._cursor_advance()
+        return self._frames
+
+    def _verdict(self, loop: LoopNode) -> Optional[tuple]:
+        """The key tree the cursor replays the tail ``loop`` with at its
+        current count, or None when it must not: the table's verdict for
+        the queue's state, else this queue's plan (made once per tail
+        loop and position) checked at the count."""
+        table = self._table
+        if table is not None:
+            state = self._states[-1]
+            tree = table.plans.get(state, _UNSEEN)
+            if tree is not _UNSEEN:
+                table.shared_plans += 1
+                return tree
+            table.plans_made += 1
+        where = (len(self._nodes), self._prefix[-2])
         memo = self._plan
         if memo is None or memo[0] is not loop or memo[1] != where:
             memo = self._plan = (loop, where, self._cursor_plan(loop))
         plan = memo[2]
-        if plan is not None and not _hits(plan[0], self._prefix[-1]):
-            self._frames = [_Frame(loop, plan[1][id(loop)], build=False)]
-            self._cursor_advance()
-        return self._frames
+        tree = (plan[1] if plan is not None
+                and not _hits(plan[0], self._prefix[-1]) else None)
+        if table is not None:
+            table.plans[state] = tree
+        return tree
 
     def _cursor_plan(self, loop: LoopNode):
-        """``(bad, keys)`` for replaying ``loop`` at the queue tail, or
+        """``(bad, tree)`` for replaying ``loop`` at the queue tail, or
         None when the cursor must not replay it.
 
-        ``keys`` maps id(loop in the tree) to its body's event match keys.
-        ``bad`` holds pairs ``(a, b)``: where ``a * x == b`` (mod
+        ``tree`` is ``(keys, subs)``: the loop body's event match keys
+        (None at inner loops) and each inner loop's tree by body position;
+        it reads nothing but call-site structure, so any queue can replay
+        with it.  ``bad`` holds pairs ``(a, b)``: where ``a * x == b`` (mod
         ``FP_MOD``) for the prefix hash ``x`` through the loop, some rule
         might fire early on a queue state the cursor skips.
 
@@ -622,31 +809,32 @@ class CompressionQueue:
         """
         ranks = self.ranks
         mw = self.max_window
-        keys = {}
 
-        def eligible(lp: LoopNode, inner: bool) -> bool:
+        def eligible(lp: LoopNode, inner: bool) -> Optional[tuple]:
             body = lp.body
             if lp.ranks != ranks or not body or len(body) > mw \
                     or (inner and lp.count < 2):
-                return False
+                return None
             row = []
-            for e in body:
+            subs = {}
+            for k, e in enumerate(body):
                 if isinstance(e, LoopNode):
-                    if not eligible(e, True):
-                        return False
+                    sub = subs[k] = eligible(e, True)
+                    if sub is None:
+                        return None
                     row.append(None)
                     continue
                 if e.ranks != ranks or e.sample_count() == 0:
-                    return False
+                    return None
                 for fld in (e.peer, e.size, e.tag, e.root):
                     if fld is not None and (fld.seq is None
                                             or fld.seq.length == 0):
-                        return False
+                        return None
                 row.append(_event_key(e))
-            keys[id(lp)] = row
-            return True
+            return row, subs
 
-        if not eligible(loop, False) or not self._foldable(loop.body):
+        tree = eligible(loop, False)
+        if tree is None or not self._foldable(loop.body):
             return None
 
         q = self._nodes
@@ -785,7 +973,7 @@ class CompressionQueue:
 
         if not (replay(loop.body) and settle("absorb", len(loop.body))):
             return None
-        return bad, keys
+        return bad, tree
 
     def _cursor_advance(self) -> None:
         """Settle the frames after an event filled a body position:
@@ -800,8 +988,7 @@ class CompressionQueue:
                 node = f.spec.body[k]
                 if isinstance(node, EventNode):
                     return
-                frames.append(_Frame(node, self._plan[2][1][id(node)],
-                                     build=True))
+                frames.append(_Frame(node, f.subs[k], build=True))
                 continue
             if len(frames) == 1:
                 self._cursor_absorb()
@@ -834,12 +1021,15 @@ class CompressionQueue:
         loop.bump_count(1)
         pref = self._prefix
         pref[-1] = (pref[-2] * FP_BASE + loop.fp) % FP_MOD
+        states = self._states
+        if states is not None:
+            states[-1] = self._table.step(
+                states[-2], self._table.recount(states[-1], loop.count))
         obs.count("scalatrace.nodes_folded", root.width)
         q = self._nodes
         nq = len(q)
         self.compress_tail()
-        if len(q) == nq and q[-1] is loop \
-                and not _hits(self._plan[2][0], pref[-1]):
+        if len(q) == nq and q[-1] is loop and self._verdict(loop) is not None:
             self._cursor_advance()   # step into a leading inner loop
         else:
             self._frames = []
@@ -865,8 +1055,7 @@ class CompressionQueue:
                                             key[3], item[4])
                 nodes.append(item)
         for node in nodes:
-            self._nodes.append(node)
-            self._push_fp(node)
+            self._push(node)
             self._owned.add(id(node))
 
     # -- rules --------------------------------------------------------------
@@ -875,38 +1064,60 @@ class CompressionQueue:
     # ``_segments_plan`` (one fused walk that also decides in-place
     # eligibility), then merges — by mutation when the surviving node was
     # built by this queue, by reconstruction otherwise.  Both merge paths
-    # produce identical node values.
+    # produce identical node values.  A rule that fires returns
+    # ``(rule, width)``; the in-place merges are also what a decision
+    # table's recorded firings apply (a table queue builds every node it
+    # holds, so its firings always merge in place).
 
-    def _try_coalesce(self, q: List[Node]) -> bool:
+    def _coalesce_inplace(self) -> None:
+        a, b = self._nodes[-2], self._nodes[-1]
+        _merge_sequence_inplace(a.body, b.body)
+        a.bump_count(b.count)
+        self._drop_tail_keep(1)
+        obs.count("scalatrace.nodes_folded", 1)
+
+    def _absorb_inplace(self, w: int) -> None:
+        q = self._nodes
+        prev = q[-w - 1]
+        _merge_sequence_inplace(prev.body, q[-w:])
+        prev.bump_count(1)
+        self._drop_tail_keep(w)
+        obs.count("scalatrace.nodes_folded", w)
+
+    def _fold_inplace(self, w: int) -> None:
+        q = self._nodes
+        first = q[-2 * w:-w]
+        _merge_sequence_inplace(first, q[-w:])
+        self._replace_tail(2 * w, LoopNode(2, first, _union_ranks(first)))
+        obs.count("scalatrace.nodes_folded", 2 * w - 1)
+
+    def _try_coalesce(self, q: List[Node]) -> Optional[tuple]:
         if len(q) < 2:
-            return False
+            return None
         a, b = q[-2], q[-1]
         if not (isinstance(a, LoopNode) and isinstance(b, LoopNode)):
-            return False
+            return None
         # fingerprint gate: matching bodies share a body_fp (counts may
         # differ, so whole-node fps cannot be compared here)
         if a.body_fp != b.body_fp:
-            return False
+            return None
         if a.ranks != b.ranks or len(a.body) != len(b.body):
-            return False
+            return None
         plan = _segments_plan(a.body, b.body)
         if plan == _NO_MATCH:
-            return False
+            return None
         if plan == _INPLACE and id(a) in self._owned:
-            _merge_sequence_inplace(a.body, b.body)
-            a.bump_count(b.count)
-            self._drop_tail_keep(1)
-            obs.count("scalatrace.nodes_folded", 1)
-            return True
+            self._coalesce_inplace()
+            return _COALESCE, 1
         merged_body = _merge_sequence(a.body, b.body)
         if merged_body is None:
-            return False
+            return None
         self._replace_tail(
             2, LoopNode(a.count + b.count, merged_body, a.ranks))
         obs.count("scalatrace.nodes_folded", 1)
-        return True
+        return _COALESCE, 1
 
-    def _try_absorb(self, q: List[Node]) -> bool:
+    def _try_absorb(self, q: List[Node]) -> Optional[tuple]:
         n = len(q)
         pref = self._prefix
         pows = _FP_POWS
@@ -927,21 +1138,18 @@ class CompressionQueue:
             if not self._foldable(tail):
                 continue
             if plan == _INPLACE and id(prev) in self._owned:
-                _merge_sequence_inplace(prev.body, tail)
-                prev.bump_count(1)
-                self._drop_tail_keep(w)
-                obs.count("scalatrace.nodes_folded", w)
-                return True
+                self._absorb_inplace(w)
+                return _ABSORB, w
             merged_body = _merge_sequence(prev.body, tail)
             if merged_body is None:
                 continue
             self._replace_tail(
                 w + 1, LoopNode(prev.count + 1, merged_body, prev.ranks))
             obs.count("scalatrace.nodes_folded", w)
-            return True
-        return False
+            return _ABSORB, w
+        return None
 
-    def _try_fold(self, q: List[Node]) -> bool:
+    def _try_fold(self, q: List[Node]) -> Optional[tuple]:
         n = len(q)
         pref = self._prefix
         pows = _FP_POWS
@@ -963,22 +1171,25 @@ class CompressionQueue:
                 continue
             if not self._foldable(second):
                 continue
-            ranks = first[0].ranks
-            for node in first[1:]:
-                ranks = ranks | node.ranks
             owned = self._owned
             if plan == _INPLACE and all(id(x) in owned for x in first):
-                _merge_sequence_inplace(first, second)
-                self._replace_tail(2 * w, LoopNode(2, first, ranks))
-                obs.count("scalatrace.nodes_folded", 2 * w - 1)
-                return True
+                self._fold_inplace(w)
+                return _FOLD, w
             merged_body = _merge_sequence(first, second)
             if merged_body is None:
                 continue
-            self._replace_tail(2 * w, LoopNode(2, merged_body, ranks))
+            self._replace_tail(
+                2 * w, LoopNode(2, merged_body, _union_ranks(first)))
             obs.count("scalatrace.nodes_folded", 2 * w - 1)
-            return True
-        return False
+            return _FOLD, w
+        return None
+
+
+def _union_ranks(nodes: List[Node]) -> RankSet:
+    ranks = nodes[0].ranks
+    for node in nodes[1:]:
+        ranks = ranks | node.ranks
+    return ranks
 
 
 def compress_node_list(nodes: List[Node]) -> List[Node]:

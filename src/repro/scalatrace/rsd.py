@@ -60,7 +60,12 @@ class ParamField:
 
     @classmethod
     def of(cls, value) -> "ParamField":
-        return cls(seq=ValueSeq.constant(value, 1))
+        """One instance of ``value`` (a traced event's parameter)."""
+        field = cls.__new__(cls)
+        field.seq = ValueSeq.single(value)
+        field.expr = None
+        field.rank_map = None
+        return field
 
     # -- queries ------------------------------------------------------------
     def is_constant(self) -> bool:

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.errors import TraceError
 from repro.mpi.hooks import MPIEvent, MPIHook, WAIT_OPS
-from repro.scalatrace.compress import CompressionQueue, DEFAULT_MAX_WINDOW
+from repro.scalatrace.compress import (CompressionQueue, DecisionTable,
+                                       DEFAULT_MAX_WINDOW)
 from repro.scalatrace.merge import TraceMergeAccumulator
 from repro.scalatrace.rsd import Node, Trace, count_nodes
 
@@ -49,7 +50,7 @@ def ingest_event(queue: CompressionQueue, last_end: Dict[int, float],
     op = event.op
     peer = size = tag = root = None
     offsets = None
-    if op in ("Send", "Isend", "Recv", "Irecv"):
+    if op in _P2P_OPS:
         peer = event.peer
         tag = event.tag
         size = event.nbytes
@@ -59,13 +60,24 @@ def ingest_event(queue: CompressionQueue, last_end: Dict[int, float],
         size = event.nbytes
         if event.root is not None:
             root = event.root
-    queue.append_event(op, event.callsite, event.comm.id,
-                       peer=peer, size=size, tag=tag, root=root,
-                       wait_offsets=offsets, delta_t=delta)
+    queue.append_event(op, event.callsite, event.comm.id, peer, size, tag,
+                       root, offsets, delta)
+
+
+_P2P_OPS = frozenset({"Send", "Isend", "Recv", "Irecv"})
 
 
 class ScalaTraceHook(MPIHook):
-    """Interposition hook producing a compressed global :class:`Trace`."""
+    """Interposition hook producing a compressed global :class:`Trace`.
+
+    Per rank: a :class:`~repro.scalatrace.compress.CompressionQueue`,
+    the end time of the rank's last MPI call, and the queue's live-node
+    count as last sampled.  Per hook, made fresh for each run: one
+    :class:`~repro.scalatrace.compress.DecisionTable` all the rank
+    queues share, so the compression rules run once per distinct
+    rank-free queue state however many ranks reach it; the merge
+    accumulator and the parked lists; and the counters.
+    """
 
     def __init__(self, max_window: int = DEFAULT_MAX_WINDOW):
         self.max_window = max_window
@@ -74,6 +86,8 @@ class ScalaTraceHook(MPIHook):
 
     def _reset_run_state(self) -> None:
         self._queues: Dict[int, CompressionQueue] = {}
+        #: the compression decisions every rank queue of this run shares
+        self._table = DecisionTable()
         self._last_end: Dict[int, float] = {}
         self._acc = TraceMergeAccumulator()
         #: Ranks that finalized out of order, parked until every lower
@@ -91,6 +105,13 @@ class ScalaTraceHook(MPIHook):
         #: merge partials (→ ``scalatrace.nodes_live_peak``).  Sampled
         #: at rank-flush points, where the set peaks.
         self.nodes_live_peak = 0
+        #: Live nodes of each rank not yet fed to the accumulator (its
+        #: queue as last counted, or its parked list), their sum, and the
+        #: ranks whose queue took events since; a sample recounts only
+        #: the queues that changed.
+        self._live: Dict[int, int] = {}
+        self._live_total = 0
+        self._changed: set = set()
 
     def reset(self) -> None:
         """Discard all run state (including ``trace``) so this hook can
@@ -105,20 +126,23 @@ class ScalaTraceHook(MPIHook):
                 "attaching it to another run_spmd")
 
     def on_event(self, event: MPIEvent) -> None:
-        self._guard()
+        if self._finished:
+            self._guard()
         rank = event.rank
         if rank < self._next_rank or rank in self._parked:
             raise TraceError(
                 f"rank {rank} issued an MPI call after Finalize")
         queue = self._queues.get(rank)
         if queue is None:
-            queue = CompressionQueue(rank, self.max_window)
+            queue = CompressionQueue(rank, self.max_window,
+                                     table=self._table)
             self._queues[rank] = queue
         comm = event.comm
         if comm.id not in self._acc.comm_table:
             self._acc.comm_table[comm.id] = comm.world_ranks
         self.events_in += 1
         ingest_event(queue, self._last_end, event)
+        self._changed.add(rank)
         if event.op == "Finalize":
             self._flush_rank(rank)
 
@@ -128,18 +152,26 @@ class ScalaTraceHook(MPIHook):
         feed the accumulator once every lower rank has been fed."""
         queue = self._queues.pop(rank, None)
         self._last_end.pop(rank, None)
-        self._parked[rank] = queue.nodes if queue is not None else []
+        self._changed.discard(rank)
+        nodes = self._parked[rank] = queue.nodes if queue is not None else []
+        self._set_live(rank, count_nodes(nodes))
         if queue is not None:
             self.cursor_events += queue.cursor_events
         self._sample_live()
         while self._next_rank in self._parked:
             self._acc.add_nodes(self._parked.pop(self._next_rank))
+            self._live_total -= self._live.pop(self._next_rank)
             self._next_rank += 1
 
+    def _set_live(self, rank: int, count: int) -> None:
+        self._live_total += count - self._live.get(rank, 0)
+        self._live[rank] = count
+
     def _sample_live(self) -> None:
-        live = (self._acc.live_node_count()
-                + sum(count_nodes(nodes) for nodes in self._parked.values())
-                + sum(q.live_node_count() for q in self._queues.values()))
+        for rank in self._changed:
+            self._set_live(rank, self._queues[rank].live_node_count())
+        self._changed.clear()
+        live = self._acc.live_node_count() + self._live_total
         if live > self.nodes_live_peak:
             self.nodes_live_peak = live
 
@@ -167,6 +199,11 @@ class ScalaTraceHook(MPIHook):
         self._finished = True
         obs.count("scalatrace.events_in", self.events_in)
         obs.count("scalatrace.cursor_events", self.cursor_events)
+        table = self._table
+        obs.count("scalatrace.shared_decisions", table.shared_decisions)
+        obs.count("scalatrace.decisions_made", table.decisions_made)
+        obs.count("scalatrace.shared_plans", table.shared_plans)
+        obs.count("scalatrace.plans_made", table.plans_made)
         obs.count("scalatrace.nodes_live_peak", self.nodes_live_peak)
         self._acc.world_size = world_size
         with obs.span("scalatrace.merge", traces=world_size):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.errors import BadOperationError
 from repro.sim.requests import Request
 
 #: Wildcard source / tag values, mirroring MPI_ANY_SOURCE / MPI_ANY_TAG.
@@ -46,7 +47,7 @@ class Compute(Op):
 
     def __init__(self, duration: float):
         if duration < 0:
-            raise ValueError(f"negative compute duration: {duration}")
+            raise BadOperationError(f"negative compute duration: {duration}")
         self.duration = duration if duration.__class__ is float \
             else float(duration)
 
@@ -61,9 +62,9 @@ class PostSend(Op):
 
     def __init__(self, dst: int, nbytes: int, tag: int = 0, comm_id: int = 0):
         if dst < 0:
-            raise ValueError(f"bad destination: {dst}")
+            raise BadOperationError(f"bad destination: {dst}")
         if nbytes < 0:
-            raise ValueError(f"negative message size: {nbytes}")
+            raise BadOperationError(f"negative message size: {nbytes}")
         self.dst = dst if dst.__class__ is int else int(dst)
         self.nbytes = nbytes if nbytes.__class__ is int else int(nbytes)
         self.tag = tag if tag.__class__ is int else int(tag)
@@ -82,7 +83,7 @@ class PostRecv(Op):
     def __init__(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
                  comm_id: int = 0, nbytes: int = 0):
         if src < ANY_SOURCE:
-            raise ValueError(f"bad source: {src}")
+            raise BadOperationError(f"bad source: {src}")
         self.src = src if src.__class__ is int else int(src)
         self.tag = tag if tag.__class__ is int else int(tag)
         self.comm_id = comm_id if comm_id.__class__ is int else int(comm_id)
@@ -113,7 +114,7 @@ class WaitAny(Op):
 
     def __init__(self, requests: Sequence[Request]):
         if not requests:
-            raise ValueError("WaitAny needs at least one request")
+            raise BadOperationError("WaitAny needs at least one request")
         self.requests = tuple(requests)
 
     def __repr__(self) -> str:
@@ -154,7 +155,7 @@ class Collective(Op):
     def __init__(self, group: Tuple[int, ...], key: str, nbytes: int = 0,
                  comm_id: int = 0):
         if not group:
-            raise ValueError("collective over empty group")
+            raise BadOperationError("collective over empty group")
         if type(group) is tuple:
             memo_key, memo_sorted = Collective._group_memo
             if memo_key is group:

@@ -39,6 +39,15 @@ class ValueSeq:
         return s
 
     @classmethod
+    def single(cls, value) -> "ValueSeq":
+        """``constant(value, 1)``, built without the general path: the
+        tracer makes one per parameter of every event node."""
+        s = cls.__new__(cls)
+        s.runs = [(value, 1)]
+        s.length = 1
+        return s
+
+    @classmethod
     def from_runs(cls, runs: Iterable[Tuple[int, int]]) -> "ValueSeq":
         s = cls()
         for v, c in runs:

@@ -127,10 +127,12 @@ def test_paper_app_matches_reference_at_np64(app):
     test_app_preset_matches_reference(app, 64)
 
 
-@pytest.mark.parametrize("app", ["bt", "lu", "sp"])
+@pytest.mark.parametrize("app", ["bt", "cg", "lu", "mg", "sp"])
 def test_paper_apps_run_per_iteration_bodies(app):
-    """The emitter's ``IF repN = k`` tables reach the per-iteration form,
-    so the preset cells above hold it to the tree-walker."""
+    """The emitter's ``IF repN = k`` tables reach the per-iteration form
+    (cg's with its trailing AWAIT, mg's nested in an outer table and with
+    range conditions), so the preset cells above hold it to the
+    tree-walker."""
     with obs.instrumented() as inst:
         ConceptualProgram.from_source(_generated(app, 16)).specialise(16)
     counters = {r["name"]: r["value"] for r in inst.counter_records()}
@@ -173,7 +175,7 @@ FOR EACH v IN {0, ..., 1} {
     TASK 0 COMPUTES FOR 7 MICROSECONDS
   }
 }""", {"v": {"unrolled"}}),
-    # the OTHERWISE branch would run twice: kept
+    # the OTHERWISE branch runs twice, within the size bound: folded
     "otherwise-twice": ("""
 FOR EACH v IN {0, ..., 2} {
   IF v = 0 THEN {
@@ -181,8 +183,9 @@ FOR EACH v IN {0, ..., 2} {
   } OTHERWISE {
     TASK 0 COMPUTES FOR 7 MICROSECONDS
   }
-}""", {"v": {"each"}}),
-    # a condition that reads the outer task loop's ``t``: kept
+}""", {"v": {"unrolled"}}),
+    # a condition that reads the enclosing loop's ``t``: resolvable, but
+    # both loops' bodies per iteration would be 13 entries against 4
     "reads-t": ("""
 FOR EACH t IN {0, ..., 1} {
   FOR EACH v IN {0, ..., 2} {
@@ -191,7 +194,10 @@ FOR EACH t IN {0, ..., 1} {
     }
   }
 }""", {"t": {"each"}, "v": {"each"}}),
-    # 4 / (v - 1) divides by zero in iteration 1: kept, and raises there
+    # 4 / (v - 1) divides by zero in iteration 1: that IF stays lazy,
+    # inside per-iteration bodies on the tasks where they fit (not task
+    # 0, whose copies of its branch would make 11 entries against 5),
+    # and raises there
     "raises": ("""
 FOR EACH v IN {0, ..., 2} {
   IF 4 / (v - 1) = 2 THEN {
@@ -200,7 +206,65 @@ FOR EACH v IN {0, ..., 2} {
   IF v = 0 THEN {
     ALL TASKS SYNCHRONIZE
   }
+}""", {"v": {"each", "unrolled"}}),
+    # mg's shape: the inner table tests the outer loop's variable, with
+    # range conditions; both loops fold on rank 0
+    "outer-variable": ("""
+FOR EACH p IN {0, ..., 1} {
+  FOR EACH q IN {0, ..., 2} {
+    IF p = 0 THEN {
+      IF q = 0 THEN {
+        TASK 0 COMPUTES FOR 1 MICROSECONDS
+      } THEN
+      IF q >= 1 /\\ q <= 2 THEN {
+        TASK 0 COMPUTES FOR q MICROSECONDS
+      }
+    } THEN
+    IF p = 1 THEN {
+      IF q = 0 THEN {
+        TASK 0 COMPUTES FOR 3 MICROSECONDS
+      } THEN
+      IF q >= 1 THEN {
+        TASK 0 COMPUTES FOR p + q MICROSECONDS
+      }
+    }
+  }
+}""", {"p": {"unrolled"}, "q": {"unrolled"}}),
+    # a range condition landing in two iterations: folded
+    "range": ("""
+FOR EACH v IN {0, ..., 3} {
+  IF v = 0 THEN {
+    TASK 0 COMPUTES FOR 5 MICROSECONDS
+  } THEN
+  IF v >= 1 /\\ v <= 2 THEN {
+    TASK 0 COMPUTES FOR 7 MICROSECONDS
+  } THEN
+  IF v = 3 THEN {
+    TASK 0 COMPUTES FOR 9 MICROSECONDS
+  }
+}""", {"v": {"unrolled"}}),
+    # a range landing in 5 of 6 iterations: 12 entries against 3, kept
+    "size-bound": ("""
+FOR EACH v IN {0, ..., 5} {
+  IF v >= 1 THEN {
+    TASK 0 COMPUTES FOR v MICROSECONDS
+  }
 }""", {"v": {"each"}}),
+    # cg's shape: a table and a trailing AWAIT in every iteration: folded
+    # on the sender and on each receiver
+    "trailing-await": ("""
+FOR EACH v IN {0, ..., 2} {
+  IF v = 0 THEN {
+    TASK 0 ASYNCHRONOUSLY SENDS A 8 BYTE MESSAGE TO TASK 1
+  } THEN
+  IF v = 1 THEN {
+    TASK 0 ASYNCHRONOUSLY SENDS A 8 BYTE MESSAGE TO TASK 2
+  } THEN
+  IF v = 2 THEN {
+    TASK 0 ASYNCHRONOUSLY SENDS A 8 BYTE MESSAGE TO TASK 3
+  } THEN
+  ALL TASKS AWAIT COMPLETION
+}""", {"v": {"unrolled"}}),
     # the inner table folds; the outer body is a loop, not an IF table
     "nested": ("""
 FOR EACH p IN {0, ..., 1} {
@@ -238,7 +302,8 @@ FOR EACH v IN {3, ..., 1} {
     ALL TASKS COMPUTE FOR 4 MICROSECONDS
   }
 }""", {"v": {"unrolled"}}),
-    # one unconditional statement beside the table: kept
+    # one unconditional statement beside the table, four times: 9
+    # entries against 4, kept
     "unconditional": ("""
 FOR EACH v IN {0, ..., 3} {
   IF v = 0 THEN {

@@ -154,8 +154,19 @@ def mutate_words(text, edits):
     return "".join(parts)
 
 
+#: numbers a number edit writes
+_NUMBERS = ("0", "1", "2", "3", "5", "-1", "16", "1.5", "1e999",
+            "99999999999999999999")
+
+
+#: engine steps a mutant may run for: the unmutated np 4 benchmarks
+#: take at most a few thousand
+_MUTANT_STEPS = 20_000
+
+
 class TestMutatedSourceTypedEdge:
-    """A mutated generated benchmark parses, or ends in a
+    """A mutated generated benchmark parses, compiles and runs to a
+    result under a step budget, or ends in a
     :class:`~repro.errors.ReproError`; never in a raw exception."""
 
     @seed(2011)
@@ -163,9 +174,39 @@ class TestMutatedSourceTypedEdge:
            st.lists(_EDIT, min_size=1, max_size=3))
     @settings(max_examples=300, deadline=None)
     @example("lu", [("TAG", "replace", "1e999")])
-    def test_mutant_parses_or_raises_typed(self, app, edits):
-        try:
-            ConceptualProgram.from_source(mutate_words(_generated(app),
-                                                       edits))
-        except ReproError:
-            pass
+    @example("mg", [("IN", "replace", "99999999999999999999")])
+    @example("cg", [("FOR", "replace", "99999999999999999999")])
+    def test_mutant_runs_or_raises_typed(self, app, edits):
+        _run_mutant(mutate_words(_generated(app), edits))
+
+    @seed(2012)
+    @given(st.sampled_from(("lu", "mg", "sweep3d", "cg", "bt")),
+           st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.sampled_from(_NUMBERS)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_number_mutant_runs_or_raises_typed(self, app, edits):
+        # most word edits break the syntax; a changed number mostly
+        # parses, so the compiler (loop bounds, the per-iteration form,
+        # task ids) and the run get the mutant
+        _run_mutant(mutate_numbers(_generated(app), edits))
+
+
+def mutate_numbers(text, edits):
+    """``text`` with, for each ``(spot, number)`` edit, the integer
+    literal a fraction ``spot`` of the way through them replaced."""
+    for spot, number in edits:
+        found = list(re.finditer(r"\b\d+\b", text))
+        if not found:
+            break
+        m = found[int(spot * len(found))]
+        text = text[:m.start()] + number + text[m.end():]
+    return text
+
+
+def _run_mutant(text):
+    try:
+        program = ConceptualProgram.from_source(text)
+        program.run(4, max_steps=_MUTANT_STEPS)
+    except ReproError:
+        pass

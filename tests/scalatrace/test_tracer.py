@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.apps import APPS, make_app
+from repro.apps import APPS, PAPER_SUITE, make_app
 from repro.apps.registry import valid_rank_counts
 from repro.errors import TraceError
 from repro.mpi import ANY_SOURCE, run_spmd
@@ -177,6 +177,26 @@ class TestStreamingCounters:
         # rank holds ~6 nodes, plus log-many partial merges
         assert 0 < counters["scalatrace.nodes_live_peak"] < 100
 
+    def test_decision_counters_emitted(self):
+        with obs.instrumented() as inst:
+            trace_app(ring_app(iterations=50), 4)
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        # the ranks differ only in peer values, so rank 0 decides and
+        # the others take its decisions and cursor verdicts
+        assert 0 < counters["scalatrace.decisions_made"] \
+            < counters["scalatrace.shared_decisions"]
+        assert 0 < counters["scalatrace.plans_made"] \
+            < counters["scalatrace.shared_plans"]
+
+    def test_table_lives_with_one_run(self):
+        hook = ScalaTraceHook()
+        run_spmd(ring_app(iterations=10), 4, model=SimpleModel(),
+                 hooks=[hook])
+        table = hook._table
+        assert table.outcomes
+        hook.reset()
+        assert hook._table is not table and not hook._table.outcomes
+
     def test_peak_stays_flat_as_iterations_grow(self):
         # 8x the raw events may move the peak by at most a few
         # replay-cursor rows — never proportionally.
@@ -186,6 +206,40 @@ class TestStreamingCounters:
             return {r["name"]: r["value"]
                     for r in inst.counter_records()}["scalatrace.nodes_live_peak"]
         assert peak(400) <= peak(50) + 5
+
+
+class FullWalkHook(ScalaTraceHook):
+    """The tracer with its live-node sample taken by walking every
+    structure, as before the sample recounted only changed queues."""
+
+    def _sample_live(self):
+        from repro.scalatrace.rsd import count_nodes
+        live = (self._acc.live_node_count()
+                + sum(count_nodes(nodes) for nodes in self._parked.values())
+                + sum(q.live_node_count() for q in self._queues.values()))
+        self.nodes_live_peak = max(self.nodes_live_peak, live)
+
+
+class TestLivePeakSample:
+    @staticmethod
+    def _peaks(app, np):
+        peaks = []
+        for hook in (ScalaTraceHook(), FullWalkHook()):
+            run_spmd(make_app(app, np), np, hooks=[hook])
+            peaks.append(hook.nodes_live_peak)
+        return peaks
+
+    @pytest.mark.parametrize("np", [4, 16])
+    @pytest.mark.parametrize("app", PAPER_SUITE)
+    def test_peak_matches_full_walk(self, app, np):
+        ours, walked = self._peaks(app, np)
+        assert ours == walked > 0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("app", PAPER_SUITE)
+    def test_peak_matches_full_walk_np64(self, app):
+        ours, walked = self._peaks(app, 64)
+        assert ours == walked > 0
 
 
 def reference_level_order(traces):
