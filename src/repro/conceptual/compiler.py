@@ -65,7 +65,7 @@ from repro.conceptual.parser import parse
 from repro.conceptual.printer import print_program
 from repro.conceptual.runtime import LogDatabase, TaskCounters
 from repro.conceptual.semantics import check_program
-from repro.errors import ConceptualSemanticError
+from repro.errors import ConceptualSemanticError, SimulationError
 from repro import obs
 from repro.mpi.api import ANY_SOURCE, MPIProcess
 from repro.mpi.world import SpmdResult, run_spmd
@@ -74,7 +74,7 @@ from repro.util.callsite import Callsite
 
 # ---------------------------------------------------------------- run time
 class _RankState:
-    __slots__ = ("mpi", "rank", "counters", "pending", "logs")
+    __slots__ = ("mpi", "rank", "counters", "pending", "logs", "loops_left")
 
     def __init__(self, mpi: MPIProcess, logs: LogDatabase):
         self.mpi = mpi
@@ -82,6 +82,26 @@ class _RankState:
         self.counters = TaskCounters()
         self.pending = []
         self.logs = logs
+        #: loop iterations the rank may still run: the run's
+        #: ``max_steps``, or None when it has no bound (:func:`_iterations`)
+        self.loops_left = mpi.world.engine.max_steps
+
+
+def _iterations(st: _RankState, count: int) -> int:
+    """``count``, a loop's iterations about to run, charged against the
+    rank's ``max_steps`` when the run has one.  The engine's steps count
+    MPI operations only, so without this a loop whose iterations issue
+    none would run unbounded; charging a loop's whole count on entry
+    ends such a run at once, with a :class:`SimulationError`."""
+    left = st.loops_left
+    if left is not None and count > 0:
+        left -= count
+        if left < 0:
+            raise SimulationError(
+                f"rank {st.rank}: loop iterations exceeded max_steps="
+                f"{st.mpi.world.engine.max_steps}; likely a runaway loop")
+        st.loops_left = left
+    return count
 
 
 # A specialised statement is an entry ``(run, data)``: ``run(st, env,
@@ -90,7 +110,7 @@ class _RankState:
 
 def _run_rep(st, env, data):
     count, body = data
-    for _ in range(count(env)):
+    for _ in range(_iterations(st, count(env))):
         for run, d in body:
             yield from run(st, env, d)
 
@@ -98,7 +118,9 @@ def _run_rep(st, env, data):
 def _run_each(st, env, data):
     var, lo, hi, body = data
     inner = dict(env)
-    for i in range(lo(env), hi(env) + 1):
+    iters = range(lo(env), hi(env) + 1)
+    _iterations(st, len(iters))
+    for i in iters:
         inner[var] = i
         for run, d in body:
             yield from run(st, inner, d)
@@ -107,6 +129,7 @@ def _run_each(st, env, data):
 def _run_unrolled(st, env, data):
     var, lo, bodies = data
     inner = dict(env)
+    _iterations(st, len(bodies))
     for i, body in enumerate(bodies, lo):
         inner[var] = i
         for run, d in body:

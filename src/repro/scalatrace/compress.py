@@ -54,21 +54,12 @@ def _fp_pow(k: int) -> int:
     return _FP_POWS[k]
 
 
-#: Outcomes of the fused match-and-plan walk over a candidate fold window.
-_NO_MATCH, _INPLACE, _SLOW = 0, 1, 2
-
-
-def _pair_plan(x: Node, y: Node) -> int:
-    """Structural compatibility for folding, fused with the in-place
-    merge capability check so the hot path walks each window once.
-
-    Returns ``_NO_MATCH`` when the nodes are not the same call-site
+def nodes_match(x: Node, y: Node) -> bool:
+    """Do ``x`` and ``y`` fold together?  They must be the same call-site
     structure (parameters may differ, rank sets must agree — trivially
     true inside a per-rank queue, essential when recompressing a merged
-    multi-rank trace); ``_INPLACE`` when they match and every parameter
-    field can be merged by mutation; ``_SLOW`` when they match but the
-    merge must go through the rebuilding :func:`_merge_sequence` (which
-    may still refuse, e.g. differing expressions).
+    multi-rank trace), and their parameters must merge
+    (:func:`_fields_merge`).
 
     The cached fingerprint covers exactly the identity fields compared
     below, so ``fp`` inequality settles the common (non-matching) case
@@ -77,116 +68,32 @@ def _pair_plan(x: Node, y: Node) -> int:
     output — exact.
     """
     if x.fp != y.fp or x.ranks != y.ranks:
-        return _NO_MATCH
+        return False
     if isinstance(x, EventNode):
-        if not isinstance(y, EventNode) or x.sig != y.sig:
-            return _NO_MATCH
-        if x.sample_count() == 0 or y.sample_count() == 0:
-            return _SLOW   # zero-sample expansion; rebuild handles it
-        return _INPLACE if _fields_can_merge(x, y) else _SLOW
-    if not isinstance(y, LoopNode) or x.count != y.count \
-            or len(x.body) != len(y.body):
-        return _NO_MATCH
-    plan = _INPLACE
-    for xb, yb in zip(x.body, y.body):
-        p = _pair_plan(xb, yb)
-        if p == _NO_MATCH:
-            return _NO_MATCH
-        if p == _SLOW:
-            plan = _SLOW
-    return plan
+        return (isinstance(y, EventNode) and x.sig == y.sig
+                and _fields_merge(x, y))
+    return (isinstance(y, LoopNode) and x.count == y.count
+            and len(x.body) == len(y.body)
+            and all(map(nodes_match, x.body, y.body)))
 
 
-def _segments_plan(xs: List[Node], ys: List[Node]) -> int:
-    """Fold ``_pair_plan`` over equal-length segments."""
-    plan = _INPLACE
-    for x, y in zip(xs, ys):
-        p = _pair_plan(x, y)
-        if p == _NO_MATCH:
-            return _NO_MATCH
-        if p == _SLOW:
-            plan = _SLOW
-    return plan
-
-
-def nodes_match(a: Node, b: Node) -> bool:
-    """Public structural-match predicate (parameters may differ)."""
-    return _pair_plan(a, b) != _NO_MATCH
-
-
-def _merge_events(a: EventNode, b: EventNode,
-                  separate_entries: bool) -> Optional[EventNode]:
-    """Node representing all instances of ``a`` followed by all of ``b``.
-
-    Time histograms sum over ranks, so per-rank instance counts divide by
-    the rank-set size (1 inside a per-rank queue).
-
-    §3.1 path-aware timing: when the two copies are consecutive
-    iterations of the *same* loop entry (``separate_entries=False``),
-    ``b``'s first-iteration samples become subsequent-iteration samples;
-    when each copy was its own loop entry (the copies live inside sibling
-    inner loops being folded by an outer loop), both firsts stay firsts.
-    """
-    ca = a.sample_count() // max(len(a.ranks), 1)
-    cb = b.sample_count() // max(len(b.ranks), 1)
-    merged = {}
-    for name in _PARAM_FIELDS:
-        fa, fb = getattr(a, name), getattr(b, name)
-        if (fa is None) != (fb is None):
-            return None
-        if fa is None:
-            merged[name] = None
-            continue
-        combined = fa.concat(fb, ca, cb)
-        if combined is None:
-            return None
-        merged[name] = combined
-    time_first = a.time_first.copy()
-    time_rest = a.time_rest.copy()
-    if separate_entries:
-        time_first.merge(b.time_first)
-    else:
-        time_rest.merge(b.time_first)
-    time_rest.merge(b.time_rest)
-    return EventNode(a.op, a.callsite, a.comm_id, a.ranks, a.instances,
-                     merged["peer"], merged["size"], merged["tag"],
-                     merged["root"], a.wait_offsets, time_first, time_rest)
-
-
-def _merge_sequence(xs: List[Node], ys: List[Node],
-                    separate_entries: bool = False) -> Optional[List[Node]]:
-    out = []
-    for x, y in zip(xs, ys):
-        if isinstance(x, EventNode):
-            m = _merge_events(x, y, separate_entries)
-        else:
-            # copies of a nested loop are distinct entries of that loop
-            inner = _merge_sequence(x.body, y.body, separate_entries=True)
-            m = (LoopNode(x.count, inner, x.ranks)
-                 if inner is not None and x.count == y.count else None)
-        if m is None:
-            return None
-        out.append(m)
-    return out
-
-
-# -- in-place absorption fast path -------------------------------------------
+# -- in-place merging ---------------------------------------------------------
 #
-# ``_merge_sequence`` rebuilds the entire merged node tree — new EventNodes,
-# new ValueSeqs, copied histograms — on *every* absorbed iteration, which
-# makes streaming a K-iteration loop O(K · body) in allocations.  When the
-# surviving loop node was built by this queue itself (so its whole subtree
-# is freshly constructed and aliased nowhere else), the same result can be
-# produced by mutating it: append the new per-iteration parameter values,
-# merge the timing samples, and bump the loop count.  The functions below
-# mirror ``_merge_events``/``_merge_sequence`` exactly — same expansion of
-# constant sequences, same first/rest histogram routing — so the folded
-# output is byte-identical; they just skip the reconstruction.
+# Every node a queue holds is its own: built by the queue, or a deep copy
+# of what :meth:`CompressionQueue.append_node` was given.  So a rule
+# merges by mutating the surviving node: it appends the other copy's
+# per-iteration parameter values, merges its timing samples and bumps
+# the loop count, and never rebuilds a node tree.
 
-def _fields_can_merge(a: EventNode, b: EventNode) -> bool:
-    """Would ``_merge_events(a, b, ...)`` succeed, and can it be done by
-    mutation?  (Params only — the structural match is established by the
-    caller; zero-length sequences are deferred to the slow path.)"""
+def _fields_merge(a: EventNode, b: EventNode) -> bool:
+    """Can ``b``'s instances be appended to ``a``'s?  Each needs a timing
+    sample per rank, which gives its instance count; a node without one
+    never folds.  Each parameter must be present on both or neither:
+    non-empty sequences, equal expressions, or rank maps of non-empty
+    sequences over the same ranks."""
+    nr = len(a.ranks) or 1
+    if a.sample_count() < nr or b.sample_count() < nr:
+        return False
     for name in _PARAM_FIELDS:
         fa, fb = getattr(a, name), getattr(b, name)
         if fa is None and fb is None:
@@ -195,7 +102,7 @@ def _fields_can_merge(a: EventNode, b: EventNode) -> bool:
             return False
         if fa.seq is not None and fb.seq is not None:
             if fa.seq.length == 0 or fb.seq.length == 0:
-                return False   # degenerate; take the slow path
+                return False
             continue
         if fa.expr is not None and fb.expr is not None and fa.expr == fb.expr:
             continue
@@ -210,8 +117,9 @@ def _fields_can_merge(a: EventNode, b: EventNode) -> bool:
 
 
 def _seq_extend(xs: ValueSeq, ys: ValueSeq, ca: int, cb: int) -> None:
-    """In-place equivalent of
-    ``_expanded(xs, ca).concat(_expanded(ys, cb))`` (both non-empty)."""
+    """Append ``ys`` (``cb`` instances) to ``xs`` (``ca`` instances), both
+    non-empty.  A constant sequence stands for its value on every
+    instance, so its one run is first stretched to its instance count."""
     runs = xs.runs
     if len(runs) == 1 and xs.length != ca:
         runs[0] = (runs[0][0], ca)
@@ -259,8 +167,20 @@ def _field_extend(fx: ParamField, fy: ParamField, ca: int, cb: int) -> None:
     # expr fields: equal by validation, nothing to append
 
 
-def _merge_events_inplace(x: EventNode, y: EventNode,
-                          separate_entries: bool) -> None:
+def _extend_event(x: EventNode, y: EventNode,
+                  separate_entries: bool) -> None:
+    """Make ``x`` stand for all of its instances followed by all of
+    ``y``'s.
+
+    Time histograms sum over ranks, so per-rank instance counts divide by
+    the rank-set size (1 inside a per-rank queue).
+
+    §3.1 path-aware timing: when the two copies are consecutive
+    iterations of the *same* loop entry (``separate_entries=False``),
+    ``y``'s first-iteration samples become subsequent-iteration samples;
+    when each copy was its own loop entry (the copies live inside sibling
+    inner loops being folded by an outer loop), both firsts stay firsts.
+    """
     nr = len(x.ranks) or 1
     ca = x.sample_count() // nr
     cb = y.sample_count() // nr
@@ -279,20 +199,21 @@ def _merge_events_inplace(x: EventNode, y: EventNode,
     x.time_rest.merge(y.time_rest)
 
 
-def _merge_sequence_inplace(xs: List[Node], ys: List[Node],
-                            separate_entries: bool = False) -> None:
+def _extend_nodes(xs: List[Node], ys: List[Node],
+                  separate_entries: bool = False) -> None:
+    """:func:`_extend_event` over two matching node sequences."""
     for x, y in zip(xs, ys):
         if isinstance(x, EventNode):
-            _merge_events_inplace(x, y, separate_entries)
+            _extend_event(x, y, separate_entries)
         else:
             # nested loop copies are distinct entries of that loop; the
             # count stays (checked equal by the structural match)
-            _merge_sequence_inplace(x.body, y.body, separate_entries=True)
+            _extend_nodes(x.body, y.body, separate_entries=True)
 
 
 def _merge_items(xs: List[Node], items: list) -> None:
     """Absorb one replayed iteration into the body ``xs`` it copies, in
-    place: ``_merge_sequence_inplace(xs, ys)`` where each cursor row in
+    place: ``_extend_nodes(xs, ys)`` where each cursor row in
     ``items`` stands for the one-sample event node the rule-at-a-time
     path would have built, and each loop is a copy built by the cursor."""
     for x, y in zip(xs, items):
@@ -314,7 +235,7 @@ def _merge_items(xs: List[Node], items: list) -> None:
             x.time_rest.add(max(y[4], 0.0))
         else:
             # copies of a nested loop are distinct entries of that loop
-            _merge_sequence_inplace(x.body, y.body, separate_entries=True)
+            _extend_nodes(x.body, y.body, separate_entries=True)
 
 
 class _Frame:
@@ -382,11 +303,13 @@ class DecisionTable:
 
     The rules' outcome on a queue is a function of the call-site
     structure of its nodes alone: inside a per-rank queue every rank set
-    is the queue's one rank, every node was built by the queue (so every
-    firing merges in place), and parameter values and timing never
-    decide a fold.  Ranks of one class reach the same structures, so
-    the first queue to reach a state decides it by the rules and every
-    later one applies the recorded outcome.
+    is the queue's one rank, every node is the queue's own (a queue owns
+    every node it holds, so every firing merges in place), and parameter
+    values and timing never decide a fold (every event carries its
+    timing sample and its parameters as sequences, which always merge).
+    Ranks of one class reach the same structures, so the first queue to
+    reach a state decides it by the rules and every later one applies
+    the recorded outcome.
 
     States are interned, which makes them exact: an event's *shape* is
     its match key (:func:`_event_key`), a loop's is its count and the
@@ -465,6 +388,11 @@ class DecisionTable:
 class CompressionQueue:
     """The per-rank trace queue with fixpoint tail compression.
 
+    The queue owns every node it holds: it built the node, or the node
+    is a deep copy of one :meth:`append_node` was given (the caller's
+    node is never mutated).  So every rule merges by mutating the node
+    that survives, and no merge rebuilds a node tree.
+
     Per queue: the nodes, the fingerprint prefix table, the replay
     cursor's frames and its last plan.  Per hook, when a
     :class:`DecisionTable` is passed: the rules' outcomes and the
@@ -491,10 +419,10 @@ class CompressionQueue:
     output is byte-identical to the unfingerprinted algorithm.
 
     On top of that sits the *replay cursor*, the streaming steady-state
-    fast path.  Once the tail is a queue-built loop, inner loops
-    included, the incoming stream is matched event by event against the
-    expansion of its body.  The cursor builds what the rule-at-a-time
-    path would build, but without scanning the rules: an event becomes a
+    fast path.  Once the tail is a loop, inner loops included, the
+    incoming stream is matched event by event against the expansion of
+    its body.  The cursor builds what the rule-at-a-time path would
+    build, but without scanning the rules: an event becomes a
     raw row, except on an inner loop's first iteration, whose nodes
     become that loop's body; an inner loop's later iterations and each
     whole iteration of the tail loop are merged in place into their
@@ -529,12 +457,6 @@ class CompressionQueue:
         self.max_window = max_window
         self.fold_collectives = fold_collectives
         self._prefix: List[int] = [0]   # _prefix[i] = fp-hash of nodes[:i]
-        #: ids of nodes this queue built itself (always still in
-        #: ``nodes`` — ids are discarded on removal, so no stale-id reuse).
-        #: Their subtrees are freshly constructed and aliased nowhere else,
-        #: which licenses the in-place fold/absorb/coalesce fast paths;
-        #: nodes arriving through :meth:`append_node` are never mutated.
-        self._owned: set = set()
         #: the replay cursor's frames, outermost first (empty: disengaged)
         self._frames: List[_Frame] = []
         #: the tail loop the cursor may engage on at the next event
@@ -590,14 +512,11 @@ class CompressionQueue:
 
     def _replace_tail(self, width: int, node: Node) -> None:
         """Substitute ``nodes[-width:]`` with ``node`` (a loop this queue
-        just built), keeping the fingerprint table and ownership in step."""
+        just built), keeping the fingerprint table in step."""
         q = self._nodes
-        for old in q[-width:]:
-            self._owned.discard(id(old))
         del q[-width:]
         del self._prefix[len(q) + 1:]
         q.append(node)
-        self._owned.add(id(node))
         self._push_fp(node)
 
     def _drop_tail_keep(self, width: int) -> None:
@@ -605,8 +524,6 @@ class CompressionQueue:
         the (mutated) node just before them, whose fingerprint changed —
         refresh its prefix entry."""
         q = self._nodes
-        for old in q[-width:]:
-            self._owned.discard(id(old))
         del q[-width:]
         del self._prefix[len(q):]
         self._push_fp(q[-1])
@@ -642,10 +559,8 @@ class CompressionQueue:
                     self._cursor_advance()
                 return
             self._disengage()   # replay broke: materialise, disengage
-        node = self._make_event(op, callsite, comm_id, peer, size, tag,
-                                root, wait_offsets, delta_t)
-        self._owned.add(id(node))   # built here: eligible for in-place fold
-        self.append_node(node)
+        self._append(self._make_event(op, callsite, comm_id, peer, size,
+                                      tag, root, wait_offsets, delta_t))
         self._try_engage()
 
     def _histogram(self) -> TimeHistogram:
@@ -667,6 +582,12 @@ class CompressionQueue:
             time_rest=self._histogram())
 
     def append_node(self, node: Node) -> None:
+        """Append a deep copy of ``node`` and compress; ``node`` itself is
+        left as it is."""
+        self._append(node.copy())
+
+    def _append(self, node: Node) -> None:
+        """Append ``node``, which the queue now owns, and compress."""
         self._armed = None
         if self._frames:
             self._disengage()
@@ -697,11 +618,11 @@ class CompressionQueue:
             table.shared_decisions += 1
             for rule, width, after in done:
                 if rule == _COALESCE:
-                    self._coalesce_inplace()
+                    self._coalesce()
                 elif rule == _ABSORB:
-                    self._absorb_inplace(width)
+                    self._absorb(width)
                 else:
-                    self._fold_inplace(width)
+                    self._fold(width)
                 del states[len(q):]
                 states.append(after)
             return
@@ -734,10 +655,10 @@ class CompressionQueue:
 
     # -- replay cursor -------------------------------------------------------
     def _try_engage(self) -> None:
-        """Arm the replay cursor when the queue tail is a queue-built
-        loop; it engages if the next event starts the loop's body."""
+        """Arm the replay cursor when the queue tail is a loop; it
+        engages if the next event starts the loop's body."""
         q = self._nodes
-        if q and isinstance(q[-1], LoopNode) and id(q[-1]) in self._owned:
+        if q and isinstance(q[-1], LoopNode):
             self._armed = q[-1]
 
     def _engage(self, key: tuple) -> List[_Frame]:
@@ -1056,38 +977,33 @@ class CompressionQueue:
                 nodes.append(item)
         for node in nodes:
             self._push(node)
-            self._owned.add(id(node))
 
     # -- rules --------------------------------------------------------------
     #
-    # Each rule gates on a fingerprint first, confirms structurally via
-    # ``_segments_plan`` (one fused walk that also decides in-place
-    # eligibility), then merges — by mutation when the surviving node was
-    # built by this queue, by reconstruction otherwise.  Both merge paths
-    # produce identical node values.  A rule that fires returns
-    # ``(rule, width)``; the in-place merges are also what a decision
-    # table's recorded firings apply (a table queue builds every node it
-    # holds, so its firings always merge in place).
+    # Each rule gates on a fingerprint first, confirms with
+    # :func:`nodes_match`, then merges in place.  A rule that fires
+    # returns ``(rule, width)``; its in-place merge is also what a
+    # decision table's recorded firings apply.
 
-    def _coalesce_inplace(self) -> None:
+    def _coalesce(self) -> None:
         a, b = self._nodes[-2], self._nodes[-1]
-        _merge_sequence_inplace(a.body, b.body)
+        _extend_nodes(a.body, b.body)
         a.bump_count(b.count)
         self._drop_tail_keep(1)
         obs.count("scalatrace.nodes_folded", 1)
 
-    def _absorb_inplace(self, w: int) -> None:
+    def _absorb(self, w: int) -> None:
         q = self._nodes
         prev = q[-w - 1]
-        _merge_sequence_inplace(prev.body, q[-w:])
+        _extend_nodes(prev.body, q[-w:])
         prev.bump_count(1)
         self._drop_tail_keep(w)
         obs.count("scalatrace.nodes_folded", w)
 
-    def _fold_inplace(self, w: int) -> None:
+    def _fold(self, w: int) -> None:
         q = self._nodes
         first = q[-2 * w:-w]
-        _merge_sequence_inplace(first, q[-w:])
+        _extend_nodes(first, q[-w:])
         self._replace_tail(2 * w, LoopNode(2, first, _union_ranks(first)))
         obs.count("scalatrace.nodes_folded", 2 * w - 1)
 
@@ -1101,20 +1017,10 @@ class CompressionQueue:
         # differ, so whole-node fps cannot be compared here)
         if a.body_fp != b.body_fp:
             return None
-        if a.ranks != b.ranks or len(a.body) != len(b.body):
+        if a.ranks != b.ranks or len(a.body) != len(b.body) \
+                or not all(map(nodes_match, a.body, b.body)):
             return None
-        plan = _segments_plan(a.body, b.body)
-        if plan == _NO_MATCH:
-            return None
-        if plan == _INPLACE and id(a) in self._owned:
-            self._coalesce_inplace()
-            return _COALESCE, 1
-        merged_body = _merge_sequence(a.body, b.body)
-        if merged_body is None:
-            return None
-        self._replace_tail(
-            2, LoopNode(a.count + b.count, merged_body, a.ranks))
-        obs.count("scalatrace.nodes_folded", 1)
+        self._coalesce()
         return _COALESCE, 1
 
     def _try_absorb(self, q: List[Node]) -> Optional[tuple]:
@@ -1132,21 +1038,10 @@ class CompressionQueue:
                     (pref[n] - pref[n - w] * pows[w]) % FP_MOD:
                 continue
             tail = q[-w:]
-            plan = _segments_plan(prev.body, tail)
-            if plan == _NO_MATCH:
-                continue
-            if not self._foldable(tail):
-                continue
-            if plan == _INPLACE and id(prev) in self._owned:
-                self._absorb_inplace(w)
+            if all(map(nodes_match, prev.body, tail)) \
+                    and self._foldable(tail):
+                self._absorb(w)
                 return _ABSORB, w
-            merged_body = _merge_sequence(prev.body, tail)
-            if merged_body is None:
-                continue
-            self._replace_tail(
-                w + 1, LoopNode(prev.count + 1, merged_body, prev.ranks))
-            obs.count("scalatrace.nodes_folded", w)
-            return _ABSORB, w
         return None
 
     def _try_fold(self, q: List[Node]) -> Optional[tuple]:
@@ -1165,23 +1060,11 @@ class CompressionQueue:
             if (mid - pref[n - 2 * w] * pw) % FP_MOD != \
                     (top - mid * pw) % FP_MOD:
                 continue
-            first, second = q[-2 * w:-w], q[-w:]
-            plan = _segments_plan(first, second)
-            if plan == _NO_MATCH:
-                continue
-            if not self._foldable(second):
-                continue
-            owned = self._owned
-            if plan == _INPLACE and all(id(x) in owned for x in first):
-                self._fold_inplace(w)
+            second = q[-w:]
+            if all(map(nodes_match, q[-2 * w:-w], second)) \
+                    and self._foldable(second):
+                self._fold(w)
                 return _FOLD, w
-            merged_body = _merge_sequence(first, second)
-            if merged_body is None:
-                continue
-            self._replace_tail(
-                2 * w, LoopNode(2, merged_body, _union_ranks(first)))
-            obs.count("scalatrace.nodes_folded", 2 * w - 1)
-            return _FOLD, w
         return None
 
 
@@ -1198,24 +1081,22 @@ def compress_node_list(nodes: List[Node]) -> List[Node]:
     Used after inter-rank merging to fold structures that only became
     foldable once rank sets were unified — the final step of Algorithm 1's
     output-queue compression (§4.3: "we apply ScalaTrace's loop
-    compression algorithm to the output RSD queue").
+    compression algorithm to the output RSD queue").  ``nodes`` are left
+    as they are.
     """
     with obs.span("scalatrace.compress", nodes=len(nodes)):
-        queue = CompressionQueue(rank=0)
-        for node in nodes:
-            if isinstance(node, LoopNode):
-                node = LoopNode(node.count, _compress_inner(node.body),
-                                node.ranks)
-            queue.append_node(node)
-        return queue.nodes
+        return _recompress(nodes)
 
 
-def _compress_inner(nodes: List[Node]) -> List[Node]:
-    """Recursive body recompression without re-entering the outer span."""
+def _recompress(nodes: List[Node]) -> List[Node]:
+    """:func:`compress_node_list` without the span.  Each loop is rebuilt
+    around its recompressed body, a node no one else holds, so the queue
+    takes it as it is; each event is appended as a copy."""
     queue = CompressionQueue(rank=0)
     for node in nodes:
         if isinstance(node, LoopNode):
-            node = LoopNode(node.count, _compress_inner(node.body),
-                            node.ranks)
-        queue.append_node(node)
+            queue._append(LoopNode(node.count, _recompress(node.body),
+                                   node.ranks))
+        else:
+            queue.append_node(node)
     return queue.nodes

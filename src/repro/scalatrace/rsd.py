@@ -125,32 +125,15 @@ class ParamField:
                 return max(lens)
         return None
 
-    # -- composition ---------------------------------------------------------
-    @staticmethod
-    def _expanded(seq: ValueSeq, count: int) -> ValueSeq:
-        return (ValueSeq.constant(seq.value, count) if seq.is_constant()
-                else seq)
-
-    def concat(self, other: "ParamField", my_count: int,
-               other_count: int) -> Optional["ParamField"]:
-        """Field covering my instances followed by ``other``'s (loop
-        folding; counts are per-rank instance counts).  Returns None if
-        the fields cannot combine (e.g. differing expressions)."""
-        if self.seq is not None and other.seq is not None:
-            a = self._expanded(self.seq, my_count)
-            b = self._expanded(other.seq, other_count)
-            return ParamField(seq=a.concat(b))
-        if self.expr is not None and other.expr is not None \
-                and self.expr == other.expr:
-            return ParamField(expr=self.expr)
-        if self.rank_map is not None and other.rank_map is not None \
-                and set(self.rank_map) == set(other.rank_map):
-            merged = {}
-            for r, s in self.rank_map.items():
-                merged[r] = self._expanded(s, my_count).concat(
-                    self._expanded(other.rank_map[r], other_count))
-            return ParamField(rank_map=merged)
-        return None
+    def copy(self) -> "ParamField":
+        """A copy whose value sequences are its own (an expression is
+        shared: nothing changes one after it is made)."""
+        field = ParamField.__new__(ParamField)
+        field.seq = None if self.seq is None else self.seq.copy()
+        field.expr = self.expr
+        field.rank_map = None if self.rank_map is None else {
+            r: s.copy() for r, s in self.rank_map.items()}
+        return field
 
     def _seq_for(self, rank: int) -> ValueSeq:
         if self.seq is not None:
@@ -256,8 +239,8 @@ FP_BASE = 1_000_003
 class Node:
     """Base class of trace nodes.
 
-    ``fp`` is a structural *fingerprint*: a stable hash of exactly the
-    fields :func:`~repro.scalatrace.compress.nodes_match` inspects (call
+    ``fp`` is a structural *fingerprint*: a stable hash of the identity
+    fields :func:`~repro.scalatrace.compress.nodes_match` compares (call
     site identity, rank set, loop shape — never per-iteration parameters
     or timing).  Two nodes that match always share a fingerprint, so
     ``fp`` inequality disproves a match in O(1); equality is confirmed
@@ -376,10 +359,15 @@ class EventNode(Node):
         return self.instances if rank in self.ranks else 0
 
     def copy(self) -> "EventNode":
+        """A deep copy: its parameter sequences and histograms are its
+        own, so merging into the copy in place leaves this node as it is."""
+        peer, size, tag, root = (
+            None if f is None else f.copy()
+            for f in (self.peer, self.size, self.tag, self.root))
         return EventNode(self.op, self.callsite, self.comm_id, self.ranks,
-                         self.instances, self.peer, self.size, self.tag,
-                         self.root, self.wait_offsets,
-                         self.time_first.copy(), self.time_rest.copy())
+                         self.instances, peer, size, tag, root,
+                         self.wait_offsets, self.time_first.copy(),
+                         self.time_rest.copy())
 
     def __repr__(self) -> str:
         return (f"EventNode({self.op}, ranks={self.ranks.serialize()}, "
@@ -427,9 +415,9 @@ class LoopNode(Node):
         stays valid).
 
         Only the compression queue may call this, and only on loops it
-        built itself — in-place absorption is what keeps streaming
-        compression O(window) per event instead of rebuilding the loop's
-        node tree for every absorbed iteration.
+        owns — in-place absorption is what keeps streaming compression
+        O(window) per event instead of rebuilding the loop's node tree
+        for every absorbed iteration.
         """
         self.count += delta
         self.fp = loop_fp(self.count, self.ranks, len(self.body),
@@ -437,6 +425,11 @@ class LoopNode(Node):
 
     def signature(self) -> tuple:
         return ("loop", self.count, tuple(n.signature() for n in self.body))
+
+    def copy(self) -> "LoopNode":
+        """A deep copy (see :meth:`EventNode.copy`)."""
+        return LoopNode(self.count, [n.copy() for n in self.body],
+                        self.ranks)
 
     def iter_events(self) -> Iterator[EventNode]:
         for node in self.body:

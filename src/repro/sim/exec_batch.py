@@ -17,9 +17,7 @@ blocking — in one frame:
   ``Engine._apply_send``); fault injection and routed fabrics go
   through the engine's generic send (``engine.generic_sends``);
 * collective completion evaluates ``max`` over the whole
-  ``_CollInstance`` arrival cohort at once (numpy-reduced for large
-  groups — float ``max`` is associative, so the reduction order cannot
-  change the result);
+  ``_CollInstance`` arrival cohort at once;
 * dirty-set wakeup is folded into the loop top with the per-kind
   resume arithmetic inlined;
 * crash faults are checked per op, before the op is stepped, so a rank
@@ -52,18 +50,8 @@ from repro.sim.ops import (ANY_SOURCE, Collective, Compute, PostRecv,
 from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
-
 #: sentinel returned by the generic ``Engine._apply`` when a rank blocks
 _BLOCK = object()
-
-#: group size at which the numpy reduction overtakes builtin ``max``
-#: (measured: ``np.fromiter`` over dict values carries ~4-5us of fixed
-#: overhead, so the builtin left fold wins until about a thousand ranks)
-_NP_GROUP_MIN = 1024
 
 
 class _CollInstance:
@@ -80,20 +68,6 @@ class _CollInstance:
         #: ``Engine._apply_collective`` both decrement it, so ``nleft ==
         #: len(group) - len(arrivals)`` holds whichever handled an arrival
         self.nleft = len(group)
-
-
-def _group_start(arrivals: Dict[int, float]) -> float:
-    """Latest arrival clock of a completed collective cohort.
-
-    Vectorized for large groups: float ``max`` is associative and
-    commutative (rank clocks are never NaN), so the numpy reduction is
-    bit-identical to the builtin left fold.
-    """
-    if _np is not None and len(arrivals) >= _NP_GROUP_MIN:
-        return float(_np.max(_np.fromiter(arrivals.values(),
-                                          dtype=_np.float64,
-                                          count=len(arrivals))))
-    return max(arrivals.values())
 
 
 def _timed(fn, phase: str, acc: Dict[str, float], nested: list):
@@ -549,7 +523,7 @@ def run_batch(eng) -> None:
                     nleft = inst.nleft - 1
                     inst.nleft = nleft
                     if not nleft:
-                        comp = _group_start(arrivals) + coll_cost(
+                        comp = max(arrivals.values()) + coll_cost(
                             inst.key, len(inst.group), inst.nbytes)
                         inst.completion = comp
                         # blocked participants wake through the dirty

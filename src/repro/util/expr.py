@@ -119,7 +119,7 @@ class ParamExpr:
             raise ValueError("expression is not constant")
         return self.delta
 
-    # -- comparison / rendering -------------------------------------------
+    # -- comparison / serialization ---------------------------------------
     def _key(self):
         if self.kind == "table":
             return ("table", tuple(sorted(self.table.items())))
@@ -132,27 +132,6 @@ class ParamExpr:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def equivalent_on(self, other: "ParamExpr", ranks: Iterable[int]) -> bool:
-        """True if both expressions agree on every rank in ``ranks``."""
-        return all(self.evaluate(r) == other.evaluate(r) for r in ranks)
-
-    def render(self, var: str) -> str:
-        """Render as a coNCePTuaL arithmetic expression in ``var``."""
-        if self.kind == "const":
-            return str(self.delta)
-        if self.kind == "rel":
-            if self.delta == 0:
-                body = var
-            elif self.delta > 0:
-                body = f"{var} + {self.delta}"
-            else:
-                body = f"{var} - {-self.delta}"
-            if self.mod is not None:
-                return f"({body}) MOD {self.mod}"
-            return body
-        raise ValueError("table expressions have no single rendering; "
-                         "the code generator must emit per-rank cases")
 
     def serialize(self) -> str:
         if self.kind == "const":

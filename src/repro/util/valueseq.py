@@ -4,9 +4,9 @@ An RSD can cover many loop iterations whose message size (or tag, or root)
 varies from iteration to iteration.  ScalaTrace keeps such parameters
 losslessly but compressed.  :class:`ValueSeq` is that container: an
 append-only sequence of integers stored as (value, repeat) runs, supporting
-equality, concatenation, indexed access, and "tiling" — the operation loop
-compression needs when two adjacent copies of a loop body fold into one
-body with doubled iteration count.
+equality, indexed access and serialization.  Loop compression extends a
+sequence in place when it folds another iteration into a loop body
+(:mod:`repro.scalatrace.compress`).
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class ValueSeq:
             self.runs.append((value, count))
         self.length += count
 
-    def extend(self, other: "ValueSeq") -> None:
-        for v, c in other.runs:
-            self.append(v, c)
-
     def is_constant(self) -> bool:
         return len(self.runs) <= 1
 
@@ -129,29 +125,11 @@ class ValueSeq:
                 out += v * c
         return out
 
-    def concat(self, other: "ValueSeq") -> "ValueSeq":
-        s = ValueSeq()
+    def copy(self) -> "ValueSeq":
+        s = ValueSeq.__new__(ValueSeq)
         s.runs = list(self.runs)
         s.length = self.length
-        s.extend(other)
         return s
-
-    def tile(self, times: int) -> "ValueSeq":
-        """The sequence repeated ``times`` times (RLE-aware)."""
-        if times < 0:
-            raise ValueError("times must be non-negative")
-        s = ValueSeq()
-        for _ in range(times):
-            s.extend(self)
-        return s
-
-    def is_tiling_of(self, body: "ValueSeq") -> bool:
-        """True if self equals ``body`` repeated an integral number of times."""
-        if body.length == 0:
-            return self.length == 0
-        if self.length % body.length:
-            return False
-        return self == body.tile(self.length // body.length)
 
     @staticmethod
     def _render_value(v) -> str:

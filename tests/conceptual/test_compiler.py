@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.conceptual import ConceptualProgram
-from repro.errors import ConceptualSemanticError
+from repro.errors import ConceptualSemanticError, SimulationError
 from repro.mpi import RecordingHook
 from repro.sim import SimpleModel
 
@@ -162,6 +162,35 @@ class TestControlFlow:
     def test_compute_advances_time(self):
         result, _ = run("ALL TASKS COMPUTE FOR 1500 MICROSECONDS", 2)
         assert result.total_time >= 1.5e-3
+
+
+class TestLoopBudget:
+    """With ``max_steps`` set, every rank's loop iterations count against
+    it too: the engine's steps are MPI operations, which a loop whose
+    iterations issue none never takes."""
+
+    RUNAWAY = ("FOR EACH v IN {0, ..., 99999999999} { IF v = 5 THEN "
+               "{ TASK 0 COMPUTES FOR 1 MICROSECONDS } }")
+
+    @pytest.mark.parametrize("text, max_steps", [
+        (RUNAWAY, 1000),
+        ("FOR 99999999999 REPETITIONS ALL TASKS RESET THEIR COUNTERS",
+         1000),
+        # a per-iteration (unrolled) form: 4 iterations, 2 allowed
+        ("FOR EACH v IN {0, ..., 3} { IF v = 1 THEN TASK 0 COMPUTES "
+         "FOR 1 MICROSECONDS }", 2),
+    ])
+    def test_loops_past_max_steps_raise(self, text, max_steps):
+        prog = ConceptualProgram.from_source(text)
+        with pytest.raises(SimulationError, match="max_steps"):
+            prog.run(2, model=SimpleModel(), max_steps=max_steps)
+
+    def test_loops_within_max_steps_run_as_without_it(self):
+        text = self.RUNAWAY.replace("99999999999", "99")
+        prog = ConceptualProgram.from_source(text)
+        free, _ = prog.run(2, model=SimpleModel())
+        bounded, _ = prog.run(2, model=SimpleModel(), max_steps=100)
+        assert bounded.total_time == free.total_time >= 1e-6
 
 
 class TestCountersAndLogs:

@@ -96,19 +96,6 @@ class TestValueSeqProperties:
         s = ValueSeq(values)
         assert ValueSeq.parse(s.serialize()) == s
 
-    @given(value_lists, value_lists)
-    def test_concat(self, a, b):
-        assert list(ValueSeq(a).concat(ValueSeq(b))) == a + b
-
-    @given(value_lists, st.integers(min_value=0, max_value=5))
-    def test_tile(self, values, n):
-        assert list(ValueSeq(values).tile(n)) == values * n
-
-    @given(value_lists, st.integers(min_value=1, max_value=4))
-    def test_tiling_detection(self, body, n):
-        whole = ValueSeq(body * n)
-        assert whole.is_tiling_of(ValueSeq(body))
-
     @given(value_lists)
     def test_indexing_matches_list(self, values):
         s = ValueSeq(values)

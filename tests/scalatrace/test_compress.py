@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.scalatrace.compress import CompressionQueue
-from repro.scalatrace.rsd import EventNode, LoopNode, Trace
+from repro.scalatrace.compress import CompressionQueue, compress_node_list
+from repro.scalatrace.rsd import EventNode, LoopNode, ParamField, Trace
+from repro.scalatrace.serialize import dumps_trace, loads_trace
 from repro.util.callsite import Callsite
+from repro.util.histogram import TimeHistogram
+from repro.util.rankset import RankSet
+from repro.util.valueseq import ValueSeq
+
+from tests.scalatrace.reference_compress import ReferenceQueue
 
 
 def cs(n):
@@ -149,3 +155,69 @@ class TestIrregularTails:
         ops = [e.op for e in trace.iter_rank(0)]
         assert ops == ["Bcast"] + ["Send"] * 100 + ["Reduce"]
         assert trace.node_count() <= 4
+
+
+def event(site, peers, op="Send"):
+    """A rank-0 event node with one timing sample per peer value: the
+    first a first-iteration sample, the rest subsequent ones."""
+    time_first, time_rest = TimeHistogram(), TimeHistogram()
+    for k in range(len(peers)):
+        (time_rest if k else time_first).add(1.0 + k)
+    return EventNode(op, cs(site), 0, RankSet.single(0), instances=1,
+                     peer=ParamField(seq=ValueSeq(peers)),
+                     size=ParamField.of(8), time_first=time_first,
+                     time_rest=time_rest)
+
+
+def dump(nodes):
+    return dumps_trace(Trace(2, nodes))
+
+
+class TestAppendNode:
+    """The queue folds a deep copy of what ``append_node`` is given."""
+
+    def test_event_argument_unchanged_when_its_copy_folds(self):
+        node = event(1, [1])
+        before = dump([node])
+        q = make_queue()
+        q.append_node(node)
+        q.append_event("Send", cs(1), 0, peer=0, size=8, delta_t=2.0)
+        # the copy became the loop's body and took the second iteration
+        assert len(q.nodes) == 1 and q.nodes[0].count == 2
+        assert list(q.nodes[0].body[0].peer.seq) == [1, 0]
+        assert dump([node]) == before
+
+    def test_loop_argument_unchanged_when_coalesced_with_itself(self):
+        loop = LoopNode(3, [event(1, [1, 0, 1]), event(2, [0, 0, 1], "Recv")],
+                        RankSet.single(0))
+        before = dump([loop])
+        q = make_queue()
+        q.append_node(loop)
+        q.append_node(loop)
+        assert len(q.nodes) == 1 and q.nodes[0].count == 6
+        assert list(q.nodes[0].body[0].peer.seq) == [1, 0, 1] * 2
+        assert dump([loop]) == before
+
+
+class TestNodesWithoutSamples:
+    """A node without a timing sample per rank has no instance count to
+    extend its parameter sequences by, so it never folds: recompressing
+    such nodes keeps them as they are, in the queue and in the
+    literal-rules oracle alike, and the result reloads."""
+
+    def nodes(self):
+        def bare():
+            return EventNode("Send", cs(1), 0, RankSet.single(0),
+                             peer=ParamField.of(1), size=ParamField.of(8))
+        ranks = RankSet.single(0)
+        return [bare() for _ in range(4)] + [
+            LoopNode(2, [bare()], ranks) for _ in range(2)]
+
+    def test_recompression_keeps_them_and_reloads(self):
+        text = dump(compress_node_list(self.nodes()))
+        reloaded = loads_trace(text).nodes
+        assert len(reloaded) == 6 and dump(reloaded) == text
+        ref = ReferenceQueue(0)
+        for node in self.nodes():
+            ref.append_node(node)
+        assert dump(ref.nodes) == text

@@ -64,34 +64,6 @@ class TestMerge:
         m = a.merge([0, 1, 2], b, [3], comm_size=4)
         assert m.kind == "rel" and m.mod == 4
 
-    def test_equivalent_on(self):
-        rel = ParamExpr.rel(1)
-        table = ParamExpr.from_table({0: 1, 1: 2})
-        assert rel.equivalent_on(table, [0, 1])
-        table2 = ParamExpr.from_table({0: 1, 1: 99})
-        assert not rel.equivalent_on(table2, [0, 1])
-
-
-class TestRendering:
-    def test_const(self):
-        assert ParamExpr.const(5).render("t") == "5"
-
-    def test_rel_plus(self):
-        assert ParamExpr.rel(1).render("t") == "t + 1"
-
-    def test_rel_minus(self):
-        assert ParamExpr.rel(-4).render("t") == "t - 4"
-
-    def test_rel_zero(self):
-        assert ParamExpr.rel(0).render("t") == "t"
-
-    def test_rel_mod(self):
-        assert ParamExpr.rel(1, mod=8).render("t") == "(t + 1) MOD 8"
-
-    def test_table_not_renderable(self):
-        with pytest.raises(ValueError):
-            ParamExpr.from_table({0: 1}).render("t")
-
 
 class TestSerialization:
     @pytest.mark.parametrize("e", [

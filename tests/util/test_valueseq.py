@@ -111,37 +111,6 @@ class TestAccess:
         assert ValueSeq([10, 10, 5]).total() == 25
 
 
-class TestCompose:
-    def test_concat(self):
-        a, b = ValueSeq([1, 1]), ValueSeq([1, 2])
-        c = a.concat(b)
-        assert list(c) == [1, 1, 1, 2]
-        assert c.runs == [(1, 3), (2, 1)]
-        assert list(a) == [1, 1]  # unchanged
-
-    def test_tile(self):
-        s = ValueSeq([1, 2]).tile(3)
-        assert list(s) == [1, 2, 1, 2, 1, 2]
-
-    def test_tile_zero(self):
-        assert len(ValueSeq([1]).tile(0)) == 0
-
-    def test_is_tiling_of_true(self):
-        body = ValueSeq([3, 4])
-        whole = ValueSeq([3, 4, 3, 4, 3, 4])
-        assert whole.is_tiling_of(body)
-
-    def test_is_tiling_of_false_wrong_values(self):
-        assert not ValueSeq([3, 4, 3, 5]).is_tiling_of(ValueSeq([3, 4]))
-
-    def test_is_tiling_of_false_wrong_length(self):
-        assert not ValueSeq([3, 4, 3]).is_tiling_of(ValueSeq([3, 4]))
-
-    def test_is_tiling_of_empty_body(self):
-        assert ValueSeq().is_tiling_of(ValueSeq())
-        assert not ValueSeq([1]).is_tiling_of(ValueSeq())
-
-
 class TestEqualitySerialization:
     def test_eq_hash(self):
         assert ValueSeq([1, 1, 2]) == ValueSeq.from_runs([(1, 2), (2, 1)])
