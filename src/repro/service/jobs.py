@@ -189,7 +189,7 @@ class JobStore:
         records, truncated = self._read_journal()
         summary["truncated_bytes"] = truncated
         for record in records:
-            if not self._apply(record):
+            if not self._replay_record(record):
                 summary["skipped_records"] += 1
         summary["jobs"] = len(self.jobs)
         # crash recovery: anything not terminal goes back on the queue
@@ -232,7 +232,7 @@ class JobStore:
             good += len(line)
         return records, 0
 
-    def _apply(self, record: Dict[str, Any]) -> bool:
+    def _replay_record(self, record: Dict[str, Any]) -> bool:
         """Apply one journal record; False when skipped (with warning)."""
         rec = record.get("rec")
         if rec == "job":

@@ -31,14 +31,16 @@ The core is layered (see ``docs/ARCHITECTURE.md``):
   and the drain (:func:`~repro.sim.matching.drain_batch`);
 * :mod:`repro.sim.exec_batch` — the cohort executor, the one main loop
   every run goes through (crash faults and ``--profile`` included);
-* this module — protocol semantics (send/receive/collective timing
-  arithmetic, flow control, faults) and the generic op handlers the
-  executor falls back to outside its inlined fast paths.
+* this module — run state and the protocol semantics the executor
+  does not inline: the generic send (fault fates, routed fabrics), the
+  congestion helpers, wait resumption, crash faults and the deadlock
+  diagnostic.
 
 Commit order, tie-breaking, timing and counters are pinned by the golden
 suites in ``tests/sim/golden/``; the Hypothesis equivalence tests hold
 the executor to a one-op-at-a-time reference loop that lives with the
-tests (``tests/sim/reference_loop.py``).
+tests and carries its own dispatch and drain
+(``tests/sim/reference_loop.py``).
 """
 
 from __future__ import annotations
@@ -50,15 +52,13 @@ from repro import obs
 from repro.errors import MPIUsageError, SimDeadlockError, SimulationError
 from repro.sim.diagnostics import (BlockedOp, DeadlockDiagnostic,
                                    find_cycle)
-from repro.sim.exec_batch import _BLOCK, _CollInstance, run_batch
-from repro.sim.matching import (MatchIndex, _Message, _PendingRecv,
-                                arrival_est, drain_batch)
+from repro.sim.exec_batch import _CollInstance, run_batch
+from repro.sim.matching import MatchIndex, _Message, drain_batch
 from repro.sim.network import NetworkModel
-from repro.sim.ops import (ANY_SOURCE, Collective, Compute, Op, PostRecv,
-                           PostSend, Test, WaitAll, WaitAny)
-from repro.sim.policy import drain_policy, resolve_policy
+from repro.sim.ops import ANY_SOURCE, PostSend
+from repro.sim.policy import resolve_policy
 from repro.sim.queueing import resolve_queue_discipline
-from repro.sim.requests import Request, Status
+from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY, Scheduler
 
 
@@ -125,11 +125,9 @@ class Engine:
         self._dirty = s.dirty
         self._deferred_dsts = s.deferred_dsts
         self._horizon = s.horizon
-        # the drain: candidate-heap matching for the canonical schedule;
-        # a non-canonical policy needs the full candidate enumeration to
-        # choose from (the heaps answer canonical-minimum queries only)
-        self._drain = MethodType(
-            drain_batch if self.policy.canonical else drain_policy, self)
+        # one drain for every schedule policy: drain_batch reads
+        # self.policy to pick among a wildcard's candidates
+        self._drain = MethodType(drain_batch, self)
         # -- protocol-side per-rank state -----------------------------------
         # receive-side message processing is serial: a rank's "receive
         # processor" finishes one message before starting the next, so a
@@ -298,64 +296,6 @@ class Engine:
 
     def now(self, rank: int) -> float:
         return self._ranks[rank].clock
-
-    # -- generic op dispatch ------------------------------------------------
-    def _apply(self, rs: _RankState, op: Op):
-        if isinstance(op, Compute):
-            if self._faults is not None:
-                rs.clock += op.duration * \
-                    self._faults.compute_factor(rs.rank)
-            else:
-                rs.clock += op.duration
-            return None
-        if isinstance(op, PostSend):
-            return self._apply_send(rs, op)
-        if isinstance(op, PostRecv):
-            return self._apply_recv(rs, op)
-        if isinstance(op, WaitAll):
-            done = self._try_waitall(rs, op.requests, relaxed=False)
-            if done is not None:
-                return done
-            rs.blocked_kind = "waitall"
-            rs.blocked_data = op.requests
-            self._register_waiter(rs, op.requests)
-            return _BLOCK
-        if isinstance(op, WaitAny):
-            done = self._try_waitany(rs, op.requests, relaxed=False)
-            if done is not None:
-                return done
-            rs.blocked_kind = "waitany"
-            rs.blocked_data = op.requests
-            self._register_waiter(rs, op.requests)
-            return _BLOCK
-        if isinstance(op, Test):
-            # A test succeeds only if the operation has completed by the
-            # rank's current virtual time; testing never advances the clock
-            # past the completion (matching MPI_Test semantics).
-            req = op.request
-            if req.complete and req.completion <= rs.clock:
-                return (True, req.status)
-            return (False, None)
-        if isinstance(op, Collective):
-            return self._apply_collective(rs, op)
-        raise MPIUsageError(f"rank {rs.rank} yielded non-op {op!r}")
-
-    def _register_waiter(self, rs: _RankState, requests) -> None:
-        """Route future completions of ``requests`` to the blocking rank.
-
-        A rank blocking on WaitAny with an already-complete request goes
-        straight onto the dirty set: its resumability depends on the
-        safety horizon (which moves as other ranks run), not on any new
-        completion, so it must be re-examined every scheduler pass.
-        """
-        any_complete = False
-        for req in requests:
-            if req.complete:
-                any_complete = True
-            else:
-                req.waiter = rs.rank
-        if any_complete and rs.blocked_kind == "waitany":
-            self._dirty.add(rs.rank)
 
     # -- sends ----------------------------------------------------------------
     def _apply_send(self, rs: _RankState, op: PostSend) -> Request:
@@ -599,50 +539,6 @@ class Engine:
             busy[link] = busy.get(link, 0.0) + ser
         return links, inject, t
 
-    # -- receives ---------------------------------------------------------------
-    def _apply_recv(self, rs: _RankState, op: PostRecv) -> Request:
-        if op.src != ANY_SOURCE and op.src >= self.nranks:
-            raise MPIUsageError(
-                f"rank {rs.rank} receives from nonexistent rank {op.src}")
-        req = Request("recv", rs.rank)
-        req.peer = op.src
-        pr = _PendingRecv(self._pr_seq, rs.rank, op.src, op.tag, op.comm_id,
-                          rs.clock, req)
-        self._pr_seq += 1
-        self._match.add_recv(pr)
-        self._drain(rs.rank, relaxed=False)
-        return req
-
-    # -- matching ------------------------------------------------------------
-    def _commit_match(self, pr: _PendingRecv, msg: _Message) -> None:
-        self.matches_committed += 1
-        model = self.model
-        arrival = arrival_est(msg, pr.post_time)
-        # message processing starts when the data is here, the receive is
-        # posted, and the receiver's (serial) message processor is free
-        start = max(pr.post_time, arrival, self._rx_busy[pr.rank])
-        completion = start
-        if msg.protocol == "eager" and arrival < pr.post_time:
-            completion += model.unexpected_copy(msg.nbytes)
-        completion += model.recv_overhead(msg.nbytes)
-        self._rx_busy[pr.rank] = completion
-        pr.rreq.completion = completion
-        pr.rreq.status = Status(msg.src, msg.tag, msg.nbytes)
-        pr.rreq.message = msg
-        if pr.rreq.waiter is not None:
-            self._dirty.add(pr.rreq.waiter)
-        # sender-side completion for rendezvous / throttled sends
-        if msg.sreq.completion is None:
-            msg.sreq.completion = completion
-            msg.sreq.status = Status(msg.src, msg.tag, msg.nbytes)
-            if msg.sreq.waiter is not None:
-                self._dirty.add(msg.sreq.waiter)
-        m = self._match
-        if msg.charged:
-            m.unexpected_bytes[msg.dst] -= msg.nbytes
-        m.retire_message(msg)
-        m.retire_recv(pr)
-
     # -- waits ----------------------------------------------------------------
     def _try_waitall(self, rs: _RankState, requests, relaxed: bool):
         if not all(r.complete for r in requests):
@@ -662,41 +558,6 @@ class Engine:
                 return None
         rs.clock = max(rs.clock, t)
         return (i, requests[i].status)
-
-    # -- collectives ------------------------------------------------------------
-    def _apply_collective(self, rs: _RankState, op: Collective):
-        if rs.rank not in op.group:
-            raise MPIUsageError(
-                f"rank {rs.rank} called collective on group excluding it")
-        seq = rs.coll_seq.get(op.comm_id, 0)
-        rs.coll_seq[op.comm_id] = seq + 1
-        key = (op.comm_id, seq)
-        inst = self._coll.get(key)
-        if inst is None:
-            inst = _CollInstance(op.key, op.group, op.nbytes)
-            self._coll[key] = inst
-        else:
-            if inst.group != op.group or inst.key != op.key:
-                raise MPIUsageError(
-                    f"collective mismatch on comm {op.comm_id} seq {seq}: "
-                    f"{inst.key}/{inst.group} vs {op.key}/{op.group}")
-            inst.nbytes = max(inst.nbytes, op.nbytes)
-        inst.arrivals[rs.rank] = rs.clock
-        inst.nleft -= 1  # kept in step for the executor's countdown
-        if len(inst.arrivals) == len(inst.group):
-            start = max(inst.arrivals.values())
-            inst.completion = start + self.model.collective_cost(
-                inst.key, len(inst.group), inst.nbytes)
-            # the caller resumes immediately; blocked participants are
-            # woken through the dirty set on the next scheduler pass
-            for r in inst.arrivals:
-                if r != rs.rank:
-                    self._dirty.add(r)
-            rs.clock = inst.completion
-            return None
-        rs.blocked_kind = "collective"
-        rs.blocked_data = inst
-        return _BLOCK
 
     # -- resumption -------------------------------------------------------------
     def _try_resume(self, rs: _RankState, relaxed: bool) -> bool:

@@ -7,7 +7,8 @@ that rank's *op cohort* — the run of operations it issues before
 blocking — in one frame:
 
 * class-identity dispatch on the concrete op classes with every hot
-  container and model query bound to a local;
+  container and model query bound to a local (any other yielded value
+  is an :class:`~repro.errors.MPIUsageError`);
 * the fast-path send/receive handlers inline the protocol arithmetic
   whenever no fault fate or routed link is involved, and cache each
   message's fixed arrival estimate for the matching layer.  Under the
@@ -29,8 +30,9 @@ blocking — in one frame:
 Byte-identity discipline: every float operation happens in the same
 order as a one-op-at-a-time loop would run it, counters (``steps``
 etc.) are bumped at the same program points, and anything the fast
-path cannot mirror exactly (fault fates, routed fabrics) is delegated
-to the engine's generic handlers.  The golden
+path cannot mirror exactly (fault fates, routed fabrics) goes through
+``Engine._apply_send``.  Every drain, canonical or not, is
+:func:`repro.sim.matching.drain_batch`.  The golden
 suites under ``tests/sim/golden/`` and the Hypothesis equivalence tests
 (against the test-only ``tests/sim/reference_loop.py``) pin this
 bit-for-bit.
@@ -50,9 +52,6 @@ from repro.sim.ops import (ANY_SOURCE, Collective, Compute, PostRecv,
 from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY
 
-#: sentinel returned by the generic ``Engine._apply`` when a rank blocks
-_BLOCK = object()
-
 
 class _CollInstance:
     __slots__ = ("key", "group", "nbytes", "arrivals", "completion",
@@ -64,9 +63,8 @@ class _CollInstance:
         self.nbytes = nbytes
         self.arrivals: Dict[int, float] = {}
         self.completion: Optional[float] = None
-        #: countdown of group members yet to arrive; the inline path and
-        #: ``Engine._apply_collective`` both decrement it, so ``nleft ==
-        #: len(group) - len(arrivals)`` holds whichever handled an arrival
+        #: countdown of group members yet to arrive: the executor
+        #: decrements it per arrival and completes the instance at zero
         self.nleft = len(group)
 
 
@@ -181,8 +179,9 @@ def run_batch(eng) -> None:
     # already sorted by the heap's (clock, rank) key.  Appending them to
     # a plain list consumed by index skips ~two heap sifts per resume;
     # the pop below merges the queue front against the heap's valid top,
-    # so pop order is exactly Scheduler.pop_ready's.  Any resume that
-    # would break the queue's sortedness goes to the heap instead.
+    # so pop order is exactly the heap's smallest valid (clock, rank).
+    # Any resume that would break the queue's sortedness goes to the
+    # heap instead.
     rq = []
     rq_append = rq.append
     rq_i = 0
@@ -190,8 +189,8 @@ def run_batch(eng) -> None:
     # non-canonical schedule policy: cohort ordering routes through
     # sched.pop_ready_policy, and the resume-queue shortcut is disabled
     # (its front-of-queue pops would bypass the policy's cohort
-    # collection).  The defer-memo fast paths stay valid: the policy
-    # drain never writes the memo, so the memo lookups above never hit.
+    # collection).  The defer-memo fast paths stay valid: under a policy
+    # drain_batch never writes the memo, so the memo lookups never hit.
     policy_tie = None if eng.policy.canonical else eng.policy
 
     try:
@@ -279,9 +278,10 @@ def run_batch(eng) -> None:
                 dirty.clear()
                 if stays is not None:
                     dirty.update(stays)
-            # inline pop_ready: two-way merge of the resume queue's valid
-            # front and the lazy-deletion heap's valid top — identical
-            # (clock, rank) order to Scheduler.pop_ready
+            # pop: two-way merge of the resume queue's valid front and
+            # the lazy-deletion ready heap's valid top, in (clock, rank)
+            # order; an entry is stale once its rank was stepped or
+            # re-queued at a later clock
             rs = None
             if policy_tie is not None:
                 # the resume queue is empty (appends gated off above),
@@ -341,8 +341,8 @@ def run_batch(eng) -> None:
             # to draining after every post.  The flush must land before
             # anything that reads completion state: WaitAll / WaitAny /
             # Test evaluation, a send to self (its unexpected-buffer
-            # charge checks our own receive queue), the generic
-            # fallback, and rank completion (a crash included).
+            # charge checks our own receive queue), and rank completion
+            # (a crash included).
             gen_send = rs.gen.send
             value = rs.pending_value
             rs.pending_value = None
@@ -581,27 +581,9 @@ def run_batch(eng) -> None:
                     else:
                         value = (False, None)
                     continue
-                # unknown concrete class: op subclasses and junk go
-                # through the generic Engine._apply (isinstance checks,
-                # usage errors).  Sync the locally-tracked counters so
-                # the generic handlers see and leave consistent state.
-                if recv_pending:
-                    recv_pending = False
-                    drain(rs.rank, False)
-                if fast_send:
-                    eng._msg_seq = msg_seq
-                eng._pr_seq = pr_seq
-                eng.messages_sent += messages_sent
-                eng.bytes_sent += bytes_sent
-                messages_sent = 0
-                bytes_sent = 0
-                value = eng._apply(rs, op)
-                if fast_send:
-                    msg_seq = eng._msg_seq
-                pr_seq = eng._pr_seq
-                if value is _BLOCK:
-                    rs.state = BLOCKED
-                    break
+                # dispatch is on the exact op class: anything else,
+                # an op subclass included, is a usage error
+                raise MPIUsageError(f"rank {rs.rank} yielded non-op {op!r}")
     finally:
         eng.steps += steps
         eng.messages_sent += messages_sent

@@ -22,7 +22,8 @@ the simulator, split out of the monolithic engine:
   (:meth:`MatchIndex.candidates_for` + ``min``).
 
 The Hypothesis equivalence suite compares the heap against that scan:
-its reference loop drains through :func:`repro.sim.policy.drain_policy`.
+the test-only reference loop (``tests/sim/reference_loop.py``) drains
+by the full scan alone.
 """
 
 from __future__ import annotations
@@ -488,17 +489,17 @@ class MatchIndex:
 
 
 def drain_batch(self, dst: int, relaxed: bool) -> bool:
-    """The engine's drain: match pending receives at ``dst``.
+    """The engine's one drain: match pending receives at ``dst``.
 
-    Bound as ``Engine._drain`` under the canonical schedule policy;
-    ``self`` is the engine.  Receives are scanned in post order: a
-    directed receive matches its channel's first tag-compatible
-    message, a wildcard receive its earliest ``(est, src, seq)``
-    candidate only when horizon-safe, and an unsafe wildcard freezes
-    its communicator.  One pass is exhaustive (a commit only removes
-    state).  Returns True if any match was committed.  These are the
-    semantics of :func:`repro.sim.policy.drain_policy`'s full scan under
-    the canonical policy, with two pure accelerations:
+    Bound as ``Engine._drain`` under every schedule policy; ``self`` is
+    the engine.  Receives are scanned in post order: a directed receive
+    matches its channel's first tag-compatible message, a wildcard
+    receive an ``(est, src, seq)``-earliest candidate only when
+    horizon-safe, and an unsafe wildcard freezes its communicator.  One
+    pass is exhaustive (a commit only removes state).  Returns True if
+    any match was committed.  These are the semantics of the full
+    candidate scan (the test-only reference loop's drain), with two pure
+    accelerations:
 
     * ANY_SOURCE/ANY_TAG candidates come from the per-``(dst, comm)``
       candidate heap when every live channel head is eager, instead of
@@ -507,6 +508,13 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
       back to the full scan;
     * when the drain walks a single wildcard bucket, the first freeze
       ends it (every remaining receive shares the frozen communicator).
+
+    Under a non-canonical schedule policy the heap is skipped (it
+    answers canonical-minimum queries only), so the deferral memo is
+    never written.  The horizon still gates *when* a wildcard matches,
+    on the earliest candidate's arrival; once it may, the policy picks
+    *which* of two or more candidates it takes
+    (:meth:`~repro.sim.policy.SchedulerPolicy.choose_match`).
     """
     m = self._match
     if not m.channels_by_dst[dst] or not m.pending_live[dst]:
@@ -525,6 +533,9 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
                 del m.defer_memo[dst]
             else:
                 del m.defer_memo[dst]
+    # None under the canonical policy: the heap and the canonical
+    # minimum answer every wildcard
+    policy = None if self.policy.canonical else self.policy
     any_progress = False
     frozen_comms: set = set()
     # the horizon is constant for the whole drain (no rank clock moves
@@ -551,7 +562,7 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
             best = None
             heap_best = False
             dc = (dst, pr.comm_id)
-            if not rdv_heads.get(dc):
+            if policy is None and not rdv_heads.get(dc):
                 if pr.tag == ANY_TAG:
                     best = best_candidate(dst, pr.comm_id)
                 else:
@@ -597,15 +608,20 @@ def drain_batch(self, dst: int, relaxed: bool) -> bool:
                         break
                     frozen_comms.add(pr.comm_id)
                     continue
-            msg = best
+            if policy is None or len(cands) == 1:
+                msg = best
+            else:
+                msg = policy.choose_match(pr, cands)
+                arr = arrival_est(msg, pr.post_time)
         else:
             msg = m.first_compatible_in_channel(
                 (pr.src, dst, pr.comm_id), pr.tag)
             if msg is None:
                 continue
             arr = arrival_est(msg, pr.post_time)
-        # inline commit — identical arithmetic and side-effect order to
-        # Engine._commit_match
+        # commit: the receive completes once the data is here, the
+        # receive is posted and the receiver's serial message processor
+        # is free
         self.matches_committed += 1
         post = pr.post_time
         completion = post if post >= arr else arr

@@ -33,7 +33,12 @@ ANY_TAG = -1
 
 
 class Op:
-    """Marker base class for all simulator operations."""
+    """Marker base class for all simulator operations.
+
+    The engine dispatches on the exact class of a yielded op: a subclass
+    of one of the classes below is not recognised, and like any other
+    non-op value it ends the run in an :class:`~repro.errors.MPIUsageError`.
+    """
 
     __slots__ = ()
 

@@ -5,11 +5,10 @@ other step is forced by MPI semantics and virtual time:
 
 * **wildcard match selection** — which candidate message an ANY_SOURCE
   receive takes when several channels hold a compatible message (the
-  engine's drain: :func:`repro.sim.matching.drain_batch`, or
-  :func:`drain_policy` under a non-canonical policy);
+  engine's one drain, :func:`repro.sim.matching.drain_batch`);
 * **cohort ordering** — which rank runs next when several runnable
-  ranks share the same virtual clock
-  (:meth:`repro.sim.sched.Scheduler.pop_ready`).
+  ranks share the same virtual clock (the executor's ready-heap pop, or
+  :meth:`repro.sim.sched.Scheduler.pop_ready_policy`).
 
 The canonical policy pins both to one deterministic order (earliest
 arrival estimate, then source, then sequence number; lowest rank first)
@@ -20,8 +19,8 @@ choice points explicit so the schedule-space fuzzer (``repro fuzz``,
 see ``docs/FUZZING.md``) can explore *other* legal schedules:
 
 * ``canonical`` — byte-identical to the engine without the layer (the
-  executor keeps its candidate-heap drain and inlined pop; this class
-  exists so callers can hold a policy object uniformly);
+  drain keeps its candidate heap and the executor its inlined pop;
+  this class exists so callers can hold a policy object uniformly);
 * ``random`` — seeded uniform choice over the legal candidates at each
   decision point, simsched-style;
 * ``adversarial-delay`` — the wildcard match that maximizes receiver
@@ -43,7 +42,6 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.sim.matching import _Message, _PendingRecv, arrival_est
-from repro.sim.ops import ANY_SOURCE
 
 #: the recognized policy names, in CLI/choices order
 POLICIES = ("adversarial-delay", "canonical", "random")
@@ -59,7 +57,8 @@ class SchedulerPolicy:
     selection) and :meth:`pick_rank` (same-clock cohort ordering).
     ``canonical`` is True only for :class:`CanonicalPolicy`, whose code
     paths the engine never routes through this object — the flag is how
-    the engine decides whether to install the policy drain/pop at all.
+    the drain and the executor decide whether to consult the policy at
+    all.
     """
 
     name = "policy"
@@ -91,8 +90,8 @@ class CanonicalPolicy(SchedulerPolicy):
 
     Production runs never call these methods (canonical runs keep the
     candidate-heap drain and the inlined pop), but they implement the
-    same order: the test-only reference loop drains through
-    :func:`drain_policy` with this policy as its full-scan oracle.
+    same order: the test-only reference loop's full-scan drain picks
+    through this policy as its oracle.
     """
 
     name = "canonical"
@@ -203,63 +202,3 @@ def resolve_policy(policy=None,
     if policy == "random":
         return RandomPolicy(seed)
     return AdversarialDelayPolicy(seed)
-
-
-def drain_policy(self, dst: int, relaxed: bool) -> bool:
-    """Policy-mode drain: match pending receives at ``dst``.
-
-    Bound as ``Engine._drain`` when the engine runs under a
-    non-canonical policy; ``self`` is the engine.  It is the full
-    candidate scan of :func:`repro.sim.matching.drain_batch` without
-    the candidate heaps, and once a wildcard receive is *allowed* to
-    match, the policy picks which candidate it takes (under
-    :class:`CanonicalPolicy`, the canonical minimum).
-
-    Everything that gates **when** a match may happen stays canonical:
-
-    * the safety horizon is checked against the earliest candidate
-      arrival, exactly as the canonical drain does, so a wildcard still
-      only commits once no other rank could produce an earlier
-      candidate — by which point every legal alternative the policy
-      should see is in the candidate set;
-    * an unmatchable or deferred wildcard freezes its communicator for
-      later receives, preserving non-overtaking order.
-
-    The candidate heaps answer only canonical-minimum queries, so every
-    policy run enumerates candidates — and draws — through this one
-    function.
-    """
-    m = self._match
-    policy = self.policy
-    any_progress = False
-    frozen_comms: set = set()
-    it, _ = m.drain_buckets(dst)
-    for pr in it:
-        if pr.matched or pr.comm_id in frozen_comms:
-            continue
-        if pr.src == ANY_SOURCE:
-            cands = m.candidates_for(pr)
-            if not cands:
-                frozen_comms.add(pr.comm_id)
-                continue
-            if not relaxed:
-                arr = min(arrival_est(msg, pr.post_time)
-                          for msg in cands)
-                if arr > self._horizon(dst):
-                    self._deferred_dsts.add(dst)
-                    frozen_comms.add(pr.comm_id)
-                    continue
-            if len(cands) == 1:
-                best = cands[0]
-            else:
-                best = policy.choose_match(pr, cands)
-            self._commit_match(pr, best)
-            any_progress = True
-        else:
-            msg = m.first_compatible_in_channel(
-                (pr.src, dst, pr.comm_id), pr.tag)
-            if msg is None:
-                continue
-            self._commit_match(pr, msg)
-            any_progress = True
-    return any_progress

@@ -18,7 +18,8 @@ The scheduler knows nothing about messages or matching; it sees only
 rank states (:class:`repro.sim.engine._RankState`) and clocks.  Its
 containers are plain heaps/sets so the cohort executor
 (:mod:`repro.sim.exec_batch`) can bind them as locals in its hot loop
-and inline :meth:`Scheduler.pop_ready` without changing semantics.
+and pop the ready heap inline; a ready-heap entry is stale once its
+rank was stepped or re-queued at a later clock.
 """
 
 from __future__ import annotations
@@ -61,33 +62,17 @@ class Scheduler:
             push(self.ready_heap, (0.0, rs.rank))
             push(self.clock_heap, (0.0, rs.rank))
 
-    def pop_ready(self) -> Optional[object]:
-        """Smallest-(clock, rank) READY rank via the lazy-deletion heap.
-
-        An entry is pushed whenever a rank becomes READY; it is stale if
-        the rank has since been stepped (state changed) or was re-queued
-        at a later clock.
-        """
-        heap = self.ready_heap
-        ranks = self.ranks
-        while heap:
-            clock, rank = heapq.heappop(heap)
-            rs = ranks[rank]
-            if rs.state == READY and rs.clock == clock:
-                return rs
-        return None
-
     def pop_ready_policy(self, policy) -> Optional[object]:
-        """Policy-ordered variant of :meth:`pop_ready`.
+        """The next READY rank under a non-canonical
+        :class:`~repro.sim.policy.SchedulerPolicy`.
 
-        The executor calls this instead of :meth:`pop_ready` when the
-        engine runs under a non-canonical
-        :class:`~repro.sim.policy.SchedulerPolicy`: all READY ranks tied
-        at the smallest clock are collected (the full legal cohort —
-        duplicate lazy heap entries deduplicate through the rank set),
-        the policy picks one, and the rest are pushed back untouched.  A
-        singleton cohort consumes no policy decision, so RNG draws
-        happen only at real choice points.
+        The executor pops the ready heap inline under the canonical
+        policy (smallest ``(clock, rank)``) and calls this otherwise:
+        all READY ranks tied at the smallest clock are collected (the
+        full legal cohort — duplicate lazy heap entries deduplicate
+        through the rank set), the policy picks one, and the rest are
+        pushed back untouched.  A singleton cohort consumes no policy
+        decision, so RNG draws happen only at real choice points.
         """
         heap = self.ready_heap
         ranks = self.ranks

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MPIUsageError, SimDeadlockError
 from repro.sim import (ANY_SOURCE, ANY_TAG, Compute, Engine, PostRecv,
                        PostSend, SimpleModel, Test, WaitAll, WaitAny)
+from tests.sim.reference_loop import LOOPS, executor
 
 
 def run(nranks, programs, model=None, **kw):
@@ -287,6 +288,19 @@ class TestErrors:
 
         with pytest.raises(MPIUsageError):
             run(2, [prog(), iter(())])
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_non_op_yield_names_rank_and_value(self, loop):
+        def idle():
+            yield Compute(1e-3)
+
+        def prog():
+            yield Compute(1e-6)
+            yield 42
+
+        with executor(loop), \
+                pytest.raises(MPIUsageError, match="rank 1 yielded non-op 42"):
+            run(2, [idle(), prog()])
 
     def test_deadlock_both_blocking_recv(self):
         def prog(peer):

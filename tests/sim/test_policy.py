@@ -16,6 +16,7 @@ from repro.mpi.world import run_spmd
 from repro.pipeline import PipelineConfig
 from repro.sim.engine import Engine
 from repro.sim.network import make_model
+from repro.sim.synth import wildcard_programs
 from repro.sim.policy import (POLICIES, SEEDED_POLICIES,
                               AdversarialDelayPolicy, CanonicalPolicy,
                               RandomPolicy, resolve_policy)
@@ -184,3 +185,40 @@ class TestSeededDeterminism:
                         tuple(exc.diagnostic.cycle)
                         if exc.diagnostic else None)
         assert run("scalar") == run("batch")
+
+
+class _CountingMemo(dict):
+    """A defer memo that counts its writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def _wildcard_run(policy=None, seed=None, loop="batch"):
+    eng = Engine(16, make_model("simple"), schedule_policy=policy,
+                 schedule_seed=seed)
+    memo = eng._match.defer_memo = _CountingMemo()
+    with executor(loop):
+        total = eng.run(wildcard_programs(16))
+    return memo.writes, total.hex(), eng.matches_committed
+
+
+class TestPolicyDrain:
+    """Every policy drains through ``drain_batch``; a non-canonical one
+    skips the candidate heap, so it never memoizes a deferral."""
+
+    def test_canonical_run_memoizes_deferrals(self):
+        writes, _, _ = _wildcard_run()
+        assert writes > 0
+
+    @pytest.mark.parametrize("policy", SEEDED_POLICIES)
+    def test_policy_run_never_writes_the_memo(self, policy):
+        writes, total, matches = _wildcard_run(policy, 0)
+        assert writes == 0
+        _, ref_total, ref_matches = _wildcard_run(policy, 0, loop="scalar")
+        assert (total, matches) == (ref_total, ref_matches)
