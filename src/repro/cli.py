@@ -40,6 +40,13 @@ from repro.tools.matrix import (communication_matrix, hotspots,
                                 render_matrix)
 
 
+#: simulator steps per rank that ``repro run`` and ``repro pipeline``
+#: allow (times ``--np``): 100x and more above the steps of any shipped
+#: run (the largest, sweep3d traced at np 1024, takes 614,253 in all),
+#: so only a runaway program reaches it, and ends in a SimulationError
+STEPS_PER_RANK = 10 ** 8
+
+
 def _add_workload(parser):
     parser.add_argument("--app", required=True, choices=sorted(APPS))
     parser.add_argument("--np", type=int, required=True)
@@ -300,6 +307,7 @@ def cmd_run(args):
     with open(args.program) as fh:
         source = fh.read()
     config = PipelineConfig(nranks=args.np, platform=args.platform,
+                            max_steps=STEPS_PER_RANK * args.np,
                             **_topology_kwargs(args),
                             **_queueing_kwargs(args),
                             **_schedule_kwargs(args))
@@ -344,6 +352,7 @@ def cmd_pipeline(args):
         plan = FaultPlan.load(args.fault_plan)
     config = PipelineConfig(app=args.app, nranks=args.np, cls=args.cls,
                             platform=args.platform,
+                            max_steps=STEPS_PER_RANK * args.np,
                             use_cache=not args.no_cache,
                             cache_dir=args.cache_dir,
                             fault_plan=plan,

@@ -30,17 +30,20 @@ The core is layered (see ``docs/ARCHITECTURE.md``):
   pending receives, cached arrival estimates, wildcard candidate heaps,
   and the drain (:func:`~repro.sim.matching.drain_batch`);
 * :mod:`repro.sim.exec_batch` — the cohort executor, the one main loop
-  every run goes through (crash faults and ``--profile`` included);
-* this module — run state and the protocol semantics the executor
-  does not inline: the generic send (fault fates, routed fabrics), the
-  congestion helpers, wait resumption, crash faults and the deadlock
+  every run goes through (crash faults and ``--profile`` included), and
+  the one send;
+* this module — run state and the helpers the executor's send and
+  resumes call: the fault fate of a send (``_send_fault``), the
+  congestion formulas (leaky bucket, ejection wire, backlog stall,
+  routed fold), wait resumption, crash faults and the deadlock
   diagnostic.
 
 Commit order, tie-breaking, timing and counters are pinned by the golden
 suites in ``tests/sim/golden/``; the Hypothesis equivalence tests hold
 the executor to a one-op-at-a-time reference loop that lives with the
-tests and carries its own dispatch and drain
-(``tests/sim/reference_loop.py``).
+tests and carries its own dispatch, drain and send
+(``tests/sim/reference_loop.py``); it shares only the congestion
+formulas with this module.
 """
 
 from __future__ import annotations
@@ -55,10 +58,9 @@ from repro.sim.diagnostics import (BlockedOp, DeadlockDiagnostic,
 from repro.sim.exec_batch import _CollInstance, run_batch
 from repro.sim.matching import MatchIndex, _Message, drain_batch
 from repro.sim.network import NetworkModel
-from repro.sim.ops import ANY_SOURCE, PostSend
+from repro.sim.ops import ANY_SOURCE
 from repro.sim.policy import resolve_policy
 from repro.sim.queueing import resolve_queue_discipline
-from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY, Scheduler
 
 
@@ -161,8 +163,6 @@ class Engine:
         # leaky-bucket overload accounting: (last update time, level bytes)
         self._overload: Dict[int, Tuple[float, float]] = {}
         self.overload_events = 0
-        #: sends that took _apply_send, not the executor's inline path
-        self.generic_sends = 0
         self._coll: Dict[Tuple[int, int], _CollInstance] = {}
         self._done_count = 0
         # per-engine sequence counters: two engines in one process assign
@@ -229,7 +229,6 @@ class Engine:
             ("engine.messages_sent", self.messages_sent),
             ("engine.bytes_sent", self.bytes_sent),
             ("engine.overload_events", self.overload_events),
-            ("engine.generic_sends", self.generic_sends),
         ]
         if self._routed and self._link_msgs:
             span = self.total_time
@@ -297,131 +296,61 @@ class Engine:
     def now(self, rank: int) -> float:
         return self._ranks[rank].clock
 
-    # -- sends ----------------------------------------------------------------
-    def _apply_send(self, rs: _RankState, op: PostSend) -> Request:
-        """Any send.  The executor inlines sends without faults on a flat
-        fabric; this is the path that adds fault fates and routed links
-        to the congestion helpers below."""
-        if op.dst >= self.nranks:
-            raise MPIUsageError(
-                f"rank {rs.rank} sends to nonexistent rank {op.dst}")
-        self.generic_sends += 1
-        model = self.model
-        req = Request("send", rs.rank)
-        req.peer = op.dst
-        post_time = rs.clock
-        rs.clock += model.send_overhead(op.nbytes)
-        inject = rs.clock
-        eager = op.nbytes <= model.eager_threshold
-        fate = None
-        if self._faults is not None:
-            fate = self._faults.send_fate(self._msg_seq)
-        lost = fate is not None and fate.lost
-        charged = False
-        throttled = False
-        arrival = None
-        if eager and model.overload_drain_rate is not None:
-            inject = self._overload_backoff(rs, op.dst, op.nbytes, inject)
-        route_links: Tuple[str, ...] = ()
-        if eager and self._routed:
-            route_links, inject, arrival = self._routed_arrival(
-                rs, op, inject)
-        elif eager and model.wire_queueing:
-            inject, arrival = self._wire_arrival(rs, op.dst, op.nbytes,
-                                                 inject)
-        fault_delay = 0.0
-        if fate is not None and not lost:
-            fault_delay = fate.delay
-            if self._routed and not route_links:
-                # rendezvous in routed mode: the route was not folded
-                # through the links, but link-targeted degradation
-                # windows still need to see which links the data crosses
-                route_links = model.fabric.route(rs.rank, op.dst)
-            lat_f, bw_f = self._faults.window_factors(op.dst, inject,
-                                                      links=route_links)
-            if lat_f != 1.0 or bw_f != 1.0:
-                base = model.transit_time(0)
-                extra = (lat_f - 1.0) * base + (bw_f - 1.0) * \
-                    (model.transit_time(op.nbytes) - base)
-                fault_delay += extra
-                self._faults.delay_injected += extra
-            if arrival is not None and fault_delay:
-                # wire-queued eager: bake the injected delay into the
-                # fixed arrival and keep the ejection link busy until
-                # the late (retransmitted/degraded) copy lands
-                arrival += fault_delay
-                if self._routed:
-                    self._link_free[route_links[-1]] = arrival
-                else:
-                    self._wire_free[op.dst] = arrival
-                fault_delay = 0.0
-            if fate.duplicate:
-                # the spurious copy consumes receive-side resources
-                if self._routed:
-                    self._link_free[route_links[-1]] = \
-                        self._link_free.get(route_links[-1], 0.0) + \
-                        model.eject_time(op.nbytes)
-                elif model.wire_queueing:
-                    self._wire_free[op.dst] += model.eject_time(op.nbytes)
-                else:
-                    self._rx_busy[op.dst] += model.recv_overhead(op.nbytes)
-        if eager and lost:
-            # every transmission attempt dropped: the buffered send still
-            # completes locally, but nothing ever arrives at the receiver
-            req.completion = inject
-        elif eager:
-            preposted = self._match.has_compatible_recv(
-                op.dst, rs.rank, op.tag, op.comm_id)
-            if not preposted:
-                cap = model.unexpected_capacity
-                pending = self._match.unexpected_bytes[op.dst]
-                if cap is not None and pending + op.nbytes > cap:
-                    throttled = True
-                charged = True
-                self._match.unexpected_bytes[op.dst] += op.nbytes
-            if not throttled:
-                req.completion = inject  # local completion, buffered send
-        msg = _Message(self._msg_seq, rs.rank, op.dst, op.tag, op.comm_id,
-                       op.nbytes, post_time, inject,
-                       "eager" if eager else "rdv", throttled, charged, req,
-                       arrival=arrival, fault_delay=fault_delay)
-        self._msg_seq += 1
-        req.message = msg
-        if lost:
-            # a rendezvous send whose message is lost never completes —
-            # the sender's wait will block and (absent other progress)
-            # surface as a structured deadlock/starvation diagnostic
-            self.messages_sent += 1
-            self.bytes_sent += op.nbytes
-            return req
-        # cache the arrival estimate: every input (inject time, fixed
-        # arrival, fault delay, throttle stall) is immutable once the
-        # message is in a channel, and the operation order below matches
-        # the original per-query arithmetic exactly — see
-        # repro.sim.matching.arrival_est
-        if eager:
-            t = (arrival if arrival is not None
-                 else inject + model.transit_time(op.nbytes, rs.rank,
-                                                  op.dst))
-            if fault_delay:
-                t += fault_delay
-            if throttled:
-                t += model.stall_penalty(op.nbytes)
-            msg.est = t
-        else:
-            handshake = inject + self._min_latency
-            if fault_delay:
-                handshake += fault_delay
-            msg.rdv_ready = handshake
-            msg.rdv_transit = model.transit_time(op.nbytes, rs.rank, op.dst)
-        self._match.add_message(msg)
-        self.messages_sent += 1
-        self.bytes_sent += op.nbytes
-        self._drain(op.dst, relaxed=False)
-        return req
+    # -- sends: the stages run_batch's inline send (the engine's only
+    #    send) calls when they apply to the run
+    def _send_fault(self, msg: _Message, inject: float) -> bool:
+        """Apply the fault plan's fate to ``msg``, sent at ``inject``;
+        True if every transmission attempt was dropped (lost).
 
-    # -- congestion: each formula once, for the executor's inline sends
-    #    and for _apply_send (eager messages only)
+        Runs for every send while a fault plan is active, after the
+        congestion helpers fixed ``inject`` and the estimate (``est``,
+        before any throttle stall, or ``rdv_ready``).  The fate's
+        retransmission/reorder delay and any degradation window that
+        covers the message move that estimate; a wire-queued or routed
+        eager arrival also keeps its ejection link busy until the late
+        copy lands.  A duplicate charges the receive side once more.
+        """
+        faults = self._faults
+        fate = faults.send_fate(msg.seq)
+        if fate.lost:
+            return True
+        model = self.model
+        dst = msg.dst
+        nbytes = msg.nbytes
+        # link-targeted windows see the links the data crosses, whatever
+        # the protocol (the routed fold covers eager messages only)
+        links = model.fabric.route(msg.src, dst) if self._routed else ()
+        delay = fate.delay
+        lat_f, bw_f = faults.window_factors(dst, inject, links=links)
+        if lat_f != 1.0 or bw_f != 1.0:
+            base = model.transit_time(0)
+            extra = (lat_f - 1.0) * base + (bw_f - 1.0) * \
+                (model.transit_time(nbytes) - base)
+            delay += extra
+            faults.delay_injected += extra
+        if delay:
+            if msg.protocol == "rdv":
+                msg.rdv_ready += delay
+            else:
+                msg.est += delay
+                if self._routed:
+                    self._link_free[links[-1]] = msg.est
+                elif model.wire_queueing:
+                    self._wire_free[dst] = msg.est
+        if fate.duplicate:
+            # the spurious copy consumes receive-side resources
+            if self._routed:
+                self._link_free[links[-1]] = \
+                    self._link_free.get(links[-1], 0.0) + \
+                    model.eject_time(nbytes)
+            elif model.wire_queueing:
+                self._wire_free[dst] += model.eject_time(nbytes)
+            else:
+                self._rx_busy[dst] += model.recv_overhead(nbytes)
+        return False
+
+    # -- congestion (eager messages only): each formula exists once and
+    #    the test-only reference loop's send calls it too
     def _overload_backoff(self, rs: _RankState, dst: int, nbytes: int,
                           inject: float) -> float:
         """Leaky bucket: the destination's protocol stack drains at a
@@ -469,9 +398,8 @@ class Engine:
         wire_free[dst] = arrival
         return inject, arrival
 
-    def _routed_arrival(self, rs: _RankState, op: PostSend,
-                        inject: float) -> Tuple[Tuple[str, ...], float,
-                                                float]:
+    def _routed_arrival(self, rs: _RankState, dst: int, nbytes: int,
+                        inject: float) -> Tuple[float, float]:
         """Fold an eager message through its route's per-link FIFOs.
 
         Store-and-forward over named links: the message reaches link *i*
@@ -481,8 +409,9 @@ class Engine:
         delivery serializes exactly like the flat fabric's per-
         destination wire queue.  Flow control (``backlog_stall_threshold``)
         is checked against the ejection link's standing backlog, same as
-        the flat path.  Returns ``(route_links, inject, arrival)`` —
-        ``inject`` may have advanced if the sender was stalled.
+        the flat path.  Returns ``(inject, arrival)``, like
+        :meth:`_wire_arrival`; ``inject`` is later if flow control
+        stalled the sender.
 
         The fold is deliberately sequential: per-link FIFO order is part
         of the defined semantics (each start time depends on the
@@ -491,17 +420,16 @@ class Engine:
         """
         model = self.model
         fabric = model.fabric
-        links = fabric.route(rs.rank, op.dst)
+        links = fabric.route(rs.rank, dst)
         hop = fabric.hop_latency
-        ser = fabric.serialize_time(op.nbytes)
+        ser = fabric.serialize_time(nbytes)
         free = self._link_free
         threshold = model.backlog_stall_threshold
         if threshold is not None:
             reach = inject + len(links) * hop
             backlog = free.get(links[-1], 0.0) - reach
             if backlog > threshold:
-                inject = self._flow_stall(rs, backlog - threshold,
-                                          op.nbytes)
+                inject = self._flow_stall(rs, backlog - threshold, nbytes)
         t = inject
         msgs = self._link_msgs
         busy = self._link_busy
@@ -522,7 +450,7 @@ class Engine:
                 free[link] = t
                 msgs[link] = msgs.get(link, 0) + 1
                 busy[link] = busy.get(link, 0.0) + ser
-            return links, inject, t
+            return inject, t
         for link in links:
             reach = t + hop
             avail = free.get(link, 0.0)
@@ -537,7 +465,7 @@ class Engine:
             free[link] = t
             msgs[link] = msgs.get(link, 0) + 1
             busy[link] = busy.get(link, 0.0) + ser
-        return links, inject, t
+        return inject, t
 
     # -- waits ----------------------------------------------------------------
     def _try_waitall(self, rs: _RankState, requests, relaxed: bool):

@@ -9,14 +9,12 @@ blocking — in one frame:
 * class-identity dispatch on the concrete op classes with every hot
   container and model query bound to a local (any other yielded value
   is an :class:`~repro.errors.MPIUsageError`);
-* the fast-path send/receive handlers inline the protocol arithmetic
-  whenever no fault fate or routed link is involved, and cache each
-  message's fixed arrival estimate for the matching layer.  Under the
-  congestion model the inline send calls the engine's own helpers for
-  the receiver-stack leaky bucket, the serial ejection wire and the
-  backlog stall (each formula exists once, shared with
-  ``Engine._apply_send``); fault injection and routed fabrics go
-  through the engine's generic send (``engine.generic_sends``);
+* the send is inline and is the engine's only send: it caches each
+  message's fixed arrival estimate for the matching layer, and its
+  optional stages are engine helpers bound to locals once per run — the
+  receiver-stack leaky bucket, an eager message's fixed arrival (the
+  routed fold, or the flat fabric's serial ejection wire with its
+  backlog stall) and, under a fault plan, ``Engine._send_fault``;
 * collective completion evaluates ``max`` over the whole
   ``_CollInstance`` arrival cohort at once;
 * dirty-set wakeup is folded into the loop top with the per-kind
@@ -28,14 +26,12 @@ blocking — in one frame:
   engine profiles.
 
 Byte-identity discipline: every float operation happens in the same
-order as a one-op-at-a-time loop would run it, counters (``steps``
-etc.) are bumped at the same program points, and anything the fast
-path cannot mirror exactly (fault fates, routed fabrics) goes through
-``Engine._apply_send``.  Every drain, canonical or not, is
-:func:`repro.sim.matching.drain_batch`.  The golden
-suites under ``tests/sim/golden/`` and the Hypothesis equivalence tests
-(against the test-only ``tests/sim/reference_loop.py``) pin this
-bit-for-bit.
+order as a one-op-at-a-time loop would run it, and counters (``steps``
+etc.) are bumped at the same program points.  Every drain, canonical or
+not, is :func:`repro.sim.matching.drain_batch`.  The golden suites under
+``tests/sim/golden/`` and the Hypothesis equivalence tests pin this
+bit-for-bit against the test-only ``tests/sim/reference_loop.py``,
+which has its own dispatch, drain and send.
 """
 
 from __future__ import annotations
@@ -147,13 +143,18 @@ def run_batch(eng) -> None:
     min_latency = eng._min_latency
     colls = eng._coll
 
-    # fast sends whenever no fault fate or routed link is involved; the
-    # congestion arithmetic is the engine's own helpers, so only faults
-    # and routed fabrics go through Engine._apply_send
-    fast_send = no_faults and not eng._routed
+    # the send's optional stages, bound once per run: the receiver-stack
+    # leaky bucket, the fixed arrival of an eager message (the routed
+    # fold, or the flat fabric's serial ejection wire) and the fault fate
     overload = (eng._overload_backoff
                 if model.overload_drain_rate is not None else None)
-    wire = eng._wire_arrival if model.wire_queueing else None
+    if eng._routed:
+        arrive = eng._routed_arrival
+    elif model.wire_queueing:
+        arrive = eng._wire_arrival
+    else:
+        arrive = None
+    send_fault = None if no_faults else eng._send_fault
     fabric = getattr(model, "fabric", None)
     flat = (type(fabric) is FlatFabric
             and type(model).transit_time is NetworkModel.transit_time)
@@ -384,9 +385,6 @@ def run_batch(eng) -> None:
                     if recv_pending and op.dst == rs.rank:
                         recv_pending = False
                         drain(rs.rank, False)
-                    if not fast_send:
-                        value = eng._apply_send(rs, op)
-                        continue
                     dst = op.dst
                     if dst >= nranks:
                         raise MPIUsageError(
@@ -395,51 +393,50 @@ def run_batch(eng) -> None:
                     nbytes = op.nbytes
                     req = Request("send", rs.rank)
                     req.peer = dst
-                    post_time = rs.clock
-                    inject = post_time + send_overhead(nbytes)
+                    inject = rs.clock + send_overhead(nbytes)
                     rs.clock = inject
-                    if nbytes <= eager_threshold:
+                    eager = nbytes <= eager_threshold
+                    if eager:
                         if overload is not None:
                             inject = overload(rs, dst, nbytes, inject)
-                        arrival = None
-                        if wire is not None:
-                            inject, arrival = wire(rs, dst, nbytes, inject)
-                        throttled = False
-                        charged = False
-                        if not has_recv(dst, rs.rank, op.tag, op.comm_id):
-                            if unexpected_capacity is not None and \
-                                    unexpected[dst] + nbytes > \
-                                    unexpected_capacity:
-                                throttled = True
-                            charged = True
-                            unexpected[dst] += nbytes
-                        if not throttled:
-                            req.completion = inject
-                        msg = _Message(msg_seq, rs.rank, dst, op.tag,
-                                       op.comm_id, nbytes, post_time,
-                                       inject, "eager", throttled,
-                                       charged, req, arrival)
-                        if arrival is not None:
-                            t = arrival
+                        if arrive is not None:
+                            inject, t = arrive(rs, dst, nbytes, inject)
                         elif flat:
                             t = inject + (fab_lat + nbytes / fab_bw)
                         else:
                             t = inject + transit(nbytes, rs.rank, dst)
-                        if throttled:
-                            t += stall_penalty(nbytes)
+                        msg = _Message(msg_seq, rs.rank, dst, op.tag,
+                                       op.comm_id, nbytes, "eager", req)
                         msg.est = t
                     else:
                         msg = _Message(msg_seq, rs.rank, dst, op.tag,
-                                       op.comm_id, nbytes, post_time,
-                                       inject, "rdv", False, False, req)
+                                       op.comm_id, nbytes, "rdv", req)
                         msg.rdv_ready = inject + min_latency
                         msg.rdv_transit = (fab_lat + nbytes / fab_bw) \
                             if flat else transit(nbytes, rs.rank, dst)
                     msg_seq += 1
                     req.message = msg
-                    add_message(msg)
                     messages_sent += 1
                     bytes_sent += nbytes
+                    value = req
+                    if send_fault is not None and send_fault(msg, inject):
+                        # lost: a buffered (eager) send still completes
+                        # locally, but nothing ever reaches the receiver
+                        if eager:
+                            req.completion = inject
+                        continue
+                    if eager:
+                        if not has_recv(dst, rs.rank, op.tag, op.comm_id):
+                            if unexpected_capacity is not None and \
+                                    unexpected[dst] + nbytes > \
+                                    unexpected_capacity:
+                                msg.throttled = True
+                                msg.est += stall_penalty(nbytes)
+                            msg.charged = True
+                            unexpected[dst] += nbytes
+                        if not msg.throttled:
+                            req.completion = inject
+                    add_message(msg)
                     memo = defer_memo.get(dst)
                     if memo is not None and \
                             memo[1] == defer_version[dst] and \
@@ -447,7 +444,6 @@ def run_batch(eng) -> None:
                         deferred_add(dst)
                     else:
                         drain(dst, False)
-                    value = req
                     continue
                 if cls is PostRecv:
                     src = op.src
@@ -588,6 +584,5 @@ def run_batch(eng) -> None:
         eng.steps += steps
         eng.messages_sent += messages_sent
         eng.bytes_sent += bytes_sent
-        if fast_send:
-            eng._msg_seq = msg_seq
+        eng._msg_seq = msg_seq
         eng._pr_seq = pr_seq

@@ -7,11 +7,12 @@ the simulator, split out of the monolithic engine:
   (matched entries are tombstoned in place and purged from heads);
 * pending-receive queues **indexed** per ``(dst, src, comm)`` plus a
   per-``(dst, comm)`` wildcard queue, walked in post order;
-* fixed **arrival estimates** cached on each message at send time
+* fixed **arrival estimates** cached on each message by the send
   (every input — inject time, fixed arrival, fault delay, throttle
-  stall — is immutable once the message is in a channel, so the
-  float arithmetic runs once, in the same operation order as the
-  original per-query computation: bit-identical by construction);
+  stall — is final once the message is in a channel, so the float
+  arithmetic runs once, in the same operation order as the original
+  per-query computation: bit-identical by construction); a message
+  keeps only what matching and commits read;
 * a per-``(dst, comm)`` **wildcard candidate heap** of channel heads
   ordered by the canonical tie-break tuple ``(est, src, seq)``, used by
   :func:`drain_batch` to answer ANY_SOURCE/ANY_TAG queries in O(log n)
@@ -23,7 +24,7 @@ the simulator, split out of the monolithic engine:
 
 The Hypothesis equivalence suite compares the heap against that scan:
 the test-only reference loop (``tests/sim/reference_loop.py``) drains
-by the full scan alone.
+by the full scan alone and builds its messages with its own send.
 """
 
 from __future__ import annotations
@@ -43,30 +44,24 @@ __all__ = ["_Message", "_PendingRecv", "_purge_head", "arrival_est",
 
 
 class _Message:
-    __slots__ = ("seq", "src", "dst", "tag", "comm_id", "nbytes", "post_time",
-                 "inject_time", "protocol", "throttled", "charged", "sreq",
-                 "arrival", "matched", "fault_delay", "est", "rdv_ready",
-                 "rdv_transit")
+    __slots__ = ("seq", "src", "dst", "tag", "comm_id", "nbytes", "protocol",
+                 "throttled", "charged", "sreq", "matched", "est",
+                 "rdv_ready", "rdv_transit")
 
-    def __init__(self, seq, src, dst, tag, comm_id, nbytes, post_time,
-                 inject_time, protocol, throttled, charged, sreq,
-                 arrival=None, fault_delay=0.0):
+    def __init__(self, seq, src, dst, tag, comm_id, nbytes, protocol, sreq,
+                 throttled=False, charged=False):
         self.seq = seq                # per-engine, allocated in post order
         self.src = src
         self.dst = dst
         self.tag = tag
         self.comm_id = comm_id
         self.nbytes = nbytes
-        self.post_time = post_time
-        self.inject_time = inject_time
         self.protocol = protocol      # "eager" or "rdv"
+        self.sreq = sreq
         self.throttled = throttled
         self.charged = charged        # counted against dst's unexpected buffer
-        self.sreq = sreq
-        self.arrival = arrival        # fixed arrival (wire-queued eager)
         self.matched = False          # tombstone: matched, awaiting purge
-        self.fault_delay = fault_delay  # injected retransmit/reorder delay
-        # cached arrival estimate (set by the engine at send time):
+        # cached arrival estimate (set by the sender at send time):
         # eager messages have a fixed ``est``; rendezvous messages carry
         # the (handshake-ready, transit) pair and are estimated per query
         self.est: Optional[float] = None

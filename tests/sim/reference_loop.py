@@ -4,13 +4,17 @@
 The oracle keeps its own code for everything the production executor
 inlines or accelerates: an ``isinstance`` op dispatch, one op per
 frame; a ready-heap pop (``Scheduler.pop_ready_policy`` under a
-non-canonical policy); and a drain that scans every candidate channel,
-with no candidate heaps or deferral memo, lets the policy pick a
-horizon-safe wildcard's candidate (under the canonical policy, the
-canonical minimum) and commits through its own arithmetic.  It shares
-with production the ``MatchIndex`` queues, the policy pop, the generic
-send ``Engine._apply_send`` and the resume, relaxed-progress, crash and
-deadlock helpers.
+non-canonical policy); a send that looks up the fault fate first and
+assembles the arrival estimate in one place, with its own fault
+arithmetic (lost messages, delays folded into fixed arrivals,
+duplicate charges, degradation windows); and a drain that scans every
+candidate channel, with no candidate heaps or deferral memo, lets the
+policy pick a horizon-safe wildcard's candidate (under the canonical
+policy, the canonical minimum) and commits through its own arithmetic.
+It shares with production the ``MatchIndex`` queues, the policy pop,
+the congestion formulas (``Engine._overload_backoff``,
+``_wire_arrival``, ``_flow_stall``, ``_routed_arrival``) and the
+resume, relaxed-progress, crash and deadlock helpers.
 :func:`reference_loop` swaps it in for the engine's executor, so any
 entry point can run against the oracle; it records no ``--profile``
 phases.
@@ -25,7 +29,7 @@ from types import MethodType
 from repro.errors import MPIUsageError, SimulationError
 from repro.sim import engine as production
 from repro.sim.exec_batch import _CollInstance
-from repro.sim.matching import _PendingRecv, arrival_est
+from repro.sim.matching import _Message, _PendingRecv, arrival_est
 from repro.sim.ops import (ANY_SOURCE, Collective, Compute, PostRecv,
                            PostSend, Test, WaitAll, WaitAny)
 from repro.sim.requests import Request, Status
@@ -138,7 +142,7 @@ def _apply(eng, rs, op):
             rs.clock += op.duration
         return None
     if isinstance(op, PostSend):
-        return eng._apply_send(rs, op)
+        return _apply_send(eng, rs, op)
     if isinstance(op, PostRecv):
         return _apply_recv(eng, rs, op)
     if isinstance(op, (WaitAll, WaitAny)):
@@ -170,6 +174,113 @@ def _apply(eng, rs, op):
     if isinstance(op, Collective):
         return _apply_collective(eng, rs, op)
     raise MPIUsageError(f"rank {rs.rank} yielded non-op {op!r}")
+
+
+def _apply_send(eng, rs, op):
+    """Any send, one formula after another: the fault fate is looked up
+    first, the congestion helpers fix the inject time and any fixed
+    arrival, and the estimate is assembled in one place."""
+    if op.dst >= eng.nranks:
+        raise MPIUsageError(
+            f"rank {rs.rank} sends to nonexistent rank {op.dst}")
+    model = eng.model
+    faults = eng._faults
+    req = Request("send", rs.rank)
+    req.peer = op.dst
+    rs.clock += model.send_overhead(op.nbytes)
+    inject = rs.clock
+    eager = op.nbytes <= model.eager_threshold
+    fate = None
+    if faults is not None:
+        fate = faults.send_fate(eng._msg_seq)
+    lost = fate is not None and fate.lost
+    charged = False
+    throttled = False
+    arrival = None
+    if eager and model.overload_drain_rate is not None:
+        inject = eng._overload_backoff(rs, op.dst, op.nbytes, inject)
+    route_links = ()
+    if eng._routed:
+        route_links = model.fabric.route(rs.rank, op.dst)
+    if eager and eng._routed:
+        inject, arrival = eng._routed_arrival(rs, op.dst, op.nbytes, inject)
+    elif eager and model.wire_queueing:
+        inject, arrival = eng._wire_arrival(rs, op.dst, op.nbytes, inject)
+    fault_delay = 0.0
+    if fate is not None and not lost:
+        fault_delay = fate.delay
+        lat_f, bw_f = faults.window_factors(op.dst, inject,
+                                            links=route_links)
+        if lat_f != 1.0 or bw_f != 1.0:
+            base = model.transit_time(0)
+            extra = (lat_f - 1.0) * base + (bw_f - 1.0) * \
+                (model.transit_time(op.nbytes) - base)
+            fault_delay += extra
+            faults.delay_injected += extra
+        if arrival is not None and fault_delay:
+            # wire-queued or routed eager: bake the injected delay into
+            # the fixed arrival and keep the ejection link busy until
+            # the late (retransmitted/degraded) copy lands
+            arrival += fault_delay
+            if eng._routed:
+                eng._link_free[route_links[-1]] = arrival
+            else:
+                eng._wire_free[op.dst] = arrival
+            fault_delay = 0.0
+        if fate.duplicate:
+            # the spurious copy consumes receive-side resources
+            if eng._routed:
+                eng._link_free[route_links[-1]] = \
+                    eng._link_free.get(route_links[-1], 0.0) + \
+                    model.eject_time(op.nbytes)
+            elif model.wire_queueing:
+                eng._wire_free[op.dst] += model.eject_time(op.nbytes)
+            else:
+                eng._rx_busy[op.dst] += model.recv_overhead(op.nbytes)
+    if eager and lost:
+        # every transmission attempt dropped: the buffered send still
+        # completes locally, but nothing ever arrives at the receiver
+        req.completion = inject
+    elif eager:
+        preposted = eng._match.has_compatible_recv(
+            op.dst, rs.rank, op.tag, op.comm_id)
+        if not preposted:
+            cap = model.unexpected_capacity
+            pending = eng._match.unexpected_bytes[op.dst]
+            if cap is not None and pending + op.nbytes > cap:
+                throttled = True
+            charged = True
+            eng._match.unexpected_bytes[op.dst] += op.nbytes
+        if not throttled:
+            req.completion = inject  # local completion, buffered send
+    msg = _Message(eng._msg_seq, rs.rank, op.dst, op.tag, op.comm_id,
+                   op.nbytes, "eager" if eager else "rdv", req,
+                   throttled, charged)
+    eng._msg_seq += 1
+    req.message = msg
+    eng.messages_sent += 1
+    eng.bytes_sent += op.nbytes
+    if lost:
+        # a rendezvous send whose message is lost never completes: the
+        # sender's wait blocks and surfaces as a deadlock or starvation
+        return req
+    if eager:
+        t = (arrival if arrival is not None
+             else inject + model.transit_time(op.nbytes, rs.rank, op.dst))
+        if fault_delay:
+            t += fault_delay
+        if throttled:
+            t += model.stall_penalty(op.nbytes)
+        msg.est = t
+    else:
+        handshake = inject + eng._min_latency
+        if fault_delay:
+            handshake += fault_delay
+        msg.rdv_ready = handshake
+        msg.rdv_transit = model.transit_time(op.nbytes, rs.rank, op.dst)
+    eng._match.add_message(msg)
+    eng._drain(op.dst, relaxed=False)
+    return req
 
 
 def _apply_recv(eng, rs, op):

@@ -14,9 +14,9 @@ crash checks under drops, duplicates and stragglers, and the congestion
 model's overload backoff, wire queue and backlog stall (``arc`` and a
 ``tight`` variant that throttles and stalls on small messages).  A
 profiled run must equal an unprofiled one except for its
-``engine.profile.*`` timings.  ``engine.generic_sends`` counts the path,
-not the simulation: the reference loop takes ``Engine._apply_send`` for
-every send, the production loop only under faults or a routed fabric.
+``engine.profile.*`` timings.  The two loops send through different
+code: the executor's inline send with ``Engine._send_fault``, and the
+reference loop's own send, which shares only the congestion helpers.
 
 Programs are deadlock-free by construction (fault injection aside):
 each phase posts all nonblocking receives, then all sends, then waits
@@ -28,6 +28,7 @@ directed receive needs.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro import obs
@@ -108,9 +109,8 @@ def plans(draw):
                 [None, "barrier", "allreduce", "bcast"])),
         })
     return {"nranks": nranks, "preset": preset, "routed": routed,
-            # half the plans are fault-free: only a fault-free run on a
-            # flat fabric takes the executor's inline send path
             "phases": phases,
+            # half the plans are fault-free
             "faults": draw(fault_plans(nranks)) if draw(st.booleans())
             else None,
             "profile": draw(st.booleans())}
@@ -187,24 +187,12 @@ def _run(plan, profile=False):
     }
 
 
-def _pop_generic_sends(result, inline):
-    """Drop the path counter after checking it: every send is generic
-    unless ``inline`` (the production loop without faults or routing),
-    where none is."""
-    counters = result["counters"]
-    generic = counters.pop("engine.generic_sends")
-    assert generic == (0 if inline else counters["engine.messages_sent"])
-
-
 @settings(max_examples=80, deadline=None)
 @given(plans())
 def test_production_and_reference_loops_are_bit_identical(plan):
     with reference_loop():
         reference = _run(plan)
     production = _run(plan, profile=plan["profile"])
-    _pop_generic_sends(reference, inline=False)
-    _pop_generic_sends(production, inline=plan["faults"] is None
-                       and not plan["routed"])
     if plan["profile"]:
         counters = production["counters"]
         phases = {name for name in counters
@@ -213,9 +201,58 @@ def test_production_and_reference_loops_are_bit_identical(plan):
                           ("schedule", "match", "execute", "fabric")}
         production["counters"] = {name: value for name, value
                                   in counters.items() if name not in phases}
-        unprofiled = _run(plan)
-        unprofiled["counters"].pop("engine.generic_sends")
-        assert production == unprofiled
+        assert production == _run(plan)
+    assert production == reference
+
+
+_REORDER = {"reorder_rate": 1.0, "reorder_max_delay": 1e-4}
+
+#: one deterministic case per fault branch of the send: (preset,
+#: routed, payload bytes, FaultPlan keywords, the injector counter that
+#: shows the branch ran).  4 KiB is eager and 1 MiB rendezvous on every
+#: preset used; ethernet's flat fabric queues on the ejection wire,
+#: bluegene's flat one does not.
+_FAULT_BRANCHES = {
+    "lost-eager": ("bluegene", False, 4096,
+                   {"drop_rate": 1.0, "max_retries": 0}, "lost"),
+    "lost-rdv": ("bluegene", False, 1 << 20,
+                 {"drop_rate": 1.0, "max_retries": 0}, "lost"),
+    "delay-plain": ("bluegene", False, 4096, _REORDER, "reordered"),
+    "delay-rdv": ("bluegene", False, 1 << 20, _REORDER, "reordered"),
+    "delay-wire": ("ethernet", False, 4096, _REORDER, "reordered"),
+    "delay-routed": ("bluegene", True, 4096, _REORDER, "reordered"),
+    "retry-wire": ("ethernet", False, 4096,
+                   {"drop_rate": 0.5, "max_retries": 8}, "retries"),
+    "dup-plain": ("bluegene", False, 4096, {"duplicate_rate": 1.0},
+                  "duplicates"),
+    "dup-wire": ("ethernet", False, 4096, {"duplicate_rate": 1.0},
+                 "duplicates"),
+    "dup-routed": ("bluegene", True, 4096, {"duplicate_rate": 1.0},
+                   "duplicates"),
+    "window-routed-rdv": ("bluegene", True, 1 << 20, {"windows": [
+        {"t_start": 0.0, "t_end": 1.0, "latency_factor": 2.0,
+         "bandwidth_factor": 3.0, "links": ["eject:0"]}]}, "window_hits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAULT_BRANCHES))
+def test_fault_branch_matches_reference(case):
+    """Each fault branch of the send, on a burst of six messages from
+    rank 1 to rank 0, gives the reference loop's results.  Rank 0 runs
+    first and posts its receives, so every message matches as it is
+    sent and a charge to the receive side delays the next commit."""
+    preset, routed, nbytes, faults, counter = _FAULT_BRANCHES[case]
+    plan = {"nranks": 2, "preset": preset, "routed": routed,
+            "faults": faults, "phases": [{
+                "msgs": [{"src": 1, "dst": 0, "nbytes": nbytes, "tag": tag,
+                          "wild": False, "any_tag": False}
+                         for tag in range(6)],
+                "compute": [0.0, 0.0], "waitany": [False, False],
+                "coll": None}]}
+    with reference_loop():
+        reference = _run(plan)
+    production = _run(plan)
+    assert production["counters"][f"engine.fault.{counter}"] > 0
     assert production == reference
 
 
@@ -271,8 +308,6 @@ def test_tight_congestion_fires_every_mechanism_in_both_loops(monkeypatch):
     with reference_loop():
         ref_clocks, ref_counters, ref_throttled, ref_stalls = run()
     clocks, counters, got_throttled, got_stalls = run()
-    assert counters.pop("engine.generic_sends") == 0
-    assert ref_counters.pop("engine.generic_sends") == 6
     assert (clocks, counters, got_throttled, got_stalls) == \
         (ref_clocks, ref_counters, ref_throttled, ref_stalls)
     assert counters["engine.overload_events"] > 0

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro import __version__
+from repro import __version__, cli
 from repro.cli import main
 
 
@@ -91,6 +91,29 @@ class TestTypedErrorEdge:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite integer" in err
         assert "line 1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_run_runaway_loop_ends_under_step_budget(self, workdir,
+                                                      capsys):
+        # 10**11 iterations that issue no MPI operation: only the step
+        # budget of repro run (STEPS_PER_RANK times --np) ends it
+        with open("runaway.ncptl", "w") as fh:
+            fh.write("FOR EACH v IN {0, ..., 99999999999} { IF v = 5 "
+                     "THEN { TASK 0 COMPUTES FOR 1 MICROSECONDS } }\n")
+        assert main(["run", "runaway.ncptl", "--np", "2"]) == 2
+        err = capsys.readouterr().err
+        budget = cli.STEPS_PER_RANK * 2
+        assert err.startswith("error: rank 0: loop iterations exceeded "
+                              f"max_steps={budget}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_pipeline_runs_under_step_budget(self, workdir, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, "STEPS_PER_RANK", 2)
+        assert main(["pipeline", "--app", "ring", "--np", "4",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exceeded max_steps=8")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", [
