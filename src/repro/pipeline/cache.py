@@ -42,7 +42,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 #: cache format version; bump to invalidate all previously cached entries
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def cache_key(*parts: Any) -> str:

@@ -6,9 +6,10 @@ chains: one frozen, validated object describes *what* to build (which
 application, how many ranks, which platform) and *how* (which generator
 passes run, whether artifacts are cached).
 
-The config's :meth:`fingerprint` is the basis of the artifact cache's
-content addressing: two configs with the same fingerprint produce
-byte-identical trace and source artifacts (the whole system is
+The artifact cache's content address is built from the fields each
+stage folds into its key (``Stage.key_parts`` in
+:mod:`repro.pipeline.stages`): two configs that agree on those fields
+produce byte-identical trace and source artifacts (the whole system is
 deterministic), so cached artifacts can be reused across processes.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import PipelineConfigError
 from repro.faults.plan import FaultPlan
@@ -26,12 +27,14 @@ from repro.spec import params_tuple
 _CLASSES = ("S", "W", "A", "B", "C")
 
 #: the execution-only fields: they change how the generated benchmark
-#: *executes* without touching the trace/emit artifacts, so none of
-#: them may appear in the trace/emit rolling cache key (the §5.4
+#: *executes*, or whether a simulation finishes at all (the
+#: ``max_steps`` budget), but never change a finished artifact, so none
+#: of them may appear in the trace/emit rolling cache key (the §5.4
 #: what-if economy).  The contract test in
 #: ``tests/pipeline/test_execution_only.py`` enforces this list
 #: field-by-field against the stage key parts.
 EXECUTION_ONLY_FIELDS = (
+    "max_steps",
     "compute_scale",
     "run_platform",
     "run_platform_params",
@@ -258,26 +261,6 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"scenario {scn.name!r} sets {name}={value!r} but "
                     f"the config already has {name}={current!r}")
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """Stable mapping of the fields that determine artifact content
-        (cache bookkeeping fields are deliberately excluded)."""
-        out = {}
-        for f in fields(self):
-            # profiling is execution policy, not artifact content (it
-            # only adds timers)
-            if f.name in ("use_cache", "cache_dir", "profile"):
-                continue
-            out[f.name] = getattr(self, f.name)
-        # a fault plan enters the fingerprint by digest: a faulted trace
-        # is different content, but the plan object itself is not JSONable
-        if self.fault_plan is not None:
-            out["fault_plan"] = (None if self.fault_plan.is_null()
-                                 else self.fault_plan.digest())
-        # likewise for scenarios: digest-keyed, not object-valued
-        if self.scenario is not None:
-            out["scenario"] = self.scenario.digest()
-        return out
 
     def replace(self, **changes) -> "PipelineConfig":
         """A copy with ``changes`` applied (re-validated)."""

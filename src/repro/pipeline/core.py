@@ -98,10 +98,10 @@ class Pipeline:
         rest).
         """
         text = cache.get(ctx.key, stage.suffix, record=False)
-        if text is None:
+        if text is None or not stage.fits(ctx, text):
             with cache.lock(ctx.key):
                 text = cache.get(ctx.key, stage.suffix, record=False)
-                if text is None:
+                if text is None or not stage.fits(ctx, text):
                     cache.record_miss()
                     out = self._execute(ctx, stage)
                     status, detail = (out if isinstance(out, tuple)

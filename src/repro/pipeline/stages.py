@@ -134,6 +134,11 @@ class Stage:
         report detail string."""
         raise NotImplementedError(f"{self.name} is not cacheable")
 
+    def fits(self, ctx: RunContext, text: str) -> bool:
+        """Whether a cached artifact is what this run would compute; a
+        cached artifact that does not fit is computed again, uncached."""
+        return True
+
 
 class TraceStage(Stage):
     """Application → merged global ScalaTrace trace (cacheable)."""
@@ -144,7 +149,11 @@ class TraceStage(Stage):
     suffix = ".trace"
 
     def key_parts(self, ctx):
-        """Everything that determines the trace bytes."""
+        """Everything that determines the trace bytes.  ``max_steps``
+        is not among them: a run that hits the budget raises (or, under
+        a fault plan, salvages a prefix), and neither is ever cached;
+        :meth:`fits` keeps a cached trace from a run the budget would
+        have cut."""
         c = ctx.config
         plan = c.fault_plan
         # the plan digest keys the faulted trace separately from the
@@ -156,8 +165,7 @@ class TraceStage(Stage):
         # folds to None so all canonical runs share one address
         sched = (None if c.schedule_policy == "canonical"
                  else (c.schedule_policy, c.schedule_seed))
-        return ("trace", c.app, c.nranks, c.cls, c.platform, c.max_steps,
-                fault, sched)
+        return ("trace", c.app, c.nranks, c.cls, c.platform, fault, sched)
 
     def run(self, ctx):
         """Run the application under ScalaTrace on the simulator."""
@@ -178,14 +186,22 @@ class TraceStage(Stage):
                       f"{trace.node_count()} nodes", note)
 
     def serialize(self, ctx):
-        """The trace's text serialization."""
+        """The engine steps the traced run took, on a line of their
+        own, then the trace's text serialization."""
         from repro.scalatrace.serialize import dumps_trace
-        return dumps_trace(ctx.artifacts["trace"])
+        steps = ctx.artifacts["trace_run_result"].world.engine.steps
+        return f"{steps}\n{dumps_trace(ctx.artifacts['trace'])}"
+
+    def fits(self, ctx, text):
+        """The traced run fits the config's step budget."""
+        budget = ctx.config.max_steps
+        steps = text.partition("\n")[0]
+        return budget is None or (steps.isdigit() and int(steps) <= budget)
 
     def deserialize(self, ctx, text):
         """Install a cached trace into the context."""
         from repro.scalatrace.serialize import loads_trace
-        trace = loads_trace(text)
+        trace = loads_trace(text.partition("\n")[2])
         ctx.artifacts["trace"] = trace
         return (f"{trace.event_count()} events in "
                 f"{trace.node_count()} nodes (cached)")

@@ -25,25 +25,25 @@ finite-buffer flow control (see the paper's Fig. 7 discussion).
 The core is layered (see ``docs/ARCHITECTURE.md``):
 
 * :mod:`repro.sim.sched` — ready/clock heaps, the wildcard safety
-  horizon, dirty-set wakeup, deferred destinations;
+  horizon, the dirty set, deferred destinations;
 * :mod:`repro.sim.matching` — per-(src, dst, comm) channels, indexed
   pending receives, cached arrival estimates, wildcard candidate heaps,
   and the drain (:func:`~repro.sim.matching.drain_batch`);
 * :mod:`repro.sim.exec_batch` — the cohort executor, the one main loop
-  every run goes through (crash faults and ``--profile`` included), and
-  the one send;
-* this module — run state and the helpers the executor's send and
-  resumes call: the fault fate of a send (``_send_fault``), the
-  congestion formulas (leaky bucket, ejection wire, backlog stall,
-  routed fold), wait resumption, crash faults and the deadlock
-  diagnostic.
+  every run goes through (crash faults and ``--profile`` included), the
+  one send and the one wait rule (op-time waits, dirty-set wakeup and
+  the all-blocked relaxed sweep);
+* this module — run state and the helpers the executor's send calls:
+  the fault fate of a send (``_send_fault``) and the congestion
+  formulas (leaky bucket, ejection wire, backlog stall, routed fold);
+  crash faults and the deadlock diagnostic.
 
 Commit order, tie-breaking, timing and counters are pinned by the golden
 suites in ``tests/sim/golden/``; the Hypothesis equivalence tests hold
 the executor to a one-op-at-a-time reference loop that lives with the
-tests and carries its own dispatch, drain and send
-(``tests/sim/reference_loop.py``); it shares only the congestion
-formulas with this module.
+tests and carries its own dispatch, drain, send, waits and relaxed
+sweep (``tests/sim/reference_loop.py``); it shares only the congestion
+formulas and the crash and deadlock helpers with this module.
 """
 
 from __future__ import annotations
@@ -466,72 +466,6 @@ class Engine:
             msgs[link] = msgs.get(link, 0) + 1
             busy[link] = busy.get(link, 0.0) + ser
         return inject, t
-
-    # -- waits ----------------------------------------------------------------
-    def _try_waitall(self, rs: _RankState, requests, relaxed: bool):
-        if not all(r.complete for r in requests):
-            return None
-        if requests:
-            rs.clock = max(rs.clock, max(r.completion for r in requests))
-        return [r.status for r in requests]
-
-    def _try_waitany(self, rs: _RankState, requests, relaxed: bool):
-        done = [(r.completion, i) for i, r in enumerate(requests) if r.complete]
-        if not done:
-            return None
-        t, i = min(done)
-        if not relaxed and not all(r.complete for r in requests):
-            # an incomplete request might still finish earlier
-            if t > self._horizon(rs.rank):
-                return None
-        rs.clock = max(rs.clock, t)
-        return (i, requests[i].status)
-
-    # -- resumption -------------------------------------------------------------
-    def _try_resume(self, rs: _RankState, relaxed: bool) -> bool:
-        """Attempt to unblock one rank; True if it became READY."""
-        if rs.blocked_kind == "waitall":
-            res = self._try_waitall(rs, rs.blocked_data, relaxed)
-            if res is None:
-                return False
-            rs.pending_value = res
-        elif rs.blocked_kind == "waitany":
-            res = self._try_waitany(rs, rs.blocked_data, relaxed)
-            if res is None:
-                return False
-            rs.pending_value = res
-        elif rs.blocked_kind == "collective":
-            inst = rs.blocked_data
-            if inst.completion is None:
-                return False
-            rs.clock = inst.completion
-            rs.pending_value = None
-        else:  # pragma: no cover - defensive
-            raise AssertionError(rs.blocked_kind)
-        self._sched.make_ready(rs)
-        return True
-
-    def _resume_resumable(self, relaxed: bool) -> bool:
-        """Full sweep over all blocked ranks (the rare all-blocked path)."""
-        progress = False
-        for rs in self._ranks:
-            if rs.state != BLOCKED:
-                continue
-            if self._try_resume(rs, relaxed):
-                self._dirty.discard(rs.rank)
-                progress = True
-        return progress
-
-    def _relaxed_progress(self) -> bool:
-        # 1. deferred wildcard matches, earliest arrival first
-        for dst in sorted(self._match.pending_recvs):
-            if self._drain(dst, relaxed=True):
-                self.deferred_commits += 1
-                return True
-        # 2. waits resumable without the safety horizon
-        if self._resume_resumable(relaxed=True):
-            return True
-        return False
 
     # -- faults ------------------------------------------------------------
     def _crash_rank(self, rs: _RankState) -> None:

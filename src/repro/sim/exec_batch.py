@@ -17,8 +17,12 @@ blocking — in one frame:
   backlog stall) and, under a fault plan, ``Engine._send_fault``;
 * collective completion evaluates ``max`` over the whole
   ``_CollInstance`` arrival cohort at once;
-* dirty-set wakeup is folded into the loop top with the per-kind
-  resume arithmetic inlined;
+* :func:`wait_value` is the engine's only wait rule, one clause per
+  blocked kind (waitall, waitany, collective).  A ``WaitAll`` or
+  ``WaitAny`` op calls it when issued, the dirty-set wakeup calls it
+  for every flagged rank, and the all-blocked relaxed sweep calls it
+  without the safety horizon; every resume goes through one push onto
+  the ready queues;
 * crash faults are checked per op, before the op is stepped, so a rank
   stops at the first op it would start at or past its crash time;
 * ``--profile`` attributes wall time to the schedule / match / execute
@@ -31,7 +35,7 @@ etc.) are bumped at the same program points.  Every drain, canonical or
 not, is :func:`repro.sim.matching.drain_batch`.  The golden suites under
 ``tests/sim/golden/`` and the Hypothesis equivalence tests pin this
 bit-for-bit against the test-only ``tests/sim/reference_loop.py``,
-which has its own dispatch, drain and send.
+which has its own dispatch, drain, send, waits and relaxed sweep.
 """
 
 from __future__ import annotations
@@ -78,6 +82,59 @@ def _timed(fn, phase: str, acc: Dict[str, float], nested: list):
             acc[phase] += dt
             nested[0] += dt
     return timed
+
+
+#: :func:`wait_value` results for a rank that cannot resume (its clock
+#: untouched).  BLOCK: a completion it waits on is still unknown, and
+#: that completion flags it dirty.  HELD: a waitany's earliest complete
+#: request is past the safety horizon, which moves as other ranks run,
+#: so the rank stays in the dirty set and is polled every pass.
+BLOCK = object()
+HELD = object()
+
+
+def wait_value(rs, kind: str, data, relaxed: bool, horizon):
+    """The engine's one wait rule: the value rank ``rs``, blocked in a
+    ``kind`` wait on ``data``, resumes with, its clock moved to the wake
+    time; :data:`BLOCK` or :data:`HELD` while it cannot resume.
+
+    * ``"waitall"`` (``data``: the requests): every request is complete;
+      the clock moves to the latest completion; the value is the
+      statuses.
+    * ``"waitany"`` (the requests): the earliest complete request wins
+      if every request is complete, the pass is ``relaxed`` (every rank
+      is blocked) or it completes within ``horizon(rank)``, before any
+      other rank could complete an earlier one; the clock moves to its
+      completion; the value is ``(index, status)``.
+    * ``"collective"`` (the ``_CollInstance``): the instance has a
+      completion time; the clock moves to it; the value is None.
+    """
+    if kind == "waitall":
+        for q in data:
+            if q.completion is None:
+                return BLOCK
+        if data:
+            mx = max(q.completion for q in data)
+            if mx > rs.clock:
+                rs.clock = mx
+        return [q.status for q in data]
+    if kind == "waitany":
+        done = [(q.completion, i) for i, q in enumerate(data)
+                if q.completion is not None]
+        if not done:
+            return BLOCK
+        t, i = min(done)
+        if not relaxed and len(done) != len(data) and \
+                t > horizon(rs.rank):
+            return HELD
+        if t > rs.clock:
+            rs.clock = t
+        return (i, data[i].status)
+    comp = data.completion
+    if comp is None:
+        return BLOCK
+    rs.clock = comp
+    return None
 
 
 def run_batch(eng) -> None:
@@ -194,6 +251,37 @@ def run_batch(eng) -> None:
     # drain_batch never writes the memo, so the memo lookups never hit.
     policy_tie = None if eng.policy.canonical else eng.policy
 
+    def resume(r, value) -> None:
+        """Make blocked rank ``r`` READY at its clock with ``value``."""
+        r.pending_value = value
+        r.state = READY
+        r.blocked_kind = None
+        r.blocked_data = None
+        entry = (r.clock, r.rank)
+        if policy_tie is None and (not rq or rq[-1] <= entry):
+            rq_append(entry)
+        else:
+            heappush(ready, entry)
+
+    def relaxed_progress() -> bool:
+        """The pass taken when every live rank is blocked: commit the
+        earliest-arriving deferred wildcard match, else resume every
+        wait the safety horizon held back.  True if anything moved."""
+        for dst in sorted(match.pending_recvs):
+            if drain(dst, True):
+                eng.deferred_commits += 1
+                return True
+        progress = False
+        for r in ranks:
+            if r.state == BLOCKED:
+                value = wait_value(r, r.blocked_kind, r.blocked_data,
+                                   True, horizon)
+                if value is not BLOCK:
+                    resume(r, value)
+                    dirty_discard(r.rank)
+                    progress = True
+        return progress
+
     try:
         while True:
             if profile:
@@ -218,64 +306,25 @@ def run_batch(eng) -> None:
                     deferred.discard(dst)
                     drain(dst, False)
             if dirty:
-                # dirty-set wakeup in sorted rank order, with the per-kind
-                # resume arithmetic of Engine._try_resume.
-                # Nothing inside a resume mutates the dirty set, so the
-                # per-rank discards collapse into one clear at the end
-                # (waitany ranks that must stay dirty are re-added).
+                # dirty-set wakeup in sorted rank order.  Nothing inside
+                # a resume mutates the dirty set, so the per-rank
+                # discards collapse into one clear at the end; a HELD
+                # waitany is re-added (it must be polled until the
+                # horizon lets it go)
                 stays = None
                 for rank in sorted(dirty):
                     r = ranks[rank]
                     if r.state != BLOCKED:
                         continue
-                    bk = r.blocked_kind
-                    if bk == "collective":
-                        comp = r.blocked_data.completion
-                        if comp is not None:
-                            r.clock = comp
-                            r.pending_value = None
-                            r.state = READY
-                            r.blocked_kind = None
-                            r.blocked_data = None
-                            entry = (comp, rank)
-                            if policy_tie is None and \
-                                    (not rq or rq[-1] <= entry):
-                                rq_append(entry)
-                            else:
-                                heappush(ready, entry)
-                    elif bk == "waitall":
-                        reqs = r.blocked_data
-                        for q in reqs:
-                            if q.completion is None:
-                                break
+                    value = wait_value(r, r.blocked_kind, r.blocked_data,
+                                       False, horizon)
+                    if value is HELD:
+                        if stays is None:
+                            stays = [rank]
                         else:
-                            if reqs:
-                                mx = max(q.completion for q in reqs)
-                                if mx > r.clock:
-                                    r.clock = mx
-                            r.pending_value = [q.status for q in reqs]
-                            r.state = READY
-                            r.blocked_kind = None
-                            r.blocked_data = None
-                            entry = (r.clock, rank)
-                            if policy_tie is None and \
-                                    (not rq or rq[-1] <= entry):
-                                rq_append(entry)
-                            else:
-                                heappush(ready, entry)
-                    else:
-                        # waitany needs the safety horizon: use the
-                        # engine's resume; a rank holding a complete
-                        # request stays dirty (the horizon moves as
-                        # other ranks run, so it must be polled)
-                        if not eng._try_resume(r, False) and \
-                                r.blocked_kind == "waitany" and \
-                                any(q.completion is not None
-                                    for q in r.blocked_data):
-                            if stays is None:
-                                stays = [rank]
-                            else:
-                                stays.append(rank)
+                            stays.append(rank)
+                    elif value is not BLOCK:
+                        resume(r, value)
                 dirty.clear()
                 if stays is not None:
                     dirty.update(stays)
@@ -321,7 +370,7 @@ def run_batch(eng) -> None:
                 if eng._done_count == nranks:
                     break
                 eng.deadlock_checks += 1
-                if eng._relaxed_progress():
+                if relaxed_progress():
                     continue
                 if eng.crashed_ranks:
                     # graceful degradation: ranks waiting on a crashed
@@ -460,22 +509,18 @@ def run_batch(eng) -> None:
                     recv_pending = True
                     value = req
                     continue
-                if cls is WaitAll:
+                if cls is WaitAll or cls is WaitAny:
                     if recv_pending:
                         recv_pending = False
                         drain(rs.rank, False)
                     reqs = op.requests
-                    for q in reqs:
-                        if q.completion is None:
-                            break
-                    else:
-                        if reqs:
-                            mx = max(q.completion for q in reqs)
-                            if mx > rs.clock:
-                                rs.clock = mx
-                        value = [q.status for q in reqs]
+                    kind = "waitall" if cls is WaitAll else "waitany"
+                    value = wait_value(rs, kind, reqs, False, horizon)
+                    if value is not BLOCK and value is not HELD:
                         continue
-                    rs.blocked_kind = "waitall"
+                    if value is HELD:
+                        dirty_add(rs.rank)
+                    rs.blocked_kind = kind
                     rs.blocked_data = reqs
                     for q in reqs:
                         if q.completion is None:
@@ -536,34 +581,6 @@ def run_batch(eng) -> None:
                         continue
                     rs.blocked_kind = "collective"
                     rs.blocked_data = inst
-                    rs.state = BLOCKED
-                    break
-                if cls is WaitAny:
-                    if recv_pending:
-                        recv_pending = False
-                        drain(rs.rank, False)
-                    reqs = op.requests
-                    done = [(q.completion, i)
-                            for i, q in enumerate(reqs)
-                            if q.completion is not None]
-                    if done:
-                        t, i = min(done)
-                        if len(done) == len(reqs) or \
-                                t <= eng._horizon(rs.rank):
-                            if t > rs.clock:
-                                rs.clock = t
-                            value = (i, reqs[i].status)
-                            continue
-                    rs.blocked_kind = "waitany"
-                    rs.blocked_data = reqs
-                    any_complete = False
-                    for q in reqs:
-                        if q.completion is None:
-                            q.waiter = rs.rank
-                        else:
-                            any_complete = True
-                    if any_complete:
-                        dirty_add(rs.rank)
                     rs.state = BLOCKED
                     break
                 if cls is Test:

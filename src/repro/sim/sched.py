@@ -10,16 +10,18 @@ split out of the monolithic engine (see ``docs/ARCHITECTURE.md``):
   fabric's minimum latency);
 * the **dirty set** of blocked ranks whose waited-on work completed
   since the last scheduler pass (request and collective completions
-  land here instead of triggering a sweep over every rank);
+  land here instead of triggering a sweep over every rank; the
+  executor's wait rule, :func:`repro.sim.exec_batch.wait_value`,
+  decides which of them resume);
 * the **deferred destination set**: receivers whose wildcard match was
   horizon-unsafe and must be re-drained at the top of the next pass.
 
 The scheduler knows nothing about messages or matching; it sees only
 rank states (:class:`repro.sim.engine._RankState`) and clocks.  Its
 containers are plain heaps/sets so the cohort executor
-(:mod:`repro.sim.exec_batch`) can bind them as locals in its hot loop
-and pop the ready heap inline; a ready-heap entry is stale once its
-rank was stepped or re-queued at a later clock.
+(:mod:`repro.sim.exec_batch`) can bind them as locals in its hot loop,
+push resumed ranks and pop the ready heap inline; a ready-heap entry is
+stale once its rank was stepped or re-queued at a later clock.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ class Scheduler:
             if rank != chosen:
                 push(heap, (clock, rank))
         return ranks[chosen]
-
-    def make_ready(self, rs) -> None:
-        rs.state = READY
-        rs.blocked_kind = None
-        rs.blocked_data = None
-        heapq.heappush(self.ready_heap, (rs.clock, rs.rank))
 
     def min_live_clock_excluding(self, exclude_rank: int) -> float:
         """Minimum clock over non-DONE ranks other than ``exclude_rank``.

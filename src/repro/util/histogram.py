@@ -86,24 +86,6 @@ class TimeHistogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def scaled(self, factor: float) -> "TimeHistogram":
-        """A new histogram with every duration multiplied by ``factor`` —
-        this is how the what-if study (Fig. 7) dials computation from 100%
-        down to 0%."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        h = TimeHistogram()
-        for idx, (c, s) in self.bins.items():
-            t_rep = (s / c) * factor
-            nidx = _bin_index(t_rep)
-            c0, s0 = h.bins.get(nidx, (0, 0.0))
-            h.bins[nidx] = (c0 + c, s0 + s * factor)
-        h.count = self.count
-        h.total = self.total * factor
-        h.min = self.min * factor if self.count else math.inf
-        h.max = self.max * factor
-        return h
-
     def replay_values(self) -> Iterator[float]:
         """Deterministic stream of representative durations.
 

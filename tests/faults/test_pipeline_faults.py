@@ -24,15 +24,19 @@ class TestConfig:
                            fault_plan={"drop_rate": 0.1})
 
     def test_fingerprint_carries_plan_digest_not_object(self):
+        # the trace's cache key is its content fingerprint
         plan = FaultPlan(seed=1, drop_rate=0.1)
-        fp = PipelineConfig(app="jacobi", nranks=4,
-                            fault_plan=plan).fingerprint()
-        assert fp["fault_plan"] == plan.digest()
+        parts = TraceStage().key_parts(RunContext(PipelineConfig(
+            app="jacobi", nranks=4, fault_plan=plan)))
+        assert plan.digest() in parts and plan not in parts
 
     def test_fingerprint_ignores_profiling_and_null_plans(self):
-        base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
-        tuned = PipelineConfig(app="jacobi", nranks=4, profile=True,
-                               fault_plan=FaultPlan(seed=9)).fingerprint()
+        stage = TraceStage()
+        base = stage.key_parts(RunContext(
+            PipelineConfig(app="jacobi", nranks=4)))
+        tuned = stage.key_parts(RunContext(
+            PipelineConfig(app="jacobi", nranks=4, profile=True,
+                           fault_plan=FaultPlan(seed=9))))
         assert base == tuned
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MPIUsageError
 from repro.mpi import (ANY_SOURCE, ANY_TAG, RecordingHook, run_spmd)
 from repro.sim import SimpleModel
+from tests.sim.reference_loop import LOOPS, executor
 
 
 def spmd(program, nranks, **kw):
@@ -113,6 +114,43 @@ class TestNonblocking:
         _, hook = spmd(program, 2)
         waits = [e for e in hook.events if e.op == "Wait" and e.rank == 0]
         assert [w.wait_offsets for w in waits] == [(1,), (0,)]
+
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_waitsome_retires_the_requests_complete_at_resume(self, loop):
+        """Rank 0 waits on receives from ranks 1-3, which send after 1,
+        20 and 500 us.  Its WaitAny resumes at 50 us, after all three
+        sends were matched, so the Tests that follow must pick exactly
+        the two receives complete by then."""
+        seen = {}
+
+        def program(mpi):
+            if mpi.rank == 0:
+                reqs = []
+                for src in (1, 2, 3):
+                    req = yield from mpi.irecv(source=src)
+                    reqs.append(req)
+                yield from mpi.compute(50e-6)
+                seen["result"] = yield from mpi.waitsome(reqs)
+                seen["now"] = mpi.now()
+                seen["completions"] = [r.completion for r in reqs]
+                yield from mpi.waitall([reqs[2]])
+            else:
+                yield from mpi.compute({1: 1e-6, 2: 20e-6, 3: 500e-6}
+                                       [mpi.rank])
+                yield from mpi.send(dest=0, nbytes=100 * mpi.rank)
+            yield from mpi.finalize()
+
+        with executor(loop):
+            _, hook = spmd(program, 4)
+        indices, statuses = seen["result"]
+        assert seen["now"] == 50e-6
+        assert indices == [i for i, t in enumerate(seen["completions"])
+                           if t <= seen["now"]] == [0, 1]
+        assert [(st.source, st.nbytes) for st in statuses] == \
+            [(1, 100), (2, 200)]
+        (event,) = [e for e in hook.events if e.op == "Waitsome"]
+        assert event.wait_offsets == (0, 1)
+        assert event.nbytes == 300
 
     def test_wait_unknown_request_rejected(self):
         def program(mpi):

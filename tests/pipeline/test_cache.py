@@ -2,6 +2,9 @@
 
 import os
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.pipeline import (ArtifactCache, Pipeline, PipelineConfig,
                             RunContext, TraceStage, cache_key,
                             full_pipeline, generation_stages)
@@ -97,6 +100,25 @@ class TestEndToEndCaching:
         assert hits == {"trace", "emit"}
         # cached artifacts reproduce the exact same benchmark source
         assert second.source == first.source
+
+    def test_step_budget_shares_a_trace_it_fits(self, tmp_path):
+        # the budget is not in the key: a budget the cached run fits
+        # hits, and one it does not fit recomputes and trips as a cold
+        # run would, so the outcome never depends on the cache
+        cache_dir = str(tmp_path / "cache")
+        pipe = full_pipeline(run=False)
+        first = pipe.run(PipelineConfig(app="jacobi", nranks=4,
+                                        use_cache=True, cache_dir=cache_dir))
+        steps = first.artifacts["trace_run_result"].world.engine.steps
+        fits = pipe.run(PipelineConfig(app="jacobi", nranks=4,
+                                       max_steps=steps, use_cache=True,
+                                       cache_dir=cache_dir))
+        assert {r.stage for r in fits.records if r.cache == "hit"} == \
+            {"trace", "emit"}
+        with pytest.raises(SimulationError, match="max_steps"):
+            pipe.run(PipelineConfig(app="jacobi", nranks=4,
+                                    max_steps=steps - 1, use_cache=True,
+                                    cache_dir=cache_dir))
 
     def test_different_config_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

@@ -1,9 +1,17 @@
-"""PipelineConfig: validation, fingerprinting, replacement."""
+"""PipelineConfig: validation, cache keying, replacement."""
 
 import pytest
 
 from repro.errors import PipelineConfigError, PipelineError, ReproError
-from repro.pipeline import PipelineConfig
+from repro.pipeline import (PipelineConfig, RunContext, TraceStage,
+                            generation_stages)
+
+
+def _generation_keys(**kwargs):
+    """The key parts of the trace stage and every generation stage."""
+    ctx = RunContext(PipelineConfig(**kwargs))
+    return tuple(stage.key_parts(ctx)
+                 for stage in [TraceStage()] + generation_stages())
 
 
 class TestValidation:
@@ -48,20 +56,19 @@ class TestValidation:
 
 
 class TestFingerprint:
+    """The stage key parts are the artifacts' content fingerprint."""
+
     def test_excludes_cache_bookkeeping(self):
-        a = PipelineConfig(app="lu", nranks=8)
-        b = PipelineConfig(app="lu", nranks=8, use_cache=True,
-                           cache_dir="/elsewhere")
-        assert a.fingerprint() == b.fingerprint()
+        base = _generation_keys(app="lu", nranks=8)
+        assert _generation_keys(app="lu", nranks=8, use_cache=True,
+                                cache_dir="/elsewhere") == base
+        assert _generation_keys(app="lu", nranks=8, profile=True) == base
 
     def test_differs_by_content_fields(self):
-        base = PipelineConfig(app="lu", nranks=8)
-        assert base.fingerprint() != \
-            PipelineConfig(app="lu", nranks=16).fingerprint()
-        assert base.fingerprint() != \
-            PipelineConfig(app="cg", nranks=8).fingerprint()
-        assert base.fingerprint() != \
-            PipelineConfig(app="lu", nranks=8, cls="W").fingerprint()
+        base = _generation_keys(app="lu", nranks=8)
+        assert base != _generation_keys(app="lu", nranks=16)
+        assert base != _generation_keys(app="cg", nranks=8)
+        assert base != _generation_keys(app="lu", nranks=8, cls="W")
 
 
 class TestReplace:
@@ -104,12 +111,6 @@ class TestWhatIfFields:
         with pytest.raises(PipelineConfigError, match="keys"):
             PipelineConfig(app="jacobi", nranks=4,
                            run_platform_params={3: 1.0})
-
-    def test_whatif_fields_enter_fingerprint(self):
-        base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
-        scaled = PipelineConfig(app="jacobi", nranks=4,
-                                compute_scale=0.5).fingerprint()
-        assert base != scaled
 
     def test_run_model_resolves_override(self):
         from repro.pipeline import RunContext
@@ -180,19 +181,11 @@ class TestTopologyFields:
         with pytest.raises(PipelineConfigError, match="placement"):
             PipelineConfig(app="jacobi", nranks=4, placement="")
 
-    def test_topology_enters_fingerprint(self):
-        base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
-        topo = PipelineConfig(app="jacobi", nranks=4,
-                              topology="torus3d").fingerprint()
-        assert base != topo
-
     def test_profile_excluded_from_fingerprint(self):
         # profiling is execution policy: it must not invalidate cached
         # trace/source artifacts
-        base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
-        prof = PipelineConfig(app="jacobi", nranks=4,
-                              profile=True).fingerprint()
-        assert base == prof
+        assert _generation_keys(app="jacobi", nranks=4) == \
+            _generation_keys(app="jacobi", nranks=4, profile=True)
 
     def test_run_model_is_routed(self):
         from repro.pipeline import RunContext

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import PipelineConfigError
 from repro.faults import FaultPlan
 from repro.pipeline import PipelineConfig
-from repro.scenarios import SCENARIOS, Scenario
+from repro.scenarios import Scenario
 
 
 class TestExpansion:
@@ -82,18 +82,3 @@ class TestExpansion:
         with pytest.raises(PipelineConfigError, match="queue"):
             PipelineConfig(app="ring", nranks=4, topology="torus3d",
                            queue_discipline="nope")
-
-
-class TestFingerprint:
-    def test_scenario_digest_reaches_the_fingerprint(self):
-        base = PipelineConfig(app="ring", nranks=4).fingerprint()
-        calm = PipelineConfig(app="ring", nranks=4,
-                              scenario="calm").fingerprint()
-        assert calm != base
-        assert calm["scenario"] == SCENARIOS["calm"].digest()
-
-    def test_distinct_scenarios_fingerprint_distinctly(self):
-        def fp(name):
-            return PipelineConfig(app="sweep3d", nranks=8,
-                                  scenario=name).fingerprint()
-        assert fp("torus-hotlink") != fp("torus-bisection")

@@ -10,11 +10,14 @@ arithmetic (lost messages, delays folded into fixed arrivals,
 duplicate charges, degradation windows); and a drain that scans every
 candidate channel, with no candidate heaps or deferral memo, lets the
 policy pick a horizon-safe wildcard's candidate (under the canonical
-policy, the canonical minimum) and commits through its own arithmetic.
-It shares with production the ``MatchIndex`` queues, the policy pop,
-the congestion formulas (``Engine._overload_backoff``,
-``_wire_arrival``, ``_flow_stall``, ``_routed_arrival``) and the
-resume, relaxed-progress, crash and deadlock helpers.
+policy, the canonical minimum) and commits through its own arithmetic;
+and its own waits: a WaitAll/WaitAny test per op, a resume per blocked
+kind that pushes onto the ready heap, and the all-blocked relaxed
+sweep (deferred wildcard drains first, then a full sweep over the
+blocked ranks without the safety horizon).  It shares with production
+only the ``MatchIndex`` queues, the policy pop, the congestion formulas
+(``Engine._overload_backoff``, ``_wire_arrival``, ``_flow_stall``,
+``_routed_arrival``) and the crash and deadlock helpers.
 :func:`reference_loop` swaps it in for the engine's executor, so any
 entry point can run against the oracle; it records no ``--profile``
 phases.
@@ -79,7 +82,7 @@ def run_reference(eng) -> None:
             break
         # everyone blocked: try relaxed matching / resumption
         eng.deadlock_checks += 1
-        if eng._relaxed_progress():
+        if _relaxed_progress(eng):
             continue
         if eng.crashed_ranks:
             eng._starve_blocked()
@@ -125,11 +128,79 @@ def _resume_dirty(eng) -> None:
         if rs.state != BLOCKED:
             eng._dirty.discard(rank)
             continue
-        if eng._try_resume(rs, relaxed=False):
+        if _try_resume(eng, rs, relaxed=False):
             eng._dirty.discard(rank)
         elif not (rs.blocked_kind == "waitany"
                   and any(r.complete for r in rs.blocked_data)):
             eng._dirty.discard(rank)
+
+
+def _relaxed_progress(eng) -> bool:
+    """Every live rank is blocked: commit one deferred wildcard match,
+    earliest destination first, else resume every wait that is
+    resumable without the safety horizon."""
+    for dst in sorted(eng._match.pending_recvs):
+        if eng._drain(dst, relaxed=True):
+            eng.deferred_commits += 1
+            return True
+    progress = False
+    for rs in eng._ranks:
+        if rs.state != BLOCKED:
+            continue
+        if _try_resume(eng, rs, relaxed=True):
+            eng._dirty.discard(rs.rank)
+            progress = True
+    return progress
+
+
+# -- waits -------------------------------------------------------------------
+def _try_waitall(eng, rs, requests, relaxed: bool):
+    """The statuses once every request is complete, or None."""
+    if not all(r.complete for r in requests):
+        return None
+    if requests:
+        rs.clock = max(rs.clock, max(r.completion for r in requests))
+    return [r.status for r in requests]
+
+
+def _try_waitany(eng, rs, requests, relaxed: bool):
+    """``(index, status)`` of the earliest complete request, or None
+    while none is complete or, outside a relaxed pass, an incomplete
+    one might still finish earlier (it is past the safety horizon)."""
+    done = [(r.completion, i) for i, r in enumerate(requests) if r.complete]
+    if not done:
+        return None
+    t, i = min(done)
+    if not relaxed and not all(r.complete for r in requests):
+        if t > eng._horizon(rs.rank):
+            return None
+    rs.clock = max(rs.clock, t)
+    return (i, requests[i].status)
+
+
+def _try_resume(eng, rs, relaxed: bool) -> bool:
+    """Unblock ``rs`` if its wait is satisfied; True if it became READY."""
+    if rs.blocked_kind == "waitall":
+        res = _try_waitall(eng, rs, rs.blocked_data, relaxed)
+        if res is None:
+            return False
+        rs.pending_value = res
+    elif rs.blocked_kind == "waitany":
+        res = _try_waitany(eng, rs, rs.blocked_data, relaxed)
+        if res is None:
+            return False
+        rs.pending_value = res
+    else:
+        inst = rs.blocked_data
+        if inst.completion is None:
+            return False
+        rs.clock = inst.completion
+        rs.pending_value = None
+    rs.state = READY
+    rs.blocked_kind = None
+    rs.blocked_data = None
+    heapq.heappush(eng._sched.ready_heap, (rs.clock, rs.rank))
+    return True
 
 
 # -- one op ------------------------------------------------------------------
@@ -147,8 +218,8 @@ def _apply(eng, rs, op):
         return _apply_recv(eng, rs, op)
     if isinstance(op, (WaitAll, WaitAny)):
         waitall = isinstance(op, WaitAll)
-        done = (eng._try_waitall if waitall else eng._try_waitany)(
-            rs, op.requests, relaxed=False)
+        done = (_try_waitall if waitall else _try_waitany)(
+            eng, rs, op.requests, relaxed=False)
         if done is not None:
             return done
         rs.blocked_kind = "waitall" if waitall else "waitany"

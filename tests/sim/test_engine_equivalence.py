@@ -16,7 +16,10 @@ model's overload backoff, wire queue and backlog stall (``arc`` and a
 profiled run must equal an unprofiled one except for its
 ``engine.profile.*`` timings.  The two loops send through different
 code: the executor's inline send with ``Engine._send_fault``, and the
-reference loop's own send, which shares only the congestion helpers.
+reference loop's own send, which shares only the congestion helpers,
+and likewise through different waits: the executor's one wait rule
+(``exec_batch.wait_value``) and the reference loop's own per-kind
+waits, resumes and relaxed sweep.
 
 Programs are deadlock-free by construction (fault injection aside):
 each phase posts all nonblocking receives, then all sends, then waits
@@ -34,11 +37,13 @@ from hypothesis import given, settings
 from repro import obs
 from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan
+from repro.sim import exec_batch
 from repro.sim.engine import Engine
 from repro.sim.matching import MatchIndex
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll, WaitAny)
+from repro.sim.sched import BLOCKED
 from repro.topology import make_topology_model
 from tests.sim.reference_loop import reference_loop
 
@@ -313,3 +318,144 @@ def test_tight_congestion_fires_every_mechanism_in_both_loops(monkeypatch):
     assert counters["engine.overload_events"] > 0
     assert any(got_throttled) and not all(got_throttled)
     assert got_stalls and set(got_stalls) == {0}
+
+
+def _waitany_at_op_time(nranks):
+    """Rank 1 sends before a barrier that rank 0 posted its receive
+    ahead of, so rank 0's WaitAny after the barrier finds every request
+    complete and resumes as it is issued."""
+    def rank0():
+        req = yield PostRecv(1, 0)
+        yield Collective((0, 1), "barrier")
+        yield WaitAny([req])
+
+    def rank1():
+        yield PostSend(0, 64)
+        yield Collective((0, 1), "barrier")
+    return [rank0(), rank1()]
+
+
+def _waitany_from_dirty_set(nranks):
+    """Rank 0 blocks on one receive; rank 1's send completes it and the
+    dirty-set wakeup resumes rank 0."""
+    def rank0():
+        req = yield PostRecv(1, 0)
+        yield WaitAny([req])
+
+    def rank1():
+        yield Compute(1e-5)
+        yield PostSend(0, 64)
+    return [rank0(), rank1()]
+
+
+def _waitany_until_horizon_moves(nranks):
+    """Rank 0 waits on receives from ranks 1 and 2.  Rank 1's message
+    lands first, but rank 2 is still at clock 0, so the horizon holds
+    the WaitAny back and rank 0 stays dirty.  Rank 2 then computes and
+    blocks without sending: the horizon passes the completion and the
+    dirty-set wakeup resumes rank 0 before rank 2's message exists."""
+    def rank0():
+        a = yield PostRecv(1, 0)
+        b = yield PostRecv(2, 0)
+        i, _ = yield WaitAny([a, b])
+        s = yield PostSend(2, 64, tag=9)
+        yield WaitAll([s, (a, b)[1 - i]])
+
+    def rank1():
+        yield PostSend(0, 64)
+
+    def rank2():
+        yield Compute(1e-3)
+        r = yield PostRecv(0, 9)
+        yield WaitAll([r])
+        s = yield PostSend(0, 64)
+        yield WaitAll([s])
+    return [rank0(), rank1(), rank2()]
+
+
+def _waitany_in_relaxed_sweep(nranks):
+    """Rank 2 blocks at clock 0 on a receive only rank 0 can satisfy,
+    after rank 0's WaitAny; the horizon holds the WaitAny back as it is
+    issued, every rank ends up blocked, and only the relaxed sweep can
+    resume rank 0."""
+    def rank0():
+        a = yield PostRecv(1, 0)
+        b = yield PostRecv(2, 0)
+        yield Collective((0, 1), "barrier")
+        i, _ = yield WaitAny([a, b])
+        s = yield PostSend(2, 64, tag=9)
+        yield WaitAll([s, (a, b)[1 - i]])
+
+    def rank1():
+        yield PostSend(0, 64)
+        yield Collective((0, 1), "barrier")
+
+    def rank2():
+        r = yield PostRecv(0, 9)
+        yield WaitAll([r])
+        s = yield PostSend(0, 64)
+        yield WaitAll([s])
+    return [rank0(), rank1(), rank2()]
+
+
+#: one fixed program per waitany branch of the wait rule: (ranks, the
+#: program builder, the (call site, outcome) pairs it must reach).  A
+#: call site is "op" (the WaitAny as issued), "dirty" (the dirty-set
+#: wakeup) or "relaxed" (the all-blocked sweep); "held-then-resume"
+#: marks a HELD WaitAny later resumed at that site.  No fixed case
+#: resumes a waitall or collective in the relaxed sweep: each of their
+#: completions flags the rank dirty, and the loop top wakes it before
+#: the sweep can run.
+_WAIT_BRANCHES = {
+    "op-resume": (2, _waitany_at_op_time, {("op", "resume")}),
+    "dirty-resume": (2, _waitany_from_dirty_set,
+                     {("op", "block"), ("dirty", "resume")}),
+    "held-until-horizon": (3, _waitany_until_horizon_moves,
+                           {("dirty", "held"),
+                            ("dirty", "held-then-resume")}),
+    "relaxed-resume": (3, _waitany_in_relaxed_sweep,
+                       {("op", "held"), ("dirty", "held"),
+                        ("relaxed", "resume"),
+                        ("relaxed", "held-then-resume")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WAIT_BRANCHES))
+def test_wait_branch_matches_reference(case, monkeypatch):
+    """Each WaitAny branch of the production wait rule, on a fixed
+    program, gives the reference loop's clocks and counters (the
+    deadlock checks count relaxed sweeps)."""
+    nranks, build, expected = _WAIT_BRANCHES[case]
+    reached = set()
+    held = []
+    rule = exec_batch.wait_value
+
+    def spy(rs, kind, data, relaxed, horizon):
+        site = ("op" if rs.state != BLOCKED
+                else "relaxed" if relaxed else "dirty")
+        value = rule(rs, kind, data, relaxed, horizon)
+        if value is exec_batch.HELD:
+            reached.add((site, "held"))
+            held.append(data)
+        elif value is exec_batch.BLOCK:
+            reached.add((site, "block"))
+        else:
+            reached.add((site, "resume"))
+            if any(d is data for d in held):
+                reached.add((site, "held-then-resume"))
+        return value
+
+    def run():
+        eng = Engine(nranks, make_model("bluegene"))
+        with obs.instrumented() as inst:
+            eng.run(build(nranks))
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        return [eng.now(r).hex() for r in range(nranks)], counters
+
+    with reference_loop():
+        reference = run()
+    monkeypatch.setattr(exec_batch, "wait_value", spy)
+    production = run()
+    assert expected <= reached, sorted(reached)
+    assert production == reference
+

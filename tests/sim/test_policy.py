@@ -13,7 +13,7 @@ import pytest
 from repro.apps import make_app
 from repro.errors import PipelineConfigError, SimDeadlockError
 from repro.mpi.world import run_spmd
-from repro.pipeline import PipelineConfig
+from repro.pipeline import PipelineConfig, RunContext, TraceStage
 from repro.sim.engine import Engine
 from repro.sim.network import make_model
 from repro.sim.synth import wildcard_programs
@@ -107,10 +107,14 @@ class TestPipelineConfigValidation:
             PipelineConfig(app="ring", nranks=4, schedule_seed=1)
 
     def test_policy_enters_fingerprint(self):
+        # the trace's cache key is its content fingerprint: a policy
+        # changes which wildcard matches the trace records
         a = PipelineConfig(app="ring", nranks=4)
         b = PipelineConfig(app="ring", nranks=4,
                            schedule_policy="random", schedule_seed=1)
-        assert a.fingerprint() != b.fingerprint()
+        stage = TraceStage()
+        assert stage.key_parts(RunContext(a)) != \
+            stage.key_parts(RunContext(b))
 
 
 class TestCanonicalByteIdentity:

@@ -216,6 +216,17 @@ class TestPipelineSubcommand:
         second = capsys.readouterr().out
         assert "cache hit: trace, emit (generate)" in second
 
+    def test_library_run_hits_the_cli_cache(self, workdir, capsys):
+        # the CLI's step budget must not key the cache: a library run
+        # with no budget reuses the trace and source the CLI cached
+        from repro.pipeline import PipelineConfig, full_pipeline
+        assert main(["pipeline", "--app", "ring", "--np", "4",
+                     "--cache-dir", "c", "--no-run"]) == 0
+        result = full_pipeline(run=False).run(PipelineConfig(
+            app="ring", nranks=4, cache_dir="c", use_cache=True))
+        hits = {r.stage for r in result.records if r.cache == "hit"}
+        assert hits == {"trace", "emit"}
+
     def test_no_cache_never_hits(self, workdir, capsys):
         argv = ["pipeline", "--app", "jacobi", "--np", "4", "--no-cache"]
         assert main(argv) == 0

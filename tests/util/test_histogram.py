@@ -71,27 +71,6 @@ class TestMerge:
         assert a.count == 1 and b.count == 2
 
 
-class TestScaled:
-    def test_scale_half(self):
-        h = TimeHistogram()
-        for t in (2e-6, 4e-6):
-            h.add(t)
-        s = h.scaled(0.5)
-        assert s.total == pytest.approx(h.total / 2)
-        assert s.count == h.count
-
-    def test_scale_zero(self):
-        h = TimeHistogram()
-        h.add(3e-6)
-        s = h.scaled(0.0)
-        assert s.total == 0.0
-        assert s.count == 1
-
-    def test_scale_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TimeHistogram().scaled(-0.1)
-
-
 class TestReplay:
     def test_replay_preserves_total(self):
         h = TimeHistogram()
