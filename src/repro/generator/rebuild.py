@@ -22,7 +22,10 @@ deltas are read straight off the trace nodes; no member is expanded.
 
 The pair merges keep the accumulator's binomial association order, and
 :class:`~repro.scalatrace.merge.TraceMergeAccumulator` computes each
-distinct pair alignment once per pair of partial shapes.  Rank-set
+distinct alignment once per pair of shapes, at every nesting level (a
+merge of two partials, and of two loop bodies inside one), whichever
+merge first needs it; the members' lists come in their classes' shapes,
+so the count of alignments computed does not grow with P.  Rank-set
 unions, parameter merges and histogram folds still run for every merge,
 in the same order, so the bytes are those of rebuilding every rank
 (``tests/generator/rebuild_oracle.py`` keeps that per-rank loop as the

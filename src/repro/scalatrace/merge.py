@@ -17,25 +17,25 @@ Four throughput mechanisms sit on top of the pairwise LCS merge:
 
 * **weight-only alignment** — the DP needs each cell's match weight,
   never the merged node, so it computes weights without building
-  anything (memoized per pair merge) and builds merged nodes only for
-  the pairs on the traceback (see :class:`_PairMerge`);
+  anything and builds merged nodes only for the pairs on the traceback
+  (see :class:`_ShapeMemo`);
 * an **identical-sequence fast path** — in the common SPMD case every
-  rank records the same call structure, so the pairwise merge is gated
-  by a rolling Rabin hash over rank-agnostic node fingerprints
-  (:attr:`~repro.scalatrace.rsd.Node.mfp`) and, once structural identity
-  is confirmed exactly, aligned position-by-position without running
-  the O(n·m) LCS DP.  The diagonal is only taken when it is *provably*
-  what the DP would pick (see :func:`_diagonal_safe`), so output bytes
-  never depend on which path ran;
+  rank records the same call structure, so two lists of one shape are
+  aligned position-by-position without running the O(n·m) LCS DP.  The
+  diagonal is only taken when it is *provably* what the DP would pick
+  (see :meth:`_ShapeMemo.diagonal_safe`), so output bytes never depend
+  on which path ran;
 * a **streaming accumulator** (:class:`TraceMergeAccumulator`) — a
   binomial binary counter over per-rank node lists that keeps at most
   ``log2(P)+1`` partial merges live while producing the exact same merge
   association tree as the level-order pairwise reduction it replaced.
   Ranks can be fed (in rank order) as they finish and their queues
   dropped immediately, which is what bounds the tracer's peak memory;
-* **shared alignments** — an alignment reads node shape only, so the
-  accumulator computes one per distinct pair of partial shapes and
-  builds every other merge of that pair along it.
+* **shared alignments** — an alignment reads node shape only, so every
+  memo is keyed on interned shape ids, at every nesting level: the
+  accumulator computes each distinct alignment once (a top-level one, a
+  loop-body one, a loop pair's weight) and builds every merge of lists
+  of those shapes along it.
 """
 
 from __future__ import annotations
@@ -116,218 +116,217 @@ def _merge_events(a: EventNode, b: EventNode,
                      time_first, time_rest)
 
 
-def _match_weight(node: Node) -> int:
-    """Alignment priority of a successful match.
-
-    Collectives dominate: when matching a point-to-point pair conflicts in
-    order with matching a collective pair, the collective must win — this
-    is how the merge realizes Algorithm 1's guarantee that one logical
-    collective becomes one RSD.  Loops inherit the weight of their
-    contents (they may carry collectives inside)."""
-    if isinstance(node, EventNode):
-        from repro.mpi.hooks import COLLECTIVE_OPS
-        return 10_000 if node.op in COLLECTIVE_OPS else 1
-    return sum(_match_weight(n) for n in node.body)
-
-
-def _seq_mfp(nodes: List[Node]) -> int:
-    """Rolling Rabin hash of a node sequence's rank-agnostic merge
-    fingerprints (same field as the compressor's window hashes)."""
-    from repro.scalatrace.rsd import FP_BASE, FP_MOD
-    h = 0
-    for n in nodes:
-        h = (h * FP_BASE + n.mfp) % FP_MOD
-    return h
-
-
-def _identical_structure(a: Node, b: Node) -> bool:
-    """Exact structural identity as the merge fast path requires it.
-
-    For events this is precisely the condition under which two events
-    merge (:func:`_merge_events` never fails): the same
-    :attr:`~repro.scalatrace.rsd.EventNode.shape`.  For loops: same
-    count, same body length, and pairwise identical bodies.
-    Fingerprints got us here cheaply; this walk is what makes the fast
-    path collision-proof."""
-    if isinstance(a, EventNode):
-        return isinstance(b, EventNode) and a.shape == b.shape
-    if not isinstance(b, LoopNode):
-        return False
-    assert isinstance(a, LoopNode)
-    return (a.count == b.count
-            and len(a.body) == len(b.body)
-            and all(_identical_structure(x, y)
-                    for x, y in zip(a.body, b.body)))
-
-
-def _event_keys(node: Node) -> set:
-    """(signature, instances) of every event in a node's subtree."""
-    keys = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, EventNode):
-            keys.add((n.sig, n.instances))
-        else:
-            stack.extend(n.body)
-    return keys
-
-
-def _diagonal_safe(nodes: List[Node]) -> bool:
-    """True when the all-diagonal alignment of ``nodes`` against a
-    structurally identical copy is provably the alignment the weighted
-    LCS DP picks — the condition for the fast path to be byte-identical.
-
-    Event↔event cross matches are weight-conserving (the merged node
-    weighs exactly what each side weighs), so any alignment built from
-    them totals at most the diagonal's weight, and the traceback's
-    match-first tie-break then yields the diagonal.  The only way an
-    off-diagonal alignment can *out-weigh* the diagonal is a loop↔loop
-    cross merge, whose supersequence body can weigh more than either
-    side.  Such a merge needs equal counts and at least one shared body
-    node — so the fast path is safe whenever no two distinct loops in
-    the list have equal counts and overlapping event sets.  Compressed
-    SPMD traces almost never trip this (distinct phases use distinct
-    call sites); when they do we conservatively fall back to the DP."""
-    loops = [n for n in nodes if isinstance(n, LoopNode)]
-    if len(loops) < 2:
-        return True
-    by_count: Dict[int, List[LoopNode]] = {}
-    for n in loops:
-        by_count.setdefault(n.count, []).append(n)
-    for group in by_count.values():
-        if len(group) < 2:
-            continue
-        keysets = [_event_keys(n) for n in group]
-        for i in range(len(keysets)):
-            for j in range(i + 1, len(keysets)):
-                if keysets[i] & keysets[j]:
-                    return False
-    return True
-
+#: The first item of a loop's shape key (an event's is its signature, a
+#: tuple, so the two kinds of key never collide).
+_LOOP = "loop"
 
 #: One alignment of two node lists: matched (i, j) index pairs, and
 #: whether the diagonal fast path produced them.
 _Alignment = Tuple[List[Tuple[int, int]], bool]
 
+#: A pair merge's alignment: matched ``(i, j, body plan)`` triples, the
+#: body plan (the loop bodies' alignment, same form) None for events.
+#: It reads node shape only (signatures, counts, parameter presence),
+#: never ranks or values, so it applies to any two lists shaped like the
+#: ones it was computed on.
+_Plan = Tuple[Tuple[int, int, Optional[tuple]], ...]
 
-class _PairMerge:
-    """One top-level pair merge's weight-only alignment (:meth:`plan`);
-    :func:`_build` then builds the merged list along it.
+
+class _ShapeMemo:
+    """Every alignment one merge sequence computes, keyed on shape.
+
+    An alignment reads only shape: each event's
+    :attr:`~repro.scalatrace.rsd.EventNode.shape` and each loop's count
+    and body, never ranks, values or timing.  :meth:`intern` gives a node
+    list an id that stands for exactly that (equal ids, equal shapes),
+    and every memo here is keyed on such ids, so an alignment computed
+    for one merge serves every later merge of lists of those shapes, at
+    every nesting level.  Ids are kept both ways: ``ids`` maps a key to
+    its id and ``keys`` an id to its key.  A list's key is the tuple of
+    its nodes' ids; an event's is its shape; a loop's is ``("loop",
+    count, body id)``.  Alignments are computed from these keys alone,
+    so a memo miss walks no node.
 
     The weighted LCS needs only each cell's *weight*, never the merged
     node, so alignment builds nothing: two events are mergeable iff
-    their signature, instance count and parameter presence pattern agree
-    (then :func:`_merge_events` always succeeds and the merge weighs what
-    either side weighs); two loops iff their counts agree and their
-    bodies share at least one aligned pair (then the merge is the body
-    supersequence, whose weight follows from the body alignment).
-    Merged nodes are built afterwards, for the traceback's pairs only.
-
-    Every memo is keyed by node (or node-list) identity.  That is sound
-    for the lifetime of one merge: inputs are never mutated, and the
-    caller's lists keep every keyed object alive, so no id is reused.
+    their shapes agree (then :func:`_merge_events` always succeeds and
+    the merge weighs what either side weighs); two loops iff their
+    counts agree and their bodies share at least one aligned pair (then
+    the merge is the body supersequence, whose weight follows from the
+    body alignment).  :func:`_build` builds the merged nodes along a
+    :meth:`plan` afterwards.
     """
 
     def __init__(self):
-        #: id(node) -> _match_weight(node)
+        #: shape key -> id, and id -> shape key
+        self.ids: Dict[tuple, int] = {}
+        self.keys: List[tuple] = []
+        #: node id -> match weight of such a node
         self._weights: Dict[int, int] = {}
-        #: id(list) -> merge class of each node: equal classes mean the
-        #: nodes *could* merge (events: exactly when they merge; loops:
-        #: equal counts)
-        self._class_lists: Dict[int, List[int]] = {}
-        self._class_ids: Dict[tuple, int] = {}
-        #: (id(loop), id(loop)) -> merged-loop weight, None if unmergeable
-        self._loop_weights: Dict[Tuple[int, int], Optional[int]] = {}
-        #: (id(list), id(list)) -> alignment
+        #: list id -> merge class of each node: equal classes mean the
+        #: nodes *could* merge (events: their id, so exactly when they
+        #: merge; loops: minus the count)
+        self._classes: Dict[int, List[int]] = {}
+        #: (list id, list id) -> alignment
         self._alignments: Dict[Tuple[int, int], _Alignment] = {}
-        #: the alignment counters of the plans made: every merge built
-        #: along a plan emits them (:func:`_emit`)
-        self.counts: Dict[str, int] = Counter()
+        #: (loop id, loop id) -> merged-loop weight, None if unmergeable
+        self._loop_weights: Dict[Tuple[int, int], Optional[int]] = {}
+        #: (list id, list id) -> (plan, merged list id, its counters)
+        self._plans: Dict[Tuple[int, int],
+                          Tuple[_Plan, int, Dict[str, int]]] = {}
 
-    def _weight(self, node: Node) -> int:
-        w = self._weights.get(id(node))
+    def forget(self) -> None:
+        """Drop every alignment, so the next merge aligns afresh."""
+        self._alignments.clear()
+        self._loop_weights.clear()
+        self._plans.clear()
+
+    def _id(self, key: tuple) -> int:
+        found = self.ids.get(key)
+        if found is None:
+            found = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return found
+
+    def intern(self, nodes: List[Node]) -> int:
+        """The shape id of ``nodes`` (interning every body on the way)."""
+        return self._id(tuple([
+            self._id(n.shape if isinstance(n, EventNode)
+                     else (_LOOP, n.count, self.intern(n.body)))
+            for n in nodes]))
+
+    def _weight(self, node: int) -> int:
+        """Alignment priority of a match with this node.
+
+        Collectives dominate: when matching a point-to-point pair
+        conflicts in order with matching a collective pair, the
+        collective must win — this is how the merge realizes Algorithm
+        1's guarantee that one logical collective becomes one RSD.
+        Loops inherit the weight of their contents (they may carry
+        collectives inside)."""
+        w = self._weights.get(node)
         if w is None:
-            if isinstance(node, EventNode):
-                w = _match_weight(node)
+            key = self.keys[node]
+            if key[0] == _LOOP:
+                w = sum(self._weight(n) for n in self.keys[key[2]])
             else:
-                w = sum(self._weight(n) for n in node.body)
-            self._weights[id(node)] = w
+                from repro.mpi.hooks import COLLECTIVE_OPS
+                w = 10_000 if key[0][1] in COLLECTIVE_OPS else 1
+            self._weights[node] = w
         return w
 
-    def _classes(self, nodes: List[Node]) -> List[int]:
-        classes = self._class_lists.get(id(nodes))
-        if classes is None:
-            classes = []
-            for node in nodes:
-                key = (node.shape if isinstance(node, EventNode)
-                       else ("loop", node.count))
-                classes.append(self._class_ids.setdefault(
-                    key, len(self._class_ids)))
-            self._class_lists[id(nodes)] = classes
-        return classes
+    def _classes_of(self, nodes: int) -> List[int]:
+        found = self._classes.get(nodes)
+        if found is None:
+            found = self._classes[nodes] = [
+                -self.keys[n][1] if self.keys[n][0] == _LOOP else n
+                for n in self.keys[nodes]]
+        return found
 
-    def pair_weight(self, a: Node, b: Node) -> Optional[int]:
-        """``_match_weight`` of the node merging ``a`` and ``b`` would
-        build, or None if they do not merge — computed without building."""
-        if isinstance(a, EventNode):
-            return self._weight(a) if _identical_structure(a, b) else None
-        if isinstance(b, LoopNode) and a.count == b.count:
+    def _pair_weight(self, a: int, b: int) -> Optional[int]:
+        """Weight of the node merging two nodes of one merge class would
+        build, or None if they do not merge — computed without
+        building."""
+        if self.keys[a][0] == _LOOP:
             return self._loop_weight(a, b)
-        return None
+        return self._weight(a)
 
-    def _loop_weight(self, a: LoopNode, b: LoopNode) -> Optional[int]:
-        key = (id(a), id(b))
+    def _loop_weight(self, a: int, b: int) -> Optional[int]:
+        key = (a, b)
         if key in self._loop_weights:
             return self._loop_weights[key]
         w = None
+        abody, bbody = self.keys[a][2], self.keys[b][2]
         # Require at least one genuinely shared body node: otherwise any
         # two equal-count loops would merge, and those spurious matches
         # displace collective alignment in the outer LCS.  Bodies with no
         # merge class in common cannot share one, so skip their DP.
-        if not set(self._classes(a.body)).isdisjoint(
-                self._classes(b.body)):
-            pairs, _ = self._align(a.body, b.body)
+        if not set(self._classes_of(abody)).isdisjoint(
+                self._classes_of(bbody)):
+            pairs, _ = self._align(abody, bbody)
             if pairs:
                 # the merged body is the supersequence: every node of
                 # both bodies, each matched pair replaced by its merge
+                xs, ys = self.keys[abody], self.keys[bbody]
                 w = self._weight(a) + self._weight(b) - sum(
-                    self._weight(a.body[i]) + self._weight(b.body[j])
-                    - self.pair_weight(a.body[i], b.body[j])
+                    self._weight(xs[i]) + self._weight(ys[j])
+                    - self._pair_weight(xs[i], ys[j])
                     for i, j in pairs)
         self._loop_weights[key] = w
         return w
 
-    def _align(self, xs: List[Node], ys: List[Node]) -> _Alignment:
-        key = (id(xs), id(ys))
-        found = self._alignments.get(key)
+    def _align(self, xs: int, ys: int) -> _Alignment:
+        found = self._alignments.get((xs, ys))
         if found is None:
-            if _FASTPATH and xs and len(xs) == len(ys) \
-                    and _seq_mfp(xs) == _seq_mfp(ys) \
-                    and all(_identical_structure(x, y)
-                            for x, y in zip(xs, ys)) \
-                    and _diagonal_safe(xs):
-                found = ([(i, i) for i in range(len(xs))], True)
+            obs.count("scalatrace.alignments_computed", 1)
+            if _FASTPATH and xs == ys and self.keys[xs] \
+                    and self.diagonal_safe(xs):
+                found = ([(i, i) for i in range(len(self.keys[xs]))], True)
             else:
-                found = self._lcs(xs, ys)
-            self._alignments[key] = found
+                found = (self._lcs(xs, ys), False)
+            self._alignments[xs, ys] = found
         return found
 
-    def _lcs(self, xs: List[Node], ys: List[Node]) -> _Alignment:
+    def diagonal_safe(self, nodes: int) -> bool:
+        """True when the all-diagonal alignment of the list ``nodes``
+        against itself is provably the alignment the weighted LCS DP
+        picks — the condition for the fast path to be byte-identical.
+
+        Event↔event cross matches are weight-conserving (the merged node
+        weighs exactly what each side weighs), so any alignment built
+        from them totals at most the diagonal's weight, and the
+        traceback's match-first tie-break then yields the diagonal.  The
+        only way an off-diagonal alignment can *out-weigh* the diagonal
+        is a loop↔loop cross merge, whose supersequence body can weigh
+        more than either side.  Such a merge needs equal counts and at
+        least one shared body node — so the fast path is safe whenever
+        no two distinct loops in the list have equal counts and
+        overlapping event sets.  Compressed SPMD traces almost never trip
+        this (distinct phases use distinct call sites); when they do we
+        conservatively fall back to the DP."""
+        by_count: Dict[int, List[int]] = {}
+        for n in self.keys[nodes]:
+            key = self.keys[n]
+            if key[0] == _LOOP:
+                by_count.setdefault(key[1], []).append(key[2])
+        for group in by_count.values():
+            if len(group) < 2:
+                continue
+            keysets = [self._event_keys(body) for body in group]
+            for i in range(len(keysets)):
+                for j in range(i + 1, len(keysets)):
+                    if keysets[i] & keysets[j]:
+                        return False
+        return True
+
+    def _event_keys(self, nodes: int) -> set:
+        """(signature, instances) of every event under a list id."""
+        found = set()
+        stack = list(self.keys[nodes])
+        while stack:
+            key = self.keys[stack.pop()]
+            if key[0] == _LOOP:
+                stack.extend(self.keys[key[2]])
+            else:
+                found.add(key[:2])
+        return found
+
+    def _lcs(self, xs: int, ys: int) -> List[Tuple[int, int]]:
         """Maximum-weight common subsequence of mergeable nodes, with the
         match-first traceback (ties prefer the match, then moving down
         ``xs``)."""
-        n, m = len(xs), len(ys)
-        cx, cy = self._classes(xs), self._classes(ys)
+        xnodes, ynodes = self.keys[xs], self.keys[ys]
+        n, m = len(xnodes), len(ynodes)
+        cx, cy = self._classes_of(xs), self._classes_of(ys)
         weight: Dict[Tuple[int, int], int] = {}
         dp = [[0] * (m + 1) for _ in range(n + 1)]
         for i in range(n - 1, -1, -1):
-            x, c = xs[i], cx[i]
+            x, c = xnodes[i], cx[i]
             row, below = dp[i], dp[i + 1]
             for j in range(m - 1, -1, -1):
                 best = max(below[j], row[j + 1])
                 if cy[j] == c:
-                    w = self.pair_weight(x, ys[j])
+                    w = self._pair_weight(x, ynodes[j])
                     if w is not None:
                         weight[i, j] = w
                         best = max(best, below[j + 1] + w)
@@ -344,30 +343,52 @@ class _PairMerge:
                 i += 1
             else:
                 j += 1
-        return pairs, False
+        return pairs
 
-    def plan(self, xs: List[Node], ys: List[Node]) -> "_Plan":
-        """The alignment of ``xs`` and ``ys`` the merge builds from:
-        the traceback's pairs, each loop pair with its body's plan (the
-        memoized body alignment, so no body DP runs twice)."""
+    def plan(self, xs: int, ys: int) -> Tuple[_Plan, int, Dict[str, int]]:
+        """How lists of shapes ``xs`` and ``ys`` merge: the traceback's
+        pairs, each loop pair with its bodies' plan; the merged list's
+        shape id; and the alignment counters of the whole plan, which
+        every merge built along it emits (:func:`_emit`)."""
+        found = self._plans.get((xs, ys))
+        if found is not None:
+            return found
         pairs, fast = self._align(xs, ys)
+        xnodes, ynodes = self.keys[xs], self.keys[ys]
+        counts: Dict[str, int] = Counter()
         if fast:
-            self.counts["scalatrace.merge_fastpath_hits"] += 1
+            counts["scalatrace.merge_fastpath_hits"] += 1
         else:
-            self.counts["scalatrace.lcs_cells"] += len(xs) * len(ys)
-            self.counts["scalatrace.lcs_alignments"] += len(pairs)
-        return tuple(
-            (i, j, None if isinstance(xs[i], EventNode)
-             else self.plan(xs[i].body, ys[j].body))
-            for i, j in pairs)
+            counts["scalatrace.lcs_cells"] += len(xnodes) * len(ynodes)
+            counts["scalatrace.lcs_alignments"] += len(pairs)
+        plan = []
+        merged: List[int] = []
+        xi = yi = 0
+        for i, j in pairs:
+            merged.extend(xnodes[xi:i])
+            merged.extend(ynodes[yi:j])
+            key = self.keys[xnodes[i]]
+            if key[0] == _LOOP:
+                body, body_shape, body_counts = self.plan(
+                    key[2], self.keys[ynodes[j]][2])
+                counts.update(body_counts)
+                merged.append(self._id((_LOOP, key[1], body_shape)))
+            else:
+                body = None
+                merged.append(xnodes[i])   # a merged event keeps its shape
+            plan.append((i, j, body))
+            xi, yi = i + 1, j + 1
+        merged.extend(xnodes[xi:])
+        merged.extend(ynodes[yi:])
+        found = self._plans[xs, ys] = (tuple(plan), self._id(tuple(merged)),
+                                       counts)
+        return found
 
 
-#: A pair merge's alignment: matched ``(i, j, body plan)`` triples, the
-#: body plan (the loop bodies' alignment, same form) None for events.
-#: It reads node structure only (signatures, counts, parameter
-#: presence), never ranks or values, so it applies to any two lists
-#: shaped like the ones it was computed on.
-_Plan = Tuple[Tuple[int, int, Optional[tuple]], ...]
+def _diagonal_safe(nodes: List[Node]) -> bool:
+    """:meth:`_ShapeMemo.diagonal_safe` of a node list."""
+    memo = _ShapeMemo()
+    return memo.diagonal_safe(memo.intern(nodes))
 
 
 class _CommMaps(dict):
@@ -411,35 +432,19 @@ def _build(xs: List[Node], ys: List[Node], plan: _Plan,
     return out
 
 
-def _shape_id(nodes: List[Node], ids: Dict[tuple, int]) -> int:
-    """Interned id of everything an alignment reads of ``nodes``: per
-    event its :attr:`~repro.scalatrace.rsd.EventNode.shape`, per loop
-    its count and body (ids of both kinds share ``ids``; their keys
-    cannot collide)."""
-    key = []
-    for n in nodes:
-        if isinstance(n, EventNode):
-            k = n.shape
-        else:
-            k = ("loop", n.count, _shape_id(n.body, ids))
-        key.append(ids.setdefault(k, len(ids)))
-    return ids.setdefault(tuple(key), len(ids))
-
-
 def merge_node_lists(xs: List[Node], ys: List[Node],
                      comm_table) -> List[Node]:
     """Order-preserving merge (shortest common supersequence around the
     maximum-weight LCS of mergeable nodes).
 
-    Identical-sequence fast path: when both sides have the same length
-    and the same rolling merge fingerprint, an exact structural walk
-    confirms pairwise identity and the alignment is the diagonal,
-    skipping the O(n·m) DP.  Gated further by :func:`_diagonal_safe` so
-    the diagonal is exactly what the DP's traceback would produce; any
-    doubt falls through to the DP."""
-    pair = _PairMerge()
-    plan = pair.plan(xs, ys)
-    _emit(pair.counts)
+    Identical-sequence fast path: when both sides have the same shape
+    the alignment is the diagonal, skipping the O(n·m) DP.  Gated
+    further by :meth:`_ShapeMemo.diagonal_safe` so the diagonal is
+    exactly what the DP's traceback would produce; any doubt falls
+    through to the DP."""
+    memo = _ShapeMemo()
+    plan, _, counts = memo.plan(memo.intern(xs), memo.intern(ys))
+    _emit(counts)
     return _build(xs, ys, plan, _CommMaps(comm_table))
 
 
@@ -463,16 +468,19 @@ class TraceMergeAccumulator:
     byte-identical to the pre-streaming merge for any rank count.
 
     Shared alignments: an alignment reads node shape only (event
-    shapes, loop counts; never ranks, values or timing), so each pair
-    alignment is computed once per distinct pair of partial shapes and
-    replayed on every other pair of that shape.  SPMD ranks, and the
-    generator's rebuilt per-rank lists, come in a few shapes however
-    many ranks there are, so most merges replay one.  Every merge still
-    does its own rank-set unions, parameter merges and histogram folds,
-    in the same association order, so the bytes are those of aligning
-    every merge afresh — which is what the merges do while the fast path
-    is off (:func:`set_merge_fastpath`), keeping that the pure-DP
-    baseline.
+    shapes, loop counts; never ranks, values or timing), so one
+    :class:`_ShapeMemo` serves every merge the accumulator makes.  Each
+    distinct alignment, top-level or of two loop bodies, is computed
+    once and replayed on every later pair of those shapes; a merged
+    partial's shape id comes off its plan, without walking its nodes.
+    SPMD ranks, and the generator's rebuilt per-rank lists, come in a
+    few shapes however many ranks there are, so most merges replay one
+    (``scalatrace.alignments_computed`` counts the alignments computed).
+    Every merge still does its own rank-set unions, parameter merges and
+    histogram folds, in the same association order, so the bytes are
+    those of aligning every merge afresh — which is what the merges do
+    while the fast path is off (:func:`set_merge_fastpath`), keeping
+    that the pure-DP baseline.
     """
 
     def __init__(self, world_size: Optional[int] = None,
@@ -486,12 +494,8 @@ class TraceMergeAccumulator:
         self._partials: List[Tuple[int, List[Node], int]] = []
         #: How many per-rank lists have been fed.
         self.fed = 0
-        #: shape key -> shape id (see :func:`_shape_id`)
-        self._shapes: Dict[tuple, int] = {}
-        #: (left shape, right shape) -> (alignment, merged shape, its
-        #: alignment counters)
-        self._plans: Dict[Tuple[int, int],
-                          Tuple[_Plan, int, Dict[str, int]]] = {}
+        #: every alignment the merges compute, by shape
+        self._memo = _ShapeMemo()
 
     def add(self, trace: Trace) -> None:
         """Feed one per-rank trace (nodes + comm table)."""
@@ -507,7 +511,7 @@ class TraceMergeAccumulator:
         tracer uses); merges equal-span partials immediately."""
         if comm_table:
             self.comm_table.update(comm_table)
-        shape = _shape_id(nodes, self._shapes)
+        shape = self._memo.intern(nodes)
         span = 1
         while self._partials and self._partials[-1][0] == span:
             _, prev, prev_shape = self._partials.pop()
@@ -520,18 +524,11 @@ class TraceMergeAccumulator:
                yshape: int) -> Tuple[List[Node], int]:
         """One pair merge, and the merged list's shape id."""
         obs.count("scalatrace.pair_merges", 1)
-        found = self._plans.get((xshape, yshape)) if _FASTPATH else None
-        if found is not None:
-            plan, shape, counts = found
-            _emit(counts)
-            return _build(xs, ys, plan, _CommMaps(self.comm_table)), shape
-        pair = _PairMerge()
-        plan = pair.plan(xs, ys)
-        _emit(pair.counts)
-        merged = _build(xs, ys, plan, _CommMaps(self.comm_table))
-        shape = _shape_id(merged, self._shapes)
-        self._plans[xshape, yshape] = (plan, shape, pair.counts)
-        return merged, shape
+        if not _FASTPATH:
+            self._memo.forget()
+        plan, shape, counts = self._memo.plan(xshape, yshape)
+        _emit(counts)
+        return _build(xs, ys, plan, _CommMaps(self.comm_table)), shape
 
     def live_node_count(self) -> int:
         """Nodes currently held across all partial merges (the term the

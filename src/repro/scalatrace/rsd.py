@@ -247,16 +247,9 @@ class Node:
     structurally before any fold, keeping compression output independent
     of hash collisions.  Nodes are never structurally mutated after
     construction, so the fingerprint is computed once in ``__init__``.
-
-    ``mfp`` is the *merge* fingerprint: like ``fp`` but rank-agnostic
-    (and count/instance-agnostic), so the same call structure recorded on
-    two different ranks hashes identically.  The inter-rank merge uses a
-    rolling hash over ``mfp`` to gate its identical-sequence fast path;
-    as with ``fp``, equality is always confirmed structurally before it
-    changes behaviour, so collisions cannot alter merge output.
     """
 
-    __slots__ = ("ranks", "fp", "mfp")
+    __slots__ = ("ranks", "fp")
 
     def iter_events(self) -> Iterator["EventNode"]:
         raise NotImplementedError
@@ -318,11 +311,6 @@ class EventNode(Node):
                       tag is None, root is None)
         self.fp = hash(("event", op, callsite, comm_id, wait_offsets,
                         ranks)) % FP_MOD
-        # Rank/instance-agnostic: two ranks recording the same call site
-        # get the same merge fingerprint (instances are compared exactly
-        # by the merge's structural-identity walk, not hashed here, so
-        # in-place instance bumps in the compressor can't stale it).
-        self.mfp = hash(self.sig) % FP_MOD
 
     @property
     def time(self) -> TimeHistogram:
@@ -398,16 +386,10 @@ class LoopNode(Node):
         self.body = list(body)
         self.ranks = ranks
         h = 0
-        hm = 0
         for node in self.body:
             h = (h * FP_BASE + node.fp) % FP_MOD
-            hm = (hm * FP_BASE + node.mfp) % FP_MOD
         self.body_fp = h
         self.fp = loop_fp(count, ranks, len(self.body), h)
-        # Count excluded on purpose: ``bump_count`` (the hot streaming
-        # absorb path) must stay a single-hash refresh of ``fp``; the
-        # merge fast path compares counts exactly in its identity walk.
-        self.mfp = hash(("loop", len(self.body), hm)) % FP_MOD
 
     def bump_count(self, delta: int) -> None:
         """Increase the iteration count in place, refreshing the cached

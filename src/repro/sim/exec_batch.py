@@ -20,9 +20,9 @@ blocking — in one frame:
 * :func:`wait_value` is the engine's only wait rule, one clause per
   blocked kind (waitall, waitany, collective).  A ``WaitAll`` or
   ``WaitAny`` op calls it when issued, the dirty-set wakeup calls it
-  for every flagged rank, and the all-blocked relaxed sweep calls it
-  without the safety horizon; every resume goes through one push onto
-  the ready queues;
+  for every flagged rank, and the all-blocked relaxed sweep calls it,
+  without the safety horizon, for every blocked waitany; every resume
+  goes through one push onto the ready queues;
 * crash faults are checked per op, before the op is stepped, so a rank
   stops at the first op it would start at or past its crash time;
 * ``--profile`` attributes wall time to the schedule / match / execute
@@ -266,14 +266,19 @@ def run_batch(eng) -> None:
     def relaxed_progress() -> bool:
         """The pass taken when every live rank is blocked: commit the
         earliest-arriving deferred wildcard match, else resume every
-        wait the safety horizon held back.  True if anything moved."""
+        wait the safety horizon held back.  True if anything moved.
+
+        Only a waitany can be held back: every completion a waitall or
+        collective waits on flags it dirty, and the loop top resumes it
+        before the pop that found nobody, so the sweep polls waitany
+        ranks alone."""
         for dst in sorted(match.pending_recvs):
             if drain(dst, True):
                 eng.deferred_commits += 1
                 return True
         progress = False
         for r in ranks:
-            if r.state == BLOCKED:
+            if r.state == BLOCKED and r.blocked_kind == "waitany":
                 value = wait_value(r, r.blocked_kind, r.blocked_data,
                                    True, horizon)
                 if value is not BLOCK:

@@ -6,10 +6,11 @@ sets, histogram copies, recursive loop-body merges) for every DP cell it
 tries, then reads each cell's weight off that node.  The production merge
 computes the same weights without building anything and builds merged
 nodes only along the traceback; the differential tests hold the two to
-byte-identical output.  Only the fast-path gate helpers and the match
-weight are shared with the production module; the event and loop
-merges, the DP and the traceback are the pre-change code, and every
-accumulator merge runs its own DP (no shared alignments).
+byte-identical output.  Nothing of the alignment is shared with the
+production module: the match weight, the fast-path gate, the event and
+loop merges, the DP and the traceback are the pre-change node-walking
+code, and every accumulator merge runs its own DP (no shared
+alignments).
 """
 
 from __future__ import annotations
@@ -18,11 +19,44 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.mpi.hooks import COLLECTIVE_OPS
 from repro.scalatrace import merge as production
-from repro.scalatrace.merge import (_diagonal_safe, _identical_structure,
-                                    _match_weight, _seq_mfp)
 from repro.scalatrace.rsd import EventNode, LoopNode, Node
 from repro.util.rankset import RankSet
+
+
+def _match_weight(node: Node) -> int:
+    """Collectives outweigh any number of point-to-point matches; a loop
+    weighs its contents."""
+    if isinstance(node, EventNode):
+        return 10_000 if node.op in COLLECTIVE_OPS else 1
+    return sum(_match_weight(n) for n in node.body)
+
+
+def _identical_structure(a: Node, b: Node) -> bool:
+    """Equal event shapes; equal loop counts and pairwise identical
+    bodies."""
+    if isinstance(a, EventNode):
+        return isinstance(b, EventNode) and a.shape == b.shape
+    return (isinstance(b, LoopNode) and a.count == b.count
+            and len(a.body) == len(b.body)
+            and all(_identical_structure(x, y)
+                    for x, y in zip(a.body, b.body)))
+
+
+def _event_keys(node: Node) -> set:
+    """(signature, instances) of every event in a node's subtree."""
+    if isinstance(node, EventNode):
+        return {(node.sig, node.instances)}
+    return set().union(*(_event_keys(n) for n in node.body))
+
+
+def _diagonal_safe(nodes: List[Node]) -> bool:
+    """No two distinct loops of equal count share an event: then the
+    diagonal is the DP's own alignment of the list with itself."""
+    loops = [n for n in nodes if isinstance(n, LoopNode)]
+    return not any(a.count == b.count and _event_keys(a) & _event_keys(b)
+                   for k, a in enumerate(loops) for b in loops[k + 1:])
 
 
 def _try_merge_nodes(a: Node, b: Node,
@@ -116,7 +150,6 @@ def merge_node_lists(xs: List[Node], ys: List[Node],
                      comm_table) -> List[Node]:
     """The eager pair merge, honouring the production fast-path toggle."""
     if production._FASTPATH and xs and len(xs) == len(ys) \
-            and _seq_mfp(xs) == _seq_mfp(ys) \
             and all(_identical_structure(x, y) for x, y in zip(xs, ys)) \
             and _diagonal_safe(xs):
         out = _splice_identical(xs, ys, comm_table)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import obs
-from repro.scalatrace import merge
 from repro.scalatrace.compress import CompressionQueue
 from repro.scalatrace.merge import (TraceMergeAccumulator, merge_node_lists,
                                     merge_traces, set_merge_fastpath)
@@ -193,6 +192,22 @@ def ring_traces(world, iters=60):
     return traces
 
 
+def irregular_traces(world):
+    """Ranks in three shapes: loops of different counts and bodies,
+    which merge into loops whose bodies are supersequences."""
+    traces = []
+    for r in range(world):
+        script = []
+        for _ in range(4 + r % 3):
+            if r % 2:
+                script.append(("Isend", {"cs": cs(1), "peer": (r + 1) % world,
+                                         "size": 8, "tag": 0}))
+            script.append(("Allreduce", {"cs": cs(3), "size": 8}))
+        script.append(("Finalize", {"cs": cs(9), "size": 0}))
+        traces.append(build_rank(r, script, world=world))
+    return traces
+
+
 def reference_level_order(traces):
     """The seed's merge_traces: level-order pairwise LCS reduction."""
     world_size = traces[0].world_size
@@ -313,30 +328,49 @@ class TestTraceMergeAccumulator:
         assert len(acc._partials) == 1  # 64 is a power of two
         acc.result()
 
-    @pytest.mark.parametrize("enabled, aligned", [(True, 1), (False, 7)])
-    def test_equal_shapes_share_one_alignment(self, monkeypatch, enabled,
-                                              aligned):
-        # SPMD ranks present one shape, and merging two lists of that
-        # shape gives it again, so one alignment serves all 7 merges of
-        # 8 ranks.  With the fast path off every merge aligns afresh.
-        made = []
-
-        class Counting(merge._PairMerge):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
-
-        monkeypatch.setattr(merge, "_PairMerge", Counting)
+    @staticmethod
+    def _merge_counters(traces, enabled):
         prev = set_merge_fastpath(enabled)
         try:
             with obs.instrumented() as inst:
-                merged = dumps_trace(merge_traces(ring_traces(8)))
+                merged = dumps_trace(merge_traces(traces))
         finally:
             set_merge_fastpath(prev)
         counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        return merged, counters
+
+    @pytest.mark.parametrize("enabled, aligned", [(True, 1), (False, 7)])
+    def test_equal_shapes_share_one_alignment(self, enabled, aligned):
+        # SPMD ranks present one shape, and merging two lists of that
+        # shape gives it again, so one alignment serves all 7 merges of
+        # 8 ranks.  With the fast path off every merge aligns afresh.
+        merged, counters = self._merge_counters(ring_traces(8, iters=1),
+                                                enabled)
         assert counters["scalatrace.pair_merges"] == 7
-        assert len(made) == aligned
+        assert counters["scalatrace.alignments_computed"] == aligned
+        assert merged == dumps_trace(
+            reference_level_order(ring_traces(8, iters=1)))
+
+    @pytest.mark.parametrize("enabled, aligned", [(True, 2), (False, 14)])
+    def test_loop_bodies_share_their_alignment(self, enabled, aligned):
+        # Each ring list holds a loop, so a merge aligns the lists and
+        # the loop bodies.  Shared, the body alignment is computed once
+        # with the first plan; with the fast path off each merge
+        # computes both.
+        merged, counters = self._merge_counters(ring_traces(8), enabled)
+        assert counters["scalatrace.pair_merges"] == 7
+        assert counters["scalatrace.alignments_computed"] == aligned
         assert merged == dumps_trace(reference_level_order(ring_traces(8)))
+
+    def test_partial_shape_ids_match_their_nodes(self):
+        # A merged partial's shape id comes off its plan; interning the
+        # merged nodes afresh must give the same id.
+        acc = TraceMergeAccumulator(world_size=6)
+        for t in irregular_traces(6):
+            acc.add_nodes(t.nodes, t.comm_table)
+            for _, nodes, shape in acc._partials:
+                assert acc._memo.intern(nodes) == shape
+        acc.result()
 
     def test_live_node_count_tracks_partials(self):
         acc = TraceMergeAccumulator(world_size=4)

@@ -459,3 +459,87 @@ def test_wait_branch_matches_reference(case, monkeypatch):
     assert expected <= reached, sorted(reached)
     assert production == reference
 
+
+
+def _sweep_past_waitall_and_collective(nranks):
+    """The relaxed-resume program with a fourth rank: when every rank is
+    blocked, rank 2 waits in a WaitAll and rank 3 in a collective with
+    rank 2, and only rank 0's held WaitAny can resume."""
+    def rank0():
+        a = yield PostRecv(1, 0)
+        b = yield PostRecv(2, 0)
+        yield Collective((0, 1), "barrier")
+        i, _ = yield WaitAny([a, b])
+        s = yield PostSend(2, 64, tag=9)
+        yield WaitAll([s, (a, b)[1 - i]])
+
+    def rank1():
+        yield PostSend(0, 64)
+        yield Collective((0, 1), "barrier")
+
+    def rank2():
+        r = yield PostRecv(0, 9)
+        yield WaitAll([r])
+        s = yield PostSend(0, 64)
+        yield WaitAll([s])
+        yield Collective((2, 3), "barrier", comm_id=1)
+
+    def rank3():
+        yield Collective((2, 3), "barrier", comm_id=1)
+    return [rank0(), rank1(), rank2(), rank3()]
+
+
+def _deadlock_in_waitall_and_collective(nranks):
+    """Ranks 0 and 2 wait for each other's message and rank 1 for a
+    barrier rank 2 never joins: the sweep runs once and resumes
+    nobody."""
+    def rank0():
+        r = yield PostRecv(2, 0)
+        yield WaitAll([r])
+
+    def rank1():
+        yield Collective((1, 2), "barrier", comm_id=1)
+
+    def rank2():
+        r = yield PostRecv(0, 0)
+        yield WaitAll([r])
+        yield Collective((1, 2), "barrier", comm_id=1)
+    return [rank0(), rank1(), rank2()]
+
+
+@pytest.mark.parametrize("build, nranks, swept", [
+    (_sweep_past_waitall_and_collective, 4, ["waitany"]),
+    (_deadlock_in_waitall_and_collective, 3, []),
+], ids=["waitany-resumes", "deadlock"])
+def test_relaxed_sweep_polls_only_waitany(build, nranks, swept,
+                                          monkeypatch):
+    """The all-blocked sweep calls the wait rule for blocked WaitAny
+    ranks alone; a blocked waitall or collective can only resume from
+    the dirty set.  The reference loop, which sweeps every blocked rank,
+    gives the same clocks, counters and deadlock report."""
+    calls = []
+    rule = exec_batch.wait_value
+
+    def spy(rs, kind, data, relaxed, horizon):
+        if relaxed:
+            calls.append(kind)
+        return rule(rs, kind, data, relaxed, horizon)
+
+    def run():
+        eng = Engine(nranks, make_model("bluegene"))
+        error = None
+        with obs.instrumented() as inst:
+            try:
+                eng.run(build(nranks))
+            except SimulationError as exc:
+                error = str(exc)
+        counters = {r["name"]: r["value"] for r in inst.counter_records()}
+        return [eng.now(r).hex() for r in range(nranks)], counters, error
+
+    with reference_loop():
+        reference = run()
+    monkeypatch.setattr(exec_batch, "wait_value", spy)
+    production = run()
+    assert calls == swept
+    assert production == reference
+    assert (production[2] is None) == bool(swept)
