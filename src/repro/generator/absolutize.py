@@ -13,9 +13,9 @@ the emitter renders as per-task-group statements.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.scalatrace.rsd import ParamField
+from repro.scalatrace.rsd import EventNode, ParamField
 from repro.util.expr import ANY_SOURCE, ParamExpr
 from repro.util.valueseq import ValueSeq
 
@@ -60,6 +60,37 @@ def absolutize_rank_field(field: ParamField, node_ranks: Sequence[int],
             return ParamField(expr=ParamExpr.const(ANY_SOURCE))
         return ParamField(expr=ParamExpr.from_table(dict(samples)))
     return ParamField(expr=ParamExpr.infer(samples, comm_size=world_size))
+
+
+def absolutize_p2p(node: EventNode, comm_ranks: Tuple[int, ...],
+                    world_size: int
+                    ) -> Tuple[ParamField, Optional[ParamField],
+                               Optional[ParamField]]:
+    """A point-to-point node's peer, size and tag fields keyed by world
+    rank.  The peer's values become world ranks too; size and tag keep
+    theirs."""
+    ranks = list(node.ranks)
+    peer = absolutize_rank_field(node.peer, ranks, comm_ranks, world_size)
+    if comm_ranks == tuple(range(world_size)):
+        return peer, node.size, node.tag
+    return (peer,) + tuple(None if field is None else
+                           _rekey(field, ranks, comm_ranks)
+                           for field in (node.size, node.tag))
+
+
+def _rekey(field: ParamField, node_ranks: Sequence[int],
+           comm_ranks: Tuple[int, ...]) -> ParamField:
+    """``field`` keyed by world rank instead of communicator rank, its
+    values unchanged."""
+    if field.seq is not None or (field.expr is not None
+                                 and field.expr.is_constant()):
+        return field
+    index = {w: i for i, w in enumerate(comm_ranks)}
+    if field.rank_map is not None:
+        return ParamField(rank_map={w: field.rank_map[index[w]]
+                                    for w in node_ranks})
+    return ParamField(expr=ParamExpr.from_table(
+        {w: field.expr.evaluate(index[w]) for w in node_ranks}))
 
 
 def absolutize_value(comm_value: int, comm_ranks: Tuple[int, ...]) -> int:

@@ -32,7 +32,7 @@ from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
                                         TaskSelector, Var)
 from repro.errors import GenerationError
 from repro import obs
-from repro.generator.absolutize import absolutize_rank_field
+from repro.generator.absolutize import absolutize_p2p
 from repro.generator.mapping import map_collective
 from repro.mpi.hooks import COLLECTIVE_OPS, P2P_OPS, WAIT_OPS
 from repro.scalatrace.rsd import EventNode, LoopNode, ParamField, Trace
@@ -316,11 +316,9 @@ class ConceptualEmitter:
     # -- point-to-point ---------------------------------------------------------------
     def _emit_p2p(self, node: EventNode,
                   ctx: Optional[_LoopCtx]) -> List[Stmt]:
-        comm_ranks = self.trace.comm_ranks(node.comm_id)
-        peer = absolutize_rank_field(node.peer, list(node.ranks),
-                                     comm_ranks, self.world)
-        return self._emit_p2p_ranks(node, ctx, node.ranks, peer,
-                                    node.size, node.tag)
+        peer, size, tag = absolutize_p2p(
+            node, self.trace.comm_ranks(node.comm_id), self.world)
+        return self._emit_p2p_ranks(node, ctx, node.ranks, peer, size, tag)
 
     def _emit_p2p_ranks(self, node, ctx, ranks: RankSet,
                         peer: Optional[ParamField],

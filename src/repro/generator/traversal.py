@@ -14,11 +14,17 @@ that can make progress:
   collective events (:func:`~repro.scalatrace.rsd.select_events`),
   numbered as in the full stream.
 * **Algorithm 2** (§4.4, wildcard resolution) additionally interprets
-  point-to-point matching: sends and receives are paired in traversal
-  order under MPI's FIFO rules, blocking receives/sends/waits suspend the
-  cursor, and every ``MPI_ANY_SOURCE`` receive is bound to the first
-  matching sender — turning a nondeterministic program into an equivalent
-  deterministic one.
+  point-to-point matching under MPI's rules: inside one communicator, in
+  FIFO order per channel (source, destination, communicator, tag).  Each
+  destination keeps its pending sends per source and its pending receives
+  in posting order (the paper's lists L1 and L2); a record leaves its
+  queue when it matches.  Every ``MPI_ANY_SOURCE`` receive is bound to
+  the lowest source among the compatible channel heads, turning a
+  nondeterministic program into an equivalent deterministic one.
+
+An event that can block names what it waits on: a blocking send or
+receive its one record, a wait the records at its offsets, a collective
+its instance.  A cursor advances past it once all of those are done.
 
 If the traversal reaches a state where no cursor can advance, the trace
 admits an execution that deadlocks (the paper's Fig. 5 scenario) and a
@@ -28,48 +34,37 @@ admits an execution that deadlocks (the paper's Fig. 5 scenario) and a
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.errors import TraceDeadlockError, TraceError
-from repro.mpi.hooks import COLLECTIVE_OPS, WAIT_OPS
+from repro.mpi.hooks import COLLECTIVE_OPS, P2P_OPS, WAIT_OPS
 from repro.scalatrace.rsd import ConcreteEvent, Trace, select_events
 from repro.util.expr import ANY_SOURCE
 
 ANY_TAG = -1
 
 
-class _SendRec:
-    __slots__ = ("gseq", "src", "dst", "tag", "event", "matched")
+class _Post:
+    """One posted send or receive, in world ranks; a receive's ``src``
+    may be ``ANY_SOURCE``."""
 
-    def __init__(self, gseq, src, dst, tag, event):
-        self.gseq = gseq
+    __slots__ = ("src", "dst", "tag", "event", "done")
+
+    def __init__(self, src: int, dst: int, tag, event: ConcreteEvent):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.event = event
-        self.matched = False
-
-
-class _RecvRec:
-    __slots__ = ("gseq", "rank", "src", "tag", "event", "matched",
-                 "resolved_src")
-
-    def __init__(self, gseq, rank, src, tag, event):
-        self.gseq = gseq
-        self.rank = rank
-        self.src = src          # requested source (may be ANY_SOURCE)
-        self.tag = tag
-        self.event = event
-        self.matched = False
-        self.resolved_src: Optional[int] = None
+        self.done = False
 
 
 class CollectiveInstance:
     """One logical collective operation: the k-th collective on a
     communicator, with every member's per-rank event."""
 
-    __slots__ = ("comm_id", "seq", "op", "members", "canonical_callsite")
+    __slots__ = ("comm_id", "seq", "op", "members", "canonical_callsite",
+                 "done")
 
     def __init__(self, comm_id: int, seq: int, op: str):
         self.comm_id = comm_id
@@ -77,13 +72,15 @@ class CollectiveInstance:
         self.op = op
         self.members: Dict[int, ConcreteEvent] = {}
         self.canonical_callsite = None
+        self.done = False
 
 
 class TraversalResult:
     """Everything the downstream passes need."""
 
     def __init__(self):
-        #: (id(node), rank, instance) -> resolved source rank (world)
+        #: (id(node), rank, instance) -> the matched sender's rank in the
+        #: receive's communicator (the space its peer field is written in)
         self.resolutions: Dict[Tuple[int, int, int], int] = {}
         #: all collective instances, in completion order
         self.collectives: List[CollectiveInstance] = []
@@ -109,12 +106,13 @@ class TraceScheduler:
         self._events: List[List[ConcreteEvent]] = [
             list(trace.iter_rank(r, nodes)) for r in range(self.nranks)]
         self._pos = [0] * self.nranks
-        self._gseq = 0
-        # matching state (Algorithm 2)
-        self._sends_to: Dict[int, List[_SendRec]] = defaultdict(list)
-        self._recvs_at: Dict[int, List[_RecvRec]] = defaultdict(list)
-        self._outstanding: Dict[int, List[object]] = defaultdict(list)
-        self._blocked_on: Dict[int, object] = {}
+        #: rank -> what its blocked event waits on
+        self._blocked_on: Dict[int, Sequence] = {}
+        # matching state (Algorithm 2): (comm, world dst) -> its pending
+        # sends by world source and its pending receives, in posting order
+        self._boxes: Dict[Tuple[int, int],
+                          Tuple[Dict[int, List[_Post]], List[_Post]]] = {}
+        self._outstanding: Dict[int, List[_Post]] = defaultdict(list)
         # collective state
         self._coll_seq: Dict[Tuple[int, int], int] = defaultdict(int)
         self._coll: Dict[Tuple[int, int], CollectiveInstance] = {}
@@ -145,157 +143,102 @@ class TraceScheduler:
 
     # -- per-rank stepping ------------------------------------------------------
     def _advance_rank(self, rank: int) -> bool:
-        made_progress = False
-        while self._pos[rank] < len(self._events[rank]):
-            ev = self._events[rank][self._pos[rank]]
-            if not self._process(rank, ev):
+        """Move ``rank``'s cursor past every event whose waits are done;
+        return True if it moved."""
+        events = self._events[rank]
+        start = pos = self._pos[rank]
+        while pos < len(events):
+            waits = self._blocked_on.pop(rank, None)
+            if waits is None:
+                waits = self._process(rank, events[pos])
+            if waits and not all(w.done for w in waits):
+                self._blocked_on[rank] = waits
                 break
-            self._pos[rank] += 1
-            made_progress = True
-        return made_progress
+            pos += 1
+        self._pos[rank] = pos
+        return pos > start
 
-    def _process(self, rank: int, ev: ConcreteEvent) -> bool:
-        """Interpret one event; return True if the cursor may advance."""
+    def _process(self, rank: int, ev: ConcreteEvent) -> Sequence:
+        """Interpret one event; return what it waits on."""
         op = ev.op
         if op in COLLECTIVE_OPS:
             return self._process_collective(rank, ev)
-        if op == "Isend":
-            self._post_send(rank, ev, blocking=False)
-            return True
-        if op == "Send":
-            return self._post_send(rank, ev, blocking=True)
-        if op == "Irecv":
-            self._post_recv(rank, ev, blocking=False)
-            return True
-        if op == "Recv":
-            return self._post_recv(rank, ev, blocking=True)
+        if op in P2P_OPS:
+            rec = self._post(rank, ev)
+            if op in ("Send", "Recv"):
+                return (rec,)
+            self._outstanding[rank].append(rec)
+            return ()
         if op in WAIT_OPS:
             return self._process_wait(rank, ev)
         # unknown / neutral events never block
-        return True
+        return ()
 
     # -- point-to-point ------------------------------------------------------------
-    def _post_send(self, rank: int, ev: ConcreteEvent, blocking: bool) -> bool:
-        rec = self._blocked_on.get(rank)
-        if isinstance(rec, _SendRec) and rec.event is ev:
-            # re-checking a blocked send
-            if rec.matched:
-                del self._blocked_on[rank]
-                return True
-            return False
-        rec = _SendRec(self._gseq, rank, int(ev.peer), ev.tag, ev)
-        self._gseq += 1
-        self._sends_to[rec.dst].append(rec)
-        self._try_match_new_send(rec)
-        if not blocking:
-            self._outstanding[rank].append(rec)
-            return True
-        if rec.matched:
-            return True
-        self._blocked_on[rank] = rec
-        return False
+    def _box(self, comm_id: int, dst: int):
+        box = self._boxes.get((comm_id, dst))
+        if box is None:
+            box = self._boxes[(comm_id, dst)] = ({}, [])
+        return box
 
-    def _post_recv(self, rank: int, ev: ConcreteEvent, blocking: bool) -> bool:
-        rec = self._blocked_on.get(rank)
-        if isinstance(rec, _RecvRec) and rec.event is ev:
-            if rec.matched:
-                del self._blocked_on[rank]
-                return True
-            return False
+    def _post(self, rank: int, ev: ConcreteEvent) -> _Post:
+        """Post a send or receive and match it against the pending
+        records of its communicator and destination."""
+        ranks = self.trace.comm_ranks(ev.comm_id)
+        if ev.op in ("Send", "Isend"):
+            rec = _Post(rank, ranks[int(ev.peer)], ev.tag, ev)
+            sends, recvs = self._box(ev.comm_id, rec.dst)
+            # posted receives are consulted in their own posting order
+            for i, recv in enumerate(recvs):
+                if recv.src in (ANY_SOURCE, rank) and \
+                        recv.tag in (ANY_TAG, rec.tag):
+                    del recvs[i]
+                    self._commit(rec, recv)
+                    return rec
+            sends.setdefault(rank, []).append(rec)
+            return rec
         src = ANY_SOURCE if ev.peer is None or ev.peer == ANY_SOURCE \
-            else int(ev.peer)
-        rec = _RecvRec(self._gseq, rank, src, ev.tag, ev)
-        self._gseq += 1
-        self._recvs_at[rank].append(rec)
-        self._try_match_new_recv(rec)
-        if not blocking:
-            self._outstanding[rank].append(rec)
-            return True
-        if rec.matched:
-            return True
-        self._blocked_on[rank] = rec
-        return False
+            else ranks[int(ev.peer)]
+        rec = _Post(src, rank, ev.tag, ev)
+        sends, recvs = self._box(ev.comm_id, rank)
+        # wildcard: §4.4 allows any valid sender; among the compatible
+        # channel heads prefer the lowest rank, which keeps the resolved
+        # pattern regular across iterations and therefore compressible
+        for s in (sorted(sends) if src == ANY_SOURCE else (src,)):
+            queue = sends.get(s, ())
+            for i, send in enumerate(queue):
+                if rec.tag in (ANY_TAG, send.tag):
+                    del queue[i]
+                    if not queue:
+                        del sends[s]
+                    self._commit(send, rec)
+                    return rec
+        recvs.append(rec)
+        return rec
 
-    def _compatible(self, send: _SendRec, recv: _RecvRec) -> bool:
-        if send.matched or recv.matched:
-            return False
-        if send.dst != recv.rank:
-            return False
-        if recv.src not in (ANY_SOURCE, send.src):
-            return False
-        if recv.tag not in (ANY_TAG, send.tag):
-            return False
-        return True
-
-    def _commit(self, send: _SendRec, recv: _RecvRec) -> None:
-        send.matched = True
-        recv.matched = True
-        recv.resolved_src = send.src
+    def _commit(self, send: _Post, recv: _Post) -> None:
+        send.done = recv.done = True
         if recv.src == ANY_SOURCE:
-            key = (id(recv.event.node), recv.rank, recv.event.instance)
-            self.result.resolutions[key] = send.src
+            ev = recv.event
+            self.result.resolutions[(id(ev.node), recv.dst, ev.instance)] = \
+                self.trace.expr_rank(ev.comm_id, send.src)
 
-    def _try_match_new_recv(self, recv: _RecvRec) -> None:
-        if recv.src != ANY_SOURCE:
-            # the send list is in traversal (gseq) order, so the first
-            # compatible send is channel-FIFO correct
-            for send in self._sends_to[recv.rank]:
-                if self._compatible(send, recv):
-                    self._commit(send, recv)
-                    return
-            return
-        # wildcard: §4.4 allows any valid sender; among the currently
-        # available candidates (channel heads) prefer the lowest rank,
-        # which keeps the resolved pattern regular across iterations and
-        # therefore compressible
-        best = None
-        for send in self._sends_to[recv.rank]:
-            if self._compatible(send, recv):
-                if best is None or send.src < best.src:
-                    best = send
-        if best is not None:
-            self._commit(best, recv)
-
-    def _try_match_new_send(self, send: _SendRec) -> None:
-        # posted receives are consulted in their own posting order; the
-        # send list being gseq-ordered keeps per-channel FIFO intact
-        for recv in self._recvs_at[send.dst]:
-            if self._compatible(send, recv):
-                self._commit(send, recv)
-                return
-
-    def _process_wait(self, rank: int, ev: ConcreteEvent) -> bool:
-        state = self._blocked_on.get(rank)
-        if isinstance(state, tuple) and state[0] == "wait" \
-                and state[1] is ev:
-            recs = state[2]
-        else:
-            offsets = ev.wait_offsets or ()
-            outstanding = self._outstanding[rank]
-            for off in offsets:
-                if off >= len(outstanding):
-                    raise TraceError(
-                        f"rank {rank}: wait offset {off} exceeds "
-                        f"{len(outstanding)} outstanding ops")
-            # snapshot before removal (offsets index the pre-wait list)
-            recs = [outstanding[off] for off in offsets]
-            for rec in recs:
-                outstanding.remove(rec)
-            self._blocked_on[rank] = ("wait", ev, recs)
-        if all(r.matched for r in recs):
-            del self._blocked_on[rank]
-            return True
-        return False
+    def _process_wait(self, rank: int, ev: ConcreteEvent) -> List[_Post]:
+        offsets = ev.wait_offsets or ()
+        outstanding = self._outstanding[rank]
+        for off in offsets:
+            if off >= len(outstanding):
+                raise TraceError(
+                    f"rank {rank}: wait offset {off} exceeds "
+                    f"{len(outstanding)} outstanding ops")
+        # offsets index the pre-wait list
+        self._outstanding[rank] = [rec for i, rec in enumerate(outstanding)
+                                   if i not in offsets]
+        return [outstanding[off] for off in offsets]
 
     # -- collectives ------------------------------------------------------------------
-    def _process_collective(self, rank: int, ev: ConcreteEvent) -> bool:
-        state = self._blocked_on.get(rank)
-        if isinstance(state, CollectiveInstance) and \
-                state.members.get(rank) is ev:
-            if state.canonical_callsite is not None:
-                del self._blocked_on[rank]
-                return True
-            return False
+    def _process_collective(self, rank: int, ev: ConcreteEvent
+                            ) -> Tuple[CollectiveInstance]:
         members = self.trace.comm_ranks(ev.comm_id)
         seq = self._coll_seq[(rank, ev.comm_id)]
         self._coll_seq[(rank, ev.comm_id)] = seq + 1
@@ -318,29 +261,28 @@ class TraceScheduler:
                     (id(mev.node), r, mev.instance)] = \
                     inst.canonical_callsite
             self.result.collectives.append(inst)
-            return True
-        self._blocked_on[rank] = inst
-        return False
+            inst.done = True
+        return (inst,)
 
     # -- failure reporting ------------------------------------------------------------
     def _describe_block(self, rank: int) -> str:
-        state = self._blocked_on.get(rank)
-        if isinstance(state, CollectiveInstance):
-            members = self.trace.comm_ranks(state.comm_id)
-            missing = [r for r in members if r not in state.members]
-            return (f"collective {state.op} on comm {state.comm_id} "
+        waits = self._blocked_on[rank]
+        op = self._events[rank][self._pos[rank]].op
+        if op in COLLECTIVE_OPS:
+            (inst,) = waits
+            members = self.trace.comm_ranks(inst.comm_id)
+            missing = [r for r in members if r not in inst.members]
+            return (f"collective {inst.op} on comm {inst.comm_id} "
                     f"awaiting ranks {missing}")
-        if isinstance(state, _SendRec):
-            return f"blocking Send to rank {state.dst} (unreceived)"
-        if isinstance(state, _RecvRec):
-            src = "ANY_SOURCE" if state.src == ANY_SOURCE else state.src
-            return f"blocking Recv from {src} (no matching send)"
-        if isinstance(state, tuple) and state and state[0] == "wait":
-            pending = [r for r in state[2] if not r.matched]
-            return f"wait on {len(pending)} unmatched requests"
-        if self._pos[rank] >= len(self._events[rank]):
-            return "finished"
-        return "stuck"
+        if op == "Send":
+            return f"blocking Send to rank {waits[0].dst} (unreceived)"
+        if op == "Recv":
+            src = waits[0].src
+            return (f"blocking Recv from "
+                    f"{'ANY_SOURCE' if src == ANY_SOURCE else src} "
+                    f"(no matching send)")
+        pending = [r for r in waits if not r.done]
+        return f"wait on {len(pending)} unmatched requests"
 
     def _raise_deadlock(self) -> None:
         blocked = {r: self._describe_block(r) for r in range(self.nranks)
@@ -352,16 +294,12 @@ class TraceScheduler:
             cycle=sorted(blocked))
 
     def _check_unmatched(self) -> None:
-        if not self.block_p2p:
-            return
-        for dst, sends in self._sends_to.items():
-            for s in sends:
-                if not s.matched:
-                    raise TraceError(
-                        f"unmatched send from rank {s.src} to rank {dst} "
-                        f"at end of trace")
-        for rank, recvs in self._recvs_at.items():
-            for r in recvs:
-                if not r.matched:
-                    raise TraceError(
-                        f"unmatched receive at rank {rank} at end of trace")
+        for (_, dst), (sends, _) in self._boxes.items():
+            for queue in sends.values():
+                raise TraceError(
+                    f"unmatched send from rank {queue[0].src} to rank "
+                    f"{dst} at end of trace")
+        for (_, dst), (_, recvs) in self._boxes.items():
+            if recvs:
+                raise TraceError(
+                    f"unmatched receive at rank {dst} at end of trace")

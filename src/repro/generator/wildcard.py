@@ -3,9 +3,12 @@
 ``MPI_ANY_SOURCE`` receives make a benchmark's performance depend on which
 message happens to arrive first — unacceptable for a measurement tool.
 This pass rewrites every wildcard receive in the trace to an *arbitrary
-but valid* concrete source: the first sender that matches the receive
-under a deterministic traversal of the trace (the paper's lists L1/L2
-correspond to our scheduler's pending send/receive records).
+but valid* concrete source: a sender that matches the receive under a
+deterministic traversal of the trace, inside the receive's communicator
+and in FIFO order per channel.  The paper's lists L1/L2 correspond to our
+scheduler's pending send/receive records, kept per communicator and
+destination; the source is written back as the sender's rank in that
+communicator, the space the receive's peer field is written in.
 
 The traversal interprets blocking semantics faithfully, so if the traced
 application admits a deadlocking execution (Fig. 5), the traversal itself

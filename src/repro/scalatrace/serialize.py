@@ -165,8 +165,9 @@ class _Parser:
     def _check_event(self, node: EventNode, instances: int) -> None:
         """Reject an event the generator could not expand: every p2p
         event names a peer, every value sequence holds one value or one
-        per instance on each rank, and peers and roots lie inside the
-        event's communicator."""
+        per instance on each rank, peers and roots lie inside the
+        event's communicator, and a wait's offsets name distinct,
+        non-negative requests."""
         if node.instances < 1:
             raise TraceError("event instance count must be >= 1")
         pos = self.comm_pos.get(node.comm_id)
@@ -179,6 +180,10 @@ class _Parser:
                              f"{node.comm_id}") from None
         if node.op in P2P_OPS and node.peer is None:
             raise TraceError(f"{node.op} event has no peer")
+        offsets = node.wait_offsets or ()
+        if len(set(offsets)) != len(offsets) or min(offsets, default=0) < 0:
+            raise TraceError(f"wait offsets {','.join(map(str, offsets))} "
+                             f"repeat or are negative")
         for name in ("peer", "size", "tag", "root"):
             field = getattr(node, name)
             if field is None:

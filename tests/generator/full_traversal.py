@@ -27,10 +27,10 @@ class FullStreamScheduler(TraceScheduler):
         self._events = [list(expand(trace, trace.nodes, r, {}))
                         for r in range(self.nranks)]
 
-    def _process(self, rank: int, ev: ConcreteEvent) -> bool:
+    def _process(self, rank: int, ev: ConcreteEvent):
         if ev.op in COLLECTIVE_OPS:
             return self._process_collective(rank, ev)
-        return True   # Algorithm 1 never blocks at a point-to-point event
+        return ()   # Algorithm 1 never blocks at a point-to-point event
 
 
 def expand(trace: Trace, nodes: List[Node], rank: int,

@@ -1,10 +1,13 @@
 """Unit tests for absolute-rank conversion (§4.2)."""
 
 
-from repro.generator.absolutize import (absolutize_rank_field,
+from repro.generator.absolutize import (absolutize_p2p,
+                                        absolutize_rank_field,
                                         absolutize_value)
-from repro.scalatrace.rsd import ParamField
+from repro.scalatrace.rsd import EventNode, ParamField
+from repro.util.callsite import Callsite
 from repro.util.expr import ANY_SOURCE, ParamExpr
+from repro.util.rankset import RankSet
 from repro.util.valueseq import ValueSeq
 
 WORLD = 8
@@ -71,3 +74,40 @@ class TestRankMapFields:
         assert set(out.rank_map) == {1, 3}
         assert list(out.rank_map[1]) == [3, 1]
         assert list(out.rank_map[3]) == [1, 3]
+
+
+class TestP2PNode:
+    """A p2p node's peer maps keys and values to world ranks; its size
+    and tag map keys only."""
+
+    @staticmethod
+    def _send(ranks, size, tag):
+        return EventNode("Send", Callsite.synthetic("site", 0), 1,
+                         RankSet(ranks), peer=ParamField.of(0), size=size,
+                         tag=tag)
+
+    def test_size_table_rekeyed_values_kept(self):
+        # comm (4, 5, 6, 7): comm ranks 1..3 are world ranks 5..7
+        node = self._send([5, 6, 7],
+                          ParamField(expr=ParamExpr.from_table(
+                              {1: 8, 2: 16, 3: 24})),
+                          ParamField(expr=ParamExpr.rel(0)))
+        peer, size, tag = absolutize_p2p(node, (4, 5, 6, 7), WORLD)
+        assert peer.constant_value() == 4
+        assert size.expr.table == {5: 8, 6: 16, 7: 24}
+        assert tag.expr.table == {5: 1, 6: 2, 7: 3}
+
+    def test_rank_map_rekeyed_values_kept(self):
+        size = ParamField(rank_map={0: ValueSeq([2, 3]),
+                                    1: ValueSeq([4, 5])})
+        node = self._send([1, 3], size, ParamField.of(7))
+        _, out, tag = absolutize_p2p(node, (1, 3), WORLD)
+        assert {w: list(s) for w, s in out.rank_map.items()} == \
+            {1: [2, 3], 3: [4, 5]}
+        assert tag.constant_value() == 7
+
+    def test_world_communicator_untouched(self):
+        size = ParamField(expr=ParamExpr.from_table({0: 8, 1: 16}))
+        node = self._send([0, 1], size, None)
+        _, out, tag = absolutize_p2p(node, tuple(range(WORLD)), WORLD)
+        assert out is size and tag is None

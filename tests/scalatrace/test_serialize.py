@@ -253,6 +253,10 @@ class TestSemanticValidation:
          None, "event instance count must be >= 1"),
         ("event Barrier ranks=0:3 comm=0 inst=1 size=Q0 time=42:1:1e305",
          None, "bad histogram bin"),
+        ("event Waitall ranks=0:3 comm=0 inst=1 offsets=0,0,2 time=-",
+         None, "wait offsets 0,0,2 repeat or are negative"),
+        ("event Wait ranks=0:3 comm=0 inst=1 offsets=-1 time=-",
+         None, "wait offsets -1 repeat or are negative"),
     ])
     def test_rejected(self, event, loop, message):
         with pytest.raises(TraceError, match="bad trace at line ") as exc:

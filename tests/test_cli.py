@@ -184,6 +184,25 @@ class TestAtomicGenerate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists("lu.ncptl")
 
+    @pytest.mark.parametrize("command", ["generate", "replay"])
+    def test_repeated_wait_offsets_are_one_line(self, workdir, capsys,
+                                                command):
+        main(["trace", "--app", "bt", "--np", "4", "-o", "bt.scalatrace"])
+        capsys.readouterr()
+        with open("bt.scalatrace") as fh:
+            text = fh.read()
+        assert "offsets=0,1," in text
+        with open("bt.scalatrace", "w") as fh:
+            fh.write(text.replace("offsets=0,1,", "offsets=0,0,", 1))
+        argv = [command, "bt.scalatrace"]
+        assert main(argv + (["-o", "bt.ncptl"] if command == "generate"
+                            else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace at line ")
+        assert "repeat or are negative" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists("bt.ncptl")
+
     def test_success_writes_output(self, workdir, capsys):
         main(["trace", "--app", "ring", "--np", "4",
               "-o", "r.scalatrace"])
